@@ -63,7 +63,6 @@ from .sat import SatSolver
 from .solving import (
     Atom,
     CheckResult,
-    CnfEncoding,
     EngineError,
     EventStateAtom,
     ResourceExhausted,
@@ -72,7 +71,6 @@ from .solving import (
     check_essp,
     check_feasibility,
     check_ssp,
-    encode_atom_cnf,
     enumerate_inhibiting_regions,
     essp_atoms,
     solve_atom,
@@ -100,7 +98,6 @@ __all__ = [
     "BooleanNet",
     "COMPLEMENT_MAP",
     "CheckResult",
-    "CnfEncoding",
     "CubicCnf",
     "EngineError",
     "EventStateAtom",
@@ -135,7 +132,6 @@ __all__ = [
     "check_join_preconditions",
     "check_ssp",
     "derive_signature",
-    "encode_atom_cnf",
     "enumerate_inhibiting_regions",
     "essp_atoms",
     "extract_model",

@@ -6,9 +6,14 @@ separation requirement (distinct states told apart by some region's support)
 and every event inhibition requirement (a region whose signature is undefined
 on the support value of a state the event must not fire in).
 
-* The exhaustive engine enumerates candidate supports as integers in
-  lexicographic order over the subject's state list and derives the allowed
-  signatures arc by arc.
+* The exhaustive engine sweeps every support in ascending order
+  (lexicographic over the subject's state list). It filters admissibility
+  bit-parallel, a window of up to 2^16 supports per Python big int: each
+  state's value is a bitset over the window, each event's arcs give the
+  bitset of supports showing each (source, target) value pattern, and a
+  support survives iff every event keeps an interaction of the type that
+  follows all patterns shown there. Only the surviving supports reach the
+  per-support signature derivation and region re-validation.
 * The propositional engine encodes region admissibility as CNF over support
   bits and signature selectors and answers individual requirements through
   assumption-based incremental SAT queries.
@@ -22,6 +27,8 @@ regions may differ.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -70,7 +77,6 @@ class EventStateAtom:
 
 Atom = Union[StatePairAtom, EventStateAtom]
 
-_PARTIALS = tuple(i for i in INTERACTION_ORDER if i.is_partial)
 _GLOBAL_INDEX = {i: idx for idx, i in enumerate(INTERACTION_ORDER)}
 _MATCH_MASK = {
     (a, b): sum(1 << _GLOBAL_INDEX[i] for i in interactions_matching(a, b))
@@ -308,6 +314,121 @@ def _resolve_engine(engine: str, problem: _Problem) -> str:
 
 # --------------------------------------------------------------- exhaustive
 
+#: Support bits decided together in one big-int window. It equals the
+#: ``auto`` cutoff, so every system ``auto`` sends here fits in one window.
+_WINDOW_BITS = 16
+
+
+@functools.cache
+def _column_table(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The all-ones set of a ``width``-bit window and, for each support bit
+    from the highest down, the pair (supports with the bit clear, supports
+    with it set), each a ``2**width``-bit set over the window."""
+    all_ones = (1 << (1 << width)) - 1
+    columns = []
+    for k in reversed(range(width)):
+        run = 1 << k
+        repunit = all_ones // ((1 << (2 * run)) - 1)
+        ones = repunit * (((1 << run) - 1) << run)
+        columns.append((all_ones ^ ones, ones))
+    return all_ones, tuple(columns)
+
+
+@functools.cache
+def _forbidden_patterns(tau_mask: int) -> tuple[tuple[int, ...], ...]:
+    """Per interaction of the type, the arc patterns ``2*a + b`` (source
+    holds a, target holds b) it cannot follow. Supersets are dropped: an
+    interaction that forbids more is never the only one left."""
+    sets = {
+        frozenset(2 * a + b for a in (0, 1) for b in (0, 1) if i.effect[a] != b)
+        for i in INTERACTION_ORDER
+        if tau_mask >> _GLOBAL_INDEX[i] & 1
+    }
+    return tuple(tuple(s) for s in sets if not any(t < s for t in sets))
+
+
+def _admissible_supports(
+    problem: _Problem, deadline: Optional[float]
+) -> Iterator[Optional[int]]:
+    """Every admissible support of ``problem`` in ascending order, or
+    ``None`` once the deadline has passed, after which nothing follows.
+
+    Supports are decided a window of ``2**w`` at a time: the low ``w``
+    support bits vary inside the window and the window index fixes the
+    rest. Each state's value becomes a set over the window; per event the
+    arcs give the set of supports showing each (source, target) value
+    pattern, and a support is admissible iff for every event some
+    interaction of the type follows every pattern shown there.
+    """
+    n = problem.n
+    width = min(n, _WINDOW_BITS)
+    high_bits = n - width
+    all_ones, low_columns = _column_table(width)
+    forbidden = _forbidden_patterns(problem.tau_mask)
+    emitted = 0
+    for high in range(1 << high_bits):
+        if deadline is not None and time.monotonic() > deadline:
+            yield None
+            return
+        columns = low_columns
+        if high_bits:
+            columns = tuple(
+                (0, all_ones) if high >> (high_bits - 1 - p) & 1 else (all_ones, 0)
+                for p in range(high_bits)
+            ) + low_columns
+        blocked = 0
+        for arcs in problem.arcs_by_event:
+            f00 = f01 = f10 = f11 = 0
+            for src, dst in arcs:
+                src0, src1 = columns[src]
+                dst0, dst1 = columns[dst]
+                f00 |= src0 & dst0
+                f01 |= src0 & dst1
+                f10 |= src1 & dst0
+                f11 |= src1 & dst1
+            shown = (f00, f01, f10, f11)
+            stuck = all_ones
+            for patterns in forbidden:
+                hit = 0
+                for pattern in patterns:
+                    hit |= shown[pattern]
+                stuck &= hit
+            blocked |= stuck
+            if blocked == all_ones:
+                break
+        base = high << width
+        bits = format(all_ones ^ blocked, "b")
+        top = len(bits) - 1
+        at = len(bits)
+        while True:
+            at = bits.rfind("1", 0, at)
+            if at < 0:
+                break
+            yield base | (top - at)
+            emitted += 1
+            if deadline is not None and not emitted % 1024:
+                if time.monotonic() > deadline:
+                    yield None
+                    return
+
+
+def _exhaustive_inhibitors(
+    problem: _Problem, event_pos: int, state_pos: int, deadline: Optional[float]
+) -> Iterator[Region]:
+    """Regions inhibiting the event at the state, at most one per support,
+    in ascending support order. Raises ResourceExhausted on budget expiry."""
+    state_bit = problem.state_bit(state_pos)
+    for support in _admissible_supports(problem, deadline):
+        if support is None:
+            raise ResourceExhausted("budget exhausted")
+        bit_value = 1 if support & state_bit else 0
+        partial_mask = problem.allowed_mask(event_pos, support) & _PARTIAL_MASK_AT[
+            bit_value
+        ]
+        if partial_mask:
+            forced = {event_pos: problem.first_of_mask(partial_mask)}
+            yield problem.region_at(support, forced)
+
 
 def _exhaustive_check(
     problem: _Problem,
@@ -328,42 +449,33 @@ def _exhaustive_check(
     pool = _RegionPool()
     n_events = len(problem.events)
     completed = True
-    for support in range(1 << n):
-        if not blocks and not any(uncovered):
-            break
-        if deadline is not None and support % 1024 == 0:
-            if time.monotonic() > deadline:
+    if blocks or any(uncovered):
+        for support in _admissible_supports(problem, deadline):
+            if support is None:
                 completed = False
                 break
-        masks = []
-        valid = True
-        for e in range(n_events):
-            mask = problem.allowed_mask(e, support)
-            if not mask:
-                valid = False
+            if blocks:
+                if problem.refine(blocks, support):
+                    pool.add(problem.region_at(support))
+            if want_essp:
+                for e in range(n_events):
+                    pending = uncovered[e]
+                    if not pending:
+                        continue
+                    mask = problem.allowed_mask(e, support)
+                    for bit_value in (0, 1):
+                        partial_mask = mask & _PARTIAL_MASK_AT[bit_value]
+                        if not partial_mask:
+                            continue
+                        here = support if bit_value == 1 else ~support & full
+                        cover = pending & here
+                        if not cover:
+                            continue
+                        forced = {e: problem.first_of_mask(partial_mask)}
+                        pool.add(problem.region_at(support, forced))
+                        uncovered[e] &= ~cover
+            if not blocks and not any(uncovered):
                 break
-            masks.append(mask)
-        if not valid:
-            continue
-        if blocks:
-            if problem.refine(blocks, support):
-                pool.add(problem.region_at(support))
-        if want_essp:
-            for e in range(n_events):
-                pending = uncovered[e]
-                if not pending:
-                    continue
-                for bit_value in (0, 1):
-                    partial_mask = masks[e] & _PARTIAL_MASK_AT[bit_value]
-                    if not partial_mask:
-                        continue
-                    here = support if bit_value == 1 else ~support & full
-                    cover = pending & here
-                    if not cover:
-                        continue
-                    forced = {e: problem.first_of_mask(partial_mask)}
-                    pool.add(problem.region_at(support, forced))
-                    uncovered[e] &= ~cover
     ssp_fail: Optional[Atom] = None
     essp_fail: Optional[Atom] = None
     if completed:
@@ -670,16 +782,10 @@ def solve_atom(
                 raise ResourceExhausted("budget exhausted")
             return region
         bit_i, bit_j = problem.state_bit(i), problem.state_bit(j)
-        for support in range(1 << problem.n):
-            if deadline is not None and support % 1024 == 0:
-                if time.monotonic() > deadline:
-                    raise ResourceExhausted("budget exhausted")
-            if bool(support & bit_i) == bool(support & bit_j):
-                continue
-            if all(
-                problem.allowed_mask(e, support)
-                for e in range(len(problem.events))
-            ):
+        for support in _admissible_supports(problem, deadline):
+            if support is None:
+                raise ResourceExhausted("budget exhausted")
+            if bool(support & bit_i) != bool(support & bit_j):
                 return problem.region_at(support)
         return None
     event_pos = problem.event_pos[atom.event]
@@ -696,23 +802,8 @@ def solve_atom(
         if status == "unknown":
             raise ResourceExhausted("budget exhausted")
         return region
-    state_bit = problem.state_bit(state_pos)
-    for support in range(1 << problem.n):
-        if deadline is not None and support % 1024 == 0:
-            if time.monotonic() > deadline:
-                raise ResourceExhausted("budget exhausted")
-        bit_value = 1 if support & state_bit else 0
-        partial_mask = problem.allowed_mask(event_pos, support) & _PARTIAL_MASK_AT[
-            bit_value
-        ]
-        if not partial_mask:
-            continue
-        if all(
-            problem.allowed_mask(e, support) for e in range(len(problem.events))
-        ):
-            forced = {event_pos: problem.first_of_mask(partial_mask)}
-            return problem.region_at(support, forced)
-    return None
+    regions = _exhaustive_inhibitors(problem, event_pos, state_pos, deadline)
+    return next(regions, None)
 
 
 def enumerate_inhibiting_regions(
@@ -742,29 +833,10 @@ def enumerate_inhibiting_regions(
         )
     if limit is not None and limit <= 0:
         return []
-    found: list[Region] = []
     if engine_name == "exhaustive":
-        state_bit = problem.state_bit(state_pos)
-        for support in range(1 << problem.n):
-            if deadline is not None and support % 1024 == 0:
-                if time.monotonic() > deadline:
-                    raise ResourceExhausted("budget exhausted")
-            bit_value = 1 if support & state_bit else 0
-            partial_mask = problem.allowed_mask(
-                event_pos, support
-            ) & _PARTIAL_MASK_AT[bit_value]
-            if not partial_mask:
-                continue
-            if not all(
-                problem.allowed_mask(e, support)
-                for e in range(len(problem.events))
-            ):
-                continue
-            forced = {event_pos: problem.first_of_mask(partial_mask)}
-            found.append(problem.region_at(support, forced))
-            if limit is not None and len(found) >= limit:
-                break
-        return found
+        regions = _exhaustive_inhibitors(problem, event_pos, state_pos, deadline)
+        return list(itertools.islice(regions, limit))
+    found: list[Region] = []
     if limit is None:
         raise ValueError(
             "the propositional engine needs an explicit limit for enumeration"
@@ -877,108 +949,3 @@ def assign_witnesses(
             if found is not None:
                 ordered.append((inhibit_atom, found))
     return ordered
-
-
-# --------------------------------------------------------------- CNF bridge
-
-
-@dataclass(frozen=True)
-class CnfEncoding:
-    """A requirement compiled to DIMACS CNF, with the variable glossary
-    needed to decode a satisfying assignment back into a region."""
-
-    subject: Subject
-    tau: NetType
-    atom: Atom
-    variables: tuple[str, ...]
-    clauses: tuple[tuple[int, ...], ...]
-
-    @property
-    def text(self) -> str:
-        lines = [f"p cnf {len(self.variables)} {len(self.clauses)}"]
-        lines.extend(
-            f"c {idx + 1} {name}" for idx, name in enumerate(self.variables)
-        )
-        lines.extend(
-            " ".join(str(lit) for lit in clause) + " 0" for clause in self.clauses
-        )
-        return "\n".join(lines) + "\n"
-
-    def decode(self, assignment: Sequence[bool]) -> Region:
-        """Region encoded by a satisfying assignment (index i = variable
-        i+1). The result is re-validated and settles the atom."""
-        problem = _Problem(self.subject, self.tau)
-        values: dict[str, bool] = {
-            name: bool(assignment[idx]) for idx, name in enumerate(self.variables)
-        }
-        support = {s: int(values[f"sup:{s}"]) for s in problem.states}
-        forced: dict[int, Interaction] = {}
-        if isinstance(self.atom, EventStateAtom):
-            event_pos = problem.event_pos[self.atom.event]
-            for interaction in problem.partials:
-                name = f"pick:{self.atom.event}:{interaction.name.lower()}"
-                if values.get(name):
-                    forced[event_pos] = interaction
-                    break
-        signature: dict[str, Interaction] = {}
-        for event_pos, event in enumerate(problem.events):
-            if event_pos in forced:
-                signature[event] = forced[event_pos]
-                continue
-            for interaction in problem.tau_list:
-                if values[f"sel:{event}:{interaction.name.lower()}"]:
-                    signature[event] = interaction
-                    break
-            else:
-                raise ValueError("assignment selects no interaction")
-        region = Region(support=support, signature=signature)
-        if not validate_region(self.subject, self.tau, region):
-            raise ValueError("assignment decodes to an inadmissible region")
-        return region
-
-
-def encode_atom_cnf(subject: Subject, tau: NetType, atom: Atom) -> CnfEncoding:
-    """Compile 'some admissible region settles this requirement' to CNF."""
-    problem = _Problem(subject, tau)
-    variables: list[str] = []
-    sup_var: list[int] = [0] * problem.n
-    for pos in sorted(range(problem.n), key=lambda p: problem.states[p]):
-        variables.append(f"sup:{problem.states[pos]}")
-        sup_var[pos] = len(variables)
-    sel_var: dict[tuple[int, Interaction], int] = {}
-    for event_pos in sorted(
-        range(len(problem.events)), key=lambda p: problem.events[p]
-    ):
-        for interaction in problem.tau_list:
-            variables.append(
-                f"sel:{problem.events[event_pos]}:{interaction.name.lower()}"
-            )
-            sel_var[(event_pos, interaction)] = len(variables)
-    clauses: list[tuple[int, ...]] = [
-        tuple(c) for c in _consistency_clauses(problem, sup_var, sel_var)
-    ]
-    if isinstance(atom, StatePairAtom):
-        a = sup_var[problem.state_pos[atom.first]]
-        b = sup_var[problem.state_pos[atom.second]]
-        clauses.append((a, b))
-        clauses.append((-a, -b))
-    else:
-        event_pos = problem.event_pos[atom.event]
-        sup = sup_var[problem.state_pos[atom.state]]
-        picks: list[int] = []
-        for interaction in problem.partials:
-            variables.append(f"pick:{atom.event}:{interaction.name.lower()}")
-            aux = len(variables)
-            picks.append(aux)
-            clauses.append((-aux, sel_var[(event_pos, interaction)]))
-            clauses.append(
-                (-aux, _support_literal(sup, _undefined_bit(interaction)))
-            )
-        clauses.append(tuple(picks))  # empty when the type is total: UNSAT
-    return CnfEncoding(
-        subject=subject,
-        tau=tau,
-        atom=atom,
-        variables=tuple(variables),
-        clauses=tuple(clauses),
-    )

@@ -54,6 +54,14 @@ def battery() -> dict[str, TransitionSystem]:
     return build_battery()
 
 
+def line_ts(n_states: int) -> TransitionSystem:
+    """A line ``s0 -a-> s1 -a-> ...`` of ``n_states`` states. Under ``TAU``
+    its inner states cannot all be separated, so a sweep never ends early."""
+    return TransitionSystem.build(
+        "s0", [(f"s{k}", "a", f"s{k + 1}") for k in range(n_states - 1)]
+    )
+
+
 # ------------------------------------------------------- brute-force oracle
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from boolsynth import (
@@ -24,7 +26,7 @@ from boolsynth.fileformats import (
     parse_ts,
     parse_witnesses,
 )
-from conftest import build_battery
+from conftest import build_battery, line_ts
 
 TAU_SPEC = "nop,set,swap,free"
 
@@ -88,6 +90,18 @@ class TestCheck:
         )
         assert code == 3
         assert "inconclusive" in out
+
+    def test_exhaustive_budget_bounds_a_forty_state_sweep(self, capsys, tmp_path):
+        path = tmp_path / "line.ts"
+        path.write_text(format_ts(line_ts(40)))
+        start = time.monotonic()
+        code, out, _ = run(
+            capsys, "check", "feasible", str(path),
+            "--type", TAU_SPEC, "--engine", "exhaustive", "--budget", "0.5",
+        )
+        assert code == 3
+        assert "inconclusive" in out
+        assert time.monotonic() - start < 5.0
 
     def test_witness_file_settles_every_requirement(
         self, capsys, battery_files, tmp_path

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boolsynth import (
+    BooleanNet,
     EventStateAtom,
     Interaction,
     NetType,
@@ -25,14 +26,17 @@ from boolsynth import (
     check_ssp,
     enumerate_inhibiting_regions,
     essp_atoms,
+    reachability_graph,
     region_coherence_report,
     solve_atom,
     ssp_atoms,
     validate_region,
 )
+from boolsynth import solving
 from conftest import (
     TAU,
     TAU_TILDE,
+    line_ts,
     oracle_essp,
     oracle_inhibitable,
     oracle_separable,
@@ -306,6 +310,71 @@ class TestEnumeration:
             enumerate_inhibiting_regions(battery["a1"], TAU, "a", "s1")
 
 
+def net_graph_18() -> TransitionSystem:
+    """Reachability graph (18 states, 3 events) of a six-place net over TAU.
+    Under TAU its pooled regions come from several 2^16-support windows."""
+    flows = {
+        "p0": "set nop set",
+        "p1": "nop swap nop",
+        "p2": "set nop swap",
+        "p3": "nop free nop",
+        "p4": "swap swap nop",
+        "p5": "free swap set",
+    }
+    transitions = ("t0", "t1", "t2")
+    flow = {
+        (place, t): Interaction(value)
+        for place, values in flows.items()
+        for t, value in zip(transitions, values.split())
+    }
+    net = BooleanNet(TAU, tuple(flows), transitions, flow, {p: 0 for p in flows})
+    return reachability_graph(net)
+
+
+def naive_supports(problem) -> list[int]:
+    """Reference scan: one support at a time, kept iff every event keeps
+    some interaction of the type."""
+    return [
+        support
+        for support in range(1 << problem.n)
+        if all(problem.allowed_mask(e, support) for e in range(len(problem.events)))
+    ]
+
+
+class TestSupportSweep:
+    @pytest.mark.parametrize("window_bits", [solving._WINDOW_BITS, 2])
+    def test_matches_a_naive_scan(self, monkeypatch, window_bits):
+        # A 2-bit window splits every system of 3+ states into windows whose
+        # higher support bits are constant.
+        monkeypatch.setattr(solving, "_WINDOW_BITS", window_bits)
+        types = list(all_net_types())
+        rng = random.Random(2024)
+        systems = 0
+        while systems < 60:
+            ts = random_ts(rng, max_states=10, max_events=3)
+            if len(ts.states) < 2:
+                continue
+            systems += 1
+            for tau in rng.sample(types, 3):
+                problem = solving._Problem(ts, tau)
+                swept = list(solving._admissible_supports(problem, None))
+                assert swept == naive_supports(problem), (ts.arcs, tau.spec())
+
+    def test_eighteen_states_agree_with_sat_across_windows(self):
+        ts = net_graph_18()
+        assert len(ts.states) == 18
+        problem = solving._Problem(ts, TAU)
+        swept = list(solving._admissible_supports(problem, None))
+        assert swept == naive_supports(problem)
+        assert len({support >> solving._WINDOW_BITS for support in swept}) > 1
+        for tau in [TAU, *list(all_net_types())[::5]]:
+            for checker in (check_feasibility, check_essp):
+                exhaustive = checker(ts, tau, engine="exhaustive")
+                via_sat = checker(ts, tau, engine="sat")
+                assert exhaustive.outcome == via_sat.outcome, tau.spec()
+                assert exhaustive.counterexample == via_sat.counterexample
+
+
 class TestBudgets:
     def test_zero_budget_check_is_inconclusive(self, battery):
         result = check_feasibility(
@@ -324,6 +393,39 @@ class TestBudgets:
                 engine="sat",
                 budget=0.0,
             )
+
+    def test_zero_budget_exhaustive_check_is_inconclusive(self, battery):
+        result = check_feasibility(
+            battery["a1"], TAU, engine="exhaustive", budget=0.0
+        )
+        assert result.outcome == "inconclusive"
+        assert "budget" in result.reason
+
+    def test_zero_budget_exhaustive_search_raises(self, battery):
+        for atom in (StatePairAtom("s0", "s1"), EventStateAtom("a", "s2")):
+            with pytest.raises(ResourceExhausted):
+                solve_atom(
+                    battery["a2"], TAU, atom, engine="exhaustive", budget=0.0
+                )
+        with pytest.raises(ResourceExhausted):
+            enumerate_inhibiting_regions(
+                battery["a2"], TAU, "a", "s2", engine="exhaustive", budget=0.0
+            )
+
+    def test_exhaustive_windows_stay_small_on_forty_states(self, monkeypatch):
+        widths = []
+        table = solving._column_table
+
+        def spy(width):
+            widths.append(width)
+            return table(width)
+
+        monkeypatch.setattr(solving, "_column_table", spy)
+        result = check_feasibility(
+            line_ts(40), TAU, engine="exhaustive", budget=0.2
+        )
+        assert result.outcome == "inconclusive"
+        assert widths == [solving._WINDOW_BITS]
 
     def test_unknown_engine_rejected(self, battery):
         with pytest.raises(ValueError, match="unknown engine"):
