@@ -11,6 +11,11 @@ Literal convention: DIMACS-style nonzero ints at the API boundary
 (negative). ``watches[lit]`` holds the long clauses currently watching
 ``lit``; ``bins[lit]`` holds the partner literals of binary clauses
 containing ``lit``. Both fire when ``lit`` becomes false.
+
+As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
+itself, implied literal first (never reordered while that literal is true),
+and the decision heap holds no duplicate entries. ``conflicts``,
+``decisions`` and ``propagations`` count work over the solver's lifetime.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ class SatSolver:
         self._nvars = 0
         self._val = bytearray((_UNDEF, _UNDEF))  # indexed by internal literal
         self._level: list[int] = [0]
-        self._reason: list[Optional[tuple[int, ...]]] = [None]
+        self._reason: list[Optional[Sequence[int]]] = [None]
         self._activity: list[float] = [0.0]
         self._phase = bytearray(1)
+        self._in_heap = bytearray(1)  # heap holds (-activity[var], var)
         self._watches: list[list[list[int]]] = [[], []]
         self._bins: list[list[int]] = [[], []]
         self._trail: list[int] = []
@@ -56,25 +62,31 @@ class SatSolver:
         self._var_inc = 1.0
         self._ok = True
         self._n_conflicts = 0
+        self._n_decisions = 0
+        self._n_propagations = 0
         self._model = b""
 
     # ------------------------------------------------------------------ api
 
     def new_var(self) -> int:
-        self._nvars += 1
-        self._val.extend((_UNDEF, _UNDEF))
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._phase.append(0)
-        self._watches.extend(([], []))
-        self._bins.extend(([], []))
-        heapq.heappush(self._heap, (0.0, self._nvars))
+        self.ensure_vars(self._nvars + 1)
         return self._nvars
 
     def ensure_vars(self, count: int) -> None:
-        while self._nvars < count:
-            self.new_var()
+        added = count - self._nvars
+        if added <= 0:
+            return
+        # (0.0, var) sorts above every entry already in the heap
+        self._heap += ((0.0, var) for var in range(self._nvars + 1, count + 1))
+        self._nvars = count
+        self._val += bytes((_UNDEF,)) * (2 * added)
+        self._level += [0] * added
+        self._reason += [None] * added
+        self._activity += [0.0] * added
+        self._phase += bytes(added)
+        self._in_heap += b"\1" * added
+        self._watches += ([] for _ in range(2 * added))
+        self._bins += ([] for _ in range(2 * added))
 
     @property
     def num_vars(self) -> int:
@@ -84,46 +96,48 @@ class SatSolver:
     def conflicts(self) -> int:
         return self._n_conflicts
 
+    @property
+    def decisions(self) -> int:
+        return self._n_decisions
+
+    @property
+    def propagations(self) -> int:
+        return self._n_propagations
+
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause of DIMACS literals (the solver first backtracks to
         level 0, so adding clauses between ``solve`` calls is safe)."""
-        self._backtrack(0)
+        if self._trail_lim:
+            self._backtrack(0)
+        val = self._val
         internal: list[int] = []
-        seen: set[int] = set()
         for lit in lits:
-            if lit == 0:
+            if not lit:
                 raise ValueError("literal 0 is not allowed")
-            var = abs(lit)
-            self.ensure_vars(var)
-            ilit = var * 2 + (0 if lit > 0 else 1)
-            if ilit ^ 1 in seen:
+            ilit = lit * 2 if lit > 0 else 1 - lit * 2
+            if ilit >= len(val):
+                self.ensure_vars(ilit >> 1)
+            if ilit ^ 1 in internal:
                 return  # tautology
-            if ilit in seen:
+            if ilit in internal:
                 continue
-            value = self._val[ilit]
+            value = val[ilit]
             if value == _TRUE:
                 return  # already satisfied at level 0
             if value == _FALSE:
                 continue  # falsified at level 0: drop the literal
-            seen.add(ilit)
             internal.append(ilit)
         if not self._ok:
             return
         if not internal:
             self._ok = False
             return
-        if len(internal) == 1:
-            self._enqueue(internal[0], None)
-            if self._propagate() is not None:
-                self._ok = False
+        if len(internal) > 1:
+            self._attach(internal)
             return
-        if len(internal) == 2:
-            a, b = internal
-            self._bins[a].append(b)
-            self._bins[b].append(a)
-            return
-        self._watches[internal[0]].append(internal)
-        self._watches[internal[1]].append(internal)
+        self._enqueue(internal[0], None)
+        if self._propagate() is not None:
+            self._ok = False
 
     def solve(
         self,
@@ -131,8 +145,8 @@ class SatSolver:
         deadline: Optional[float] = None,
         conflict_budget: Optional[int] = None,
     ) -> Optional[bool]:
-        """True = satisfiable, False = unsatisfiable (under assumptions),
-        None = budget exhausted before reaching a verdict."""
+        """True = satisfiable, False = unsatisfiable (under assumptions), None =
+        budget exhausted (deadline checked every 64 conflicts, 1,024 decisions)."""
         if not self._ok:
             return False
         if deadline is not None and time.monotonic() > deadline:
@@ -146,6 +160,9 @@ class SatSolver:
             var = abs(lit)
             self.ensure_vars(var)
             assume.append(var * 2 + (0 if lit > 0 else 1))
+        val = self._val
+        trail = self._trail
+        trail_lim = self._trail_lim
         budget_start = self._n_conflicts
         restart_count = 0
         limit = 32 * _luby(1)
@@ -155,7 +172,7 @@ class SatSolver:
             if conflict is not None:
                 self._n_conflicts += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._ok = False
                     return False
                 learnt, back_level = self._analyze(conflict)
@@ -177,23 +194,32 @@ class SatSolver:
                     conflicts_here = 0
                     self._backtrack(0)
                 continue
-            lvl = self._decision_level()
+            lvl = len(trail_lim)
             if lvl < len(assume):
                 lit = assume[lvl]
-                value = self._val[lit]
+                value = val[lit]
                 if value == _FALSE:
                     return False
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 if value == _UNDEF:
                     self._enqueue(lit, None)
                 continue
-            if len(self._trail) == self._nvars:
-                self._model = bytes(self._val)
+            if len(trail) == self._nvars:
+                self._model = bytes(val)
                 return True
+            # A decision keeps the saved phase, so the phase needs no update.
             var = self._pick_branch_var()
             lit = var * 2 + (self._phase[var] ^ 1)
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(lit, None)
+            trail_lim.append(len(trail))
+            val[lit] = _TRUE
+            val[lit ^ 1] = _FALSE
+            self._level[var] = lvl + 1
+            self._reason[var] = None
+            trail.append(lit)
+            self._n_decisions += 1
+            if deadline is not None and not self._n_decisions % 1024:
+                if time.monotonic() > deadline:
+                    return None
 
     def model_value(self, var: int) -> bool:
         """Truth of ``var`` in the most recent satisfying assignment."""
@@ -216,71 +242,88 @@ class SatSolver:
 
     # ------------------------------------------------------------ internals
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _enqueue(self, lit: int, reason: Optional[tuple[int, ...]]) -> None:
+    def _enqueue(self, lit: int, reason: Optional[Sequence[int]]) -> None:
         self._val[lit] = _TRUE
         self._val[lit ^ 1] = _FALSE
         var = lit >> 1
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._phase[var] = 1 - (lit & 1)
         self._trail.append(lit)
 
-    def _propagate(self) -> Optional[tuple[int, ...]]:
+    def _propagate(self) -> Optional[Sequence[int]]:
         val = self._val
+        level = self._level
+        reasons = self._reason
+        phase = self._phase
         bins = self._bins
         watches = self._watches
         trail = self._trail
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            falsified = p ^ 1
-            for implied in bins[falsified]:
-                v = val[implied]
-                if v == _FALSE:
-                    return (implied, falsified)
-                if v == _UNDEF:
-                    self._enqueue(implied, (implied, falsified))
-            watch_list = watches[falsified]
-            write = 0
-            read = 0
-            size = len(watch_list)
-            while read < size:
-                clause = watch_list[read]
-                read += 1
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if val[first] == _TRUE:
-                    watch_list[write] = clause
-                    write += 1
-                    continue
-                moved = False
-                for k in range(2, len(clause)):
-                    lk = clause[k]
-                    if val[lk] != _FALSE:
-                        clause[1], clause[k] = lk, falsified
-                        watches[lk].append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                watch_list[write] = clause
-                write += 1
-                if val[first] == _FALSE:
-                    del watch_list[write:read]
-                    return tuple(clause)
-                self._enqueue(first, tuple(clause))
-            del watch_list[write:]
-        return None
+        lvl = len(self._trail_lim)
+        qhead = start = self._qhead
+        try:
+            while qhead < len(trail):
+                falsified = trail[qhead] ^ 1
+                qhead += 1
+                for implied in bins[falsified]:
+                    v = val[implied]
+                    if v == _FALSE:
+                        return (implied, falsified)
+                    if v == _UNDEF:
+                        val[implied] = _TRUE
+                        val[implied ^ 1] = _FALSE
+                        var = implied >> 1
+                        level[var] = lvl
+                        reasons[var] = (implied, falsified)
+                        phase[var] = 1 - (implied & 1)
+                        trail.append(implied)
+                watch_list = watches[falsified]
+                write = 0
+                read = 0
+                size = len(watch_list)
+                while read < size:
+                    clause = watch_list[read]
+                    read += 1
+                    first = clause[0]
+                    if first == falsified:
+                        first = clause[1]
+                        clause[0] = first
+                        clause[1] = falsified
+                    if val[first] == _TRUE:
+                        watch_list[write] = clause
+                        write += 1
+                        continue
+                    for k in range(2, len(clause)):
+                        lk = clause[k]
+                        if val[lk] != _FALSE:
+                            clause[1] = lk
+                            clause[k] = falsified
+                            watches[lk].append(clause)
+                            break
+                    else:
+                        watch_list[write] = clause
+                        write += 1
+                        if val[first] == _FALSE:
+                            del watch_list[write:read]
+                            return clause
+                        val[first] = _TRUE
+                        val[first ^ 1] = _FALSE
+                        var = first >> 1
+                        level[var] = lvl
+                        reasons[var] = clause
+                        phase[var] = 1 - (first & 1)
+                        trail.append(first)
+                del watch_list[write:]
+            return None
+        finally:
+            self._qhead = qhead
+            self._n_propagations += qhead - start
 
-    def _analyze(self, conflict: tuple[int, ...]) -> tuple[list[int], int]:
+    def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int]:
         learnt: list[int] = [0]
         seen: set[int] = set()
         counter = 0
-        level = self._decision_level()
+        level = len(self._trail_lim)
         reason: Sequence[int] = conflict
         skip: Optional[int] = None
         idx = len(self._trail) - 1
@@ -322,37 +365,43 @@ class SatSolver:
                 break
         return learnt, back
 
-    def _record_learnt(self, learnt: list[int]) -> None:
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
-            return
-        if len(learnt) == 2:
-            a, b = learnt
+    def _attach(self, clause: list[int]) -> None:
+        """Watch a clause of two or more literals by its first two."""
+        if len(clause) == 2:
+            a, b = clause
             self._bins[a].append(b)
             self._bins[b].append(a)
-            self._enqueue(a, (a, b))
-            return
-        self._watches[learnt[0]].append(learnt)
-        self._watches[learnt[1]].append(learnt)
-        self._enqueue(learnt[0], tuple(learnt))
+        else:
+            self._watches[clause[0]].append(clause)
+            self._watches[clause[1]].append(clause)
+
+    def _record_learnt(self, learnt: list[int]) -> None:
+        if len(learnt) > 1:
+            self._attach(learnt)
+        self._enqueue(learnt[0], learnt if len(learnt) > 1 else None)
 
     def _backtrack(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        if len(self._trail_lim) <= target_level:
             return
         boundary = self._trail_lim[target_level]
-        for lit in reversed(self._trail[boundary:]):
-            self._val[lit] = _UNDEF
-            self._val[lit ^ 1] = _UNDEF
+        val = self._val
+        in_heap = self._in_heap
+        for lit in self._trail[boundary:]:
+            val[lit] = _UNDEF
+            val[lit ^ 1] = _UNDEF
             var = lit >> 1
-            self._reason[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
+            if not in_heap[var]:  # push only variables without an entry
+                in_heap[var] = 1
+                heapq.heappush(self._heap, (-self._activity[var], var))
         del self._trail[boundary:]
         del self._trail_lim[target_level:]
         self._qhead = len(self._trail)
 
     def _bump_activity(self, var: int) -> None:
         self._activity[var] += self._var_inc
-        if self._val[var * 2] == _UNDEF:
+        undef = self._val[var * 2] == _UNDEF
+        self._in_heap[var] = undef  # the old entry is stale now
+        if undef:
             heapq.heappush(self._heap, (-self._activity[var], var))
 
     def _rescale_activity(self) -> None:
@@ -360,18 +409,18 @@ class SatSolver:
         self._var_inc *= 1e-100
         self._heap = []
         for var in range(1, self._nvars + 1):
-            if self._val[var * 2] == _UNDEF:
+            undef = self._val[var * 2] == _UNDEF
+            self._in_heap[var] = undef
+            if undef:
                 heapq.heappush(self._heap, (-self._activity[var], var))
 
     def _pick_branch_var(self) -> int:
         heap = self._heap
         activity = self._activity
         val = self._val
-        while heap:
+        while True:  # every unassigned variable has a current entry
             neg_act, var = heapq.heappop(heap)
-            if val[var * 2] == _UNDEF and -neg_act == activity[var]:
-                return var
-        for var in range(1, self._nvars + 1):
-            if val[var * 2] == _UNDEF:
-                return var
-        raise AssertionError("no unassigned variable to branch on")
+            if -neg_act == activity[var]:
+                self._in_heap[var] = 0
+                if val[var * 2] == _UNDEF:
+                    return var

@@ -31,7 +31,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .interactions import (
     INTERACTION_ORDER,
@@ -39,6 +39,7 @@ from .interactions import (
     NetType,
     UNDEFINED_AT,
     interactions_matching,
+    iter_type,
     require_usable,
 )
 from .regions import Region, validate_region
@@ -124,6 +125,22 @@ def _deadline_from_budget(budget: Optional[float]) -> Optional[float]:
     return time.monotonic() + budget
 
 
+@functools.cache
+def _type_data(
+    tau: NetType,
+) -> tuple[tuple[Interaction, ...], int, tuple[tuple[int, ...], ...]]:
+    """The interactions of ``tau`` in canonical order, their mask, and per
+    interaction the arc patterns ``2*a + b`` (source holds a, target holds
+    b) it cannot follow, supersets dropped (they are never the last left)."""
+    tau_list = iter_type(tau)
+    sets = {
+        frozenset(2 * a + b for a in (0, 1) for b in (0, 1) if i.effect[a] != b)
+        for i in tau_list
+    }
+    forbidden = tuple(tuple(s) for s in sets if not any(t < s for t in sets))
+    return tau_list, sum(1 << _GLOBAL_INDEX[i] for i in tau_list), forbidden
+
+
 class _Problem:
     """Indexed, bitmask-friendly view of a subject under a net type."""
 
@@ -147,9 +164,7 @@ class _Problem:
             enabled[e] |= self.state_bit(src)
         self.arcs_by_event = arcs_by_event
         self.enabled_mask = enabled
-        self.tau_list = [i for i in INTERACTION_ORDER if i in tau]
-        self.tau_mask = sum(1 << _GLOBAL_INDEX[i] for i in self.tau_list)
-        self.partials = [i for i in self.tau_list if i.is_partial]
+        self.tau_list, self.tau_mask, self.forbidden = _type_data(tau)
 
     def state_bit(self, pos: int) -> int:
         """Bit of state ``pos`` in a support integer (state 0 is the MSB,
@@ -334,19 +349,6 @@ def _column_table(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return all_ones, tuple(columns)
 
 
-@functools.cache
-def _forbidden_patterns(tau_mask: int) -> tuple[tuple[int, ...], ...]:
-    """Per interaction of the type, the arc patterns ``2*a + b`` (source
-    holds a, target holds b) it cannot follow. Supersets are dropped: an
-    interaction that forbids more is never the only one left."""
-    sets = {
-        frozenset(2 * a + b for a in (0, 1) for b in (0, 1) if i.effect[a] != b)
-        for i in INTERACTION_ORDER
-        if tau_mask >> _GLOBAL_INDEX[i] & 1
-    }
-    return tuple(tuple(s) for s in sets if not any(t < s for t in sets))
-
-
 def _admissible_supports(
     problem: _Problem, deadline: Optional[float]
 ) -> Iterator[Optional[int]]:
@@ -364,7 +366,7 @@ def _admissible_supports(
     width = min(n, _WINDOW_BITS)
     high_bits = n - width
     all_ones, low_columns = _column_table(width)
-    forbidden = _forbidden_patterns(problem.tau_mask)
+    forbidden = problem.forbidden
     emitted = 0
     for high in range(1 << high_bits):
         if deadline is not None and time.monotonic() > deadline:
@@ -435,9 +437,7 @@ def _exhaustive_check(
     want_ssp: bool,
     want_essp: bool,
     deadline: Optional[float],
-) -> tuple[
-    Optional[Atom], Optional[Atom], tuple[Region, ...], bool
-]:
+) -> tuple[Optional[Atom], Optional[Atom], tuple[Region, ...], bool]:
     """Full-support-sweep decision. Returns (ssp counterexample, essp
     counterexample, pooled regions, completed)."""
     n = problem.n
@@ -496,10 +496,6 @@ def _exhaustive_check(
 # ------------------------------------------------------------ propositional
 
 
-def _support_literal(var: int, bit_value: int) -> int:
-    return var if bit_value else -var
-
-
 class _SatContext:
     """Incremental CNF encoding of region admissibility for one subject and
     net type. Individual requirements are decided under assumptions, so the
@@ -515,18 +511,18 @@ class _SatContext:
         for var_offset, pos in enumerate(sorted_states):
             self.sup_var[pos] = var_offset + 1
         base = problem.n
-        self.sel_var: dict[tuple[int, Interaction], int] = {}
+        width = len(problem.tau_list)
+        # sel_var[event_pos][k] selects interaction tau_list[k] for the event
+        self.sel_var: list[list[int]] = [[] for _ in problem.events]
         for event_pos in sorted(
             range(len(problem.events)), key=lambda p: problem.events[p]
         ):
-            for interaction in problem.tau_list:
-                base += 1
-                self.sel_var[(event_pos, interaction)] = base
+            self.sel_var[event_pos] = list(range(base + 1, base + width + 1))
+            base += width
         self.solver.ensure_vars(base)
-        for clause in _consistency_clauses(
-            problem, self.sup_var, self.sel_var
-        ):
-            self.solver.add_clause(clause)
+        add_clause = self.solver.add_clause
+        for clause in _consistency_clauses(problem, self.sup_var, self.sel_var):
+            add_clause(clause)
 
     def solve_pair(
         self, first_pos: int, second_pos: int, deadline: Optional[float]
@@ -544,31 +540,30 @@ class _SatContext:
     def solve_inhibit(
         self, event_pos: int, state_pos: int, deadline: Optional[float]
     ) -> tuple[str, Optional[Region]]:
-        sup = self.sup_var[state_pos]
-        for interaction in self.problem.partials:
-            sel = self.sel_var[(event_pos, interaction)]
-            bit_value = _undefined_bit(interaction)
-            verdict = self.solver.solve(
-                (sel, _support_literal(sup, bit_value)), deadline=deadline
-            )
+        for interaction, lits in self.inhibit_assumptions(event_pos, state_pos):
+            verdict = self.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 return "unknown", None
             if verdict:
                 return "sat", self.decode({event_pos: interaction})
         return "unsat", None
 
+    def inhibit_assumptions(
+        self, event_pos: int, state_pos: int
+    ) -> Iterator[tuple[Interaction, tuple[int, int]]]:
+        """Per partial interaction of the type, in canonical order, the
+        assumptions that make it the event's and undefined at the state."""
+        sup = self.sup_var[state_pos]
+        for sel, interaction in zip(self.sel_var[event_pos], self.problem.tau_list):
+            if interaction.is_partial:
+                yield interaction, (sel, sup if _undefined_bit(interaction) else -sup)
+
     def block_support(self) -> None:
         """Exclude the support of the last model from future answers."""
         model = self.solver.model_value
-        clause = []
-        for pos in range(self.problem.n):
-            var = self.sup_var[pos]
-            clause.append(-var if model(var) else var)
-        self.solver.add_clause(clause)
+        self.solver.add_clause([-var if model(var) else var for var in self.sup_var])
 
-    def decode(
-        self, forced: Optional[dict[int, Interaction]] = None
-    ) -> Region:
+    def decode(self, forced: Optional[dict[int, Interaction]] = None) -> Region:
         problem = self.problem
         model = self.solver.model_value
         support = {
@@ -580,8 +575,8 @@ class _SatContext:
             if forced and event_pos in forced:
                 signature[event] = forced[event_pos]
                 continue
-            for interaction in problem.tau_list:
-                if model(self.sel_var[(event_pos, interaction)]):
+            for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
+                if model(sel):
                     signature[event] = interaction
                     break
             else:  # pragma: no cover - excluded by the at-least-one clauses
@@ -595,7 +590,7 @@ class _SatContext:
 def _consistency_clauses(
     problem: _Problem,
     sup_var: Sequence[int],
-    sel_var: Mapping[tuple[int, Interaction], int],
+    sel_var: Sequence[Sequence[int]],
 ) -> Iterator[list[int]]:
     """CNF for 'the chosen signature is consistent with every arc'.
 
@@ -604,25 +599,27 @@ def _consistency_clauses(
     if it is undefined on token b, the source cannot carry b; if it maps
     b to v, a source carrying b forces the target to carry v.
     """
-    for event_pos in range(len(problem.events)):
-        yield [sel_var[(event_pos, i)] for i in problem.tau_list]
-    for event_pos in range(len(problem.events)):
-        for src, dst in problem.arcs_by_event[event_pos]:
-            for interaction in problem.tau_list:
-                guard = -sel_var[(event_pos, interaction)]
-                for bit_value in (0, 1):
-                    image = interaction.effect[bit_value]
-                    src_lit = _support_literal(sup_var[src], 1 - bit_value)
-                    if image is None:
-                        yield [guard, src_lit]
-                        continue
-                    dst_lit = _support_literal(sup_var[dst], image)
-                    if src_lit == dst_lit:
-                        yield [guard, src_lit]
-                    elif src_lit == -dst_lit:
-                        continue  # tautology (same variable, both phases)
-                    else:
-                        yield [guard, src_lit, dst_lit]
+    # Per interaction tau_list[k] and source bit b, the clause (not selected)
+    # or (source sign * source) or (target sign * target, if the sign is not 0)
+    rows = [
+        (k, -1 if b else 1, 0 if image is None else 1 if image else -1)
+        for k, interaction in enumerate(problem.tau_list)
+        for b, image in enumerate(interaction.effect)
+    ]
+    for sels in sel_var:
+        yield list(sels)
+    for sels, arcs in zip(sel_var, problem.arcs_by_event):
+        for src, dst in arcs:
+            s = sup_var[src]
+            d = sup_var[dst]
+            for k, src_sign, dst_sign in rows:
+                if not dst_sign:
+                    yield [-sels[k], src_sign * s]
+                elif s != d:
+                    yield [-sels[k], src_sign * s, dst_sign * d]
+                elif src_sign == dst_sign:
+                    yield [-sels[k], src_sign * s]
+                # else a tautology: the same variable in both phases
 
 
 def _sat_check(
@@ -842,22 +839,16 @@ def enumerate_inhibiting_regions(
             "the propositional engine needs an explicit limit for enumeration"
         )
     ctx = _SatContext(problem)
-    sup = ctx.sup_var[state_pos]
-    for interaction in problem.partials:
-        sel = ctx.sel_var[(event_pos, interaction)]
-        bit_value = _undefined_bit(interaction)
+    for interaction, lits in ctx.inhibit_assumptions(event_pos, state_pos):
         while len(found) < limit:
-            verdict = ctx.solver.solve(
-                (sel, _support_literal(sup, bit_value)), deadline=deadline
-            )
+            verdict = ctx.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 raise ResourceExhausted("budget exhausted")
             if not verdict:
                 break
-            region = ctx.decode({event_pos: interaction})
-            found.append(region)
+            found.append(ctx.decode({event_pos: interaction}))
             ctx.block_support()
-        if limit is not None and len(found) >= limit:
+        if len(found) >= limit:
             break
     return found
 

@@ -1,8 +1,10 @@
-"""The CDCL core: unit behavior, assumptions, restarts, and a differential
-check against a brute-force evaluator on random small formulas."""
+"""The CDCL core: unit behavior, assumptions, restarts, budgets, work
+counters, differential checks against a brute-force evaluator on random
+small formulas, and a golden trace of the search on the hardness gadgets."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -10,7 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boolsynth import SatSolver
+from boolsynth import (
+    PHI_SAT,
+    PHI_UNSAT,
+    Family,
+    SatSolver,
+    TsUnion,
+    build_instance,
+    build_union,
+    check_feasibility,
+    solving,
+)
+from boolsynth import sat as sat_module
 from boolsynth.sat import _luby
 
 PROPERTY_SETTINGS = settings(
@@ -169,12 +182,51 @@ class TestHarderInstances:
         solver = fresh(nvars, clauses)
         assert solver.solve(deadline=0.0) is None
 
+    def test_deadline_bounds_a_conflict_free_descent(self, monkeypatch):
+        # All-negative is the saved phase and satisfies every clause, so the
+        # search only decides: no conflict ever reaches the deadline check.
+        nvars = 3000
+        clauses = [[-v, -(v + 1)] for v in range(1, nvars)]
+        clock = iter([0.0])
+        monkeypatch.setattr(
+            sat_module.time, "monotonic", lambda: next(clock, 100.0)
+        )
+        solver = fresh(nvars, clauses)
+        assert solver.solve(deadline=1.0) is None
+        assert solver.conflicts == 0
+        assert solver.decisions == 1024
+        assert solver.solve() is True
+        assert solver.verify_model(clauses)
+
     def test_restarts_do_not_change_verdicts(self):
         # enough conflicts to force several restarts (limit starts at 32)
         nvars, clauses = pigeonhole(6, 5)
         solver = fresh(nvars, clauses)
         assert solver.solve() is False
         assert solver.conflicts > 32
+
+
+class TestCounters:
+    def test_a_free_descent_decides_and_propagates_every_variable(self):
+        solver = fresh(3, [])
+        assert solver.solve() is True
+        assert (solver.conflicts, solver.decisions, solver.propagations) == (0, 3, 3)
+
+    def test_units_propagate_without_decisions(self):
+        # 1 is a unit; 1 -> 2 and 2 -> 3 follow from it at level 0.
+        solver = fresh(3, [[1], [-1, 2], [-2, 3]])
+        assert solver.solve() is True
+        assert solver.model() == [True, True, True]
+        assert (solver.decisions, solver.propagations) == (0, 3)
+
+    def test_counters_accumulate_over_solves(self):
+        nvars, clauses = pigeonhole(5, 4)
+        solver = fresh(nvars, clauses)
+        assert solver.solve() is False
+        first = (solver.conflicts, solver.decisions, solver.propagations)
+        assert all(first)
+        assert solver.solve() is False  # refuted at level 0 from now on
+        assert (solver.conflicts, solver.decisions, solver.propagations) == first
 
 
 def random_formula(draw_size_rng):
@@ -243,3 +295,122 @@ class TestDifferential:
             assert verdict == (brute_force(nvars, clauses) is not None)
             if not verdict:
                 break
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_clause_loading_paths_match_brute_force(self, seed):
+        # Clauses arrive before any variable exists, at level 0 and between
+        # solves (the solver is then above level 0), with duplicate,
+        # tautological, unit and level-0-falsified literals.
+        rng = random.Random(seed)
+        nvars = rng.randint(2, 6)
+        solver = SatSolver()
+        solver.ensure_vars(rng.randint(0, nvars))
+        clauses: list[list[int]] = []
+        units: list[int] = []
+        for _ in range(rng.randint(1, 5)):
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.choice(
+                    ("plain", "duplicate", "tautology", "unit", "falsified")
+                )
+                lits = [
+                    rng.randint(1, nvars) * rng.choice((1, -1))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                if kind == "duplicate":
+                    lits.insert(rng.randint(0, len(lits)), rng.choice(lits))
+                elif kind == "tautology":
+                    lits.insert(rng.randint(0, len(lits)), -rng.choice(lits))
+                elif kind == "unit":
+                    lits = lits[:1]
+                    units.append(lits[0])
+                elif kind == "falsified" and units:
+                    lits.insert(rng.randint(0, len(lits)), -rng.choice(units))
+                clauses.append(lits)
+                solver.add_clause(lits)
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 2))
+            ]
+            solver.ensure_vars(nvars)
+            verdict = solver.solve(assumptions)
+            expected = brute_force(nvars, clauses, assumptions)
+            assert verdict == (expected is not None)
+            if verdict:
+                assert solver.verify_model(clauses)
+                for lit in assumptions:
+                    assert solver.model_value(abs(lit)) is (lit > 0)
+
+
+def _digest(region):
+    """First 16 hex digits of the sha256 of a region's key."""
+    return hashlib.sha256(repr(region.key()).encode()).hexdigest()[:16]
+
+
+class TestSearchIdentity:
+    """A golden trace of the search: verdicts, decoded regions and the
+    solver's conflict, decision and propagation counts on the hardness
+    gadgets. Speed-ups of the solver must leave all of them unchanged; a
+    deliberate change of the search (clause deletion, a new heuristic, a
+    new encoding) must re-record them."""
+
+    @pytest.mark.parametrize(
+        "cnf, family, status, digest, work",
+        [
+            (PHI_SAT, Family.FREE, "sat", "ef4134429e1e72f3", (7, 687, 1793)),
+            (PHI_SAT, Family.USED, "sat", "060c9de54fab2ddb", (17, 657, 6201)),
+            (PHI_UNSAT, Family.FREE, "unsat", None, (178, 6644, 23898)),
+            (PHI_UNSAT, Family.USED, "unsat", None, (214, 7448, 45443)),
+        ],
+        ids=["sat-free", "sat-used", "unsat-free", "unsat-used"],
+    )
+    def test_target_atom_query(self, cnf, family, status, digest, work):
+        instance = build_instance(cnf, family)
+        problem = solving._Problem(instance.ts, family.base_type)
+        ctx = solving._SatContext(problem)
+        atom = instance.target_atom
+        got, region = ctx.solve_inhibit(
+            problem.event_pos[atom.event], problem.state_pos[atom.state], None
+        )
+        solver = ctx.solver
+        assert got == status
+        assert (region and _digest(region)) == digest
+        assert (solver.conflicts, solver.decisions, solver.propagations) == work
+
+    def test_union_part_pool(self, monkeypatch):
+        union, _ = build_union(PHI_SAT, Family.FREE)
+        part = TsUnion(
+            tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
+        )
+        assert len(part.states) == 20
+        contexts = []
+        make_context = solving._SatContext
+
+        def recording(problem):
+            contexts.append(make_context(problem))
+            return contexts[-1]
+
+        monkeypatch.setattr(solving, "_SatContext", recording)
+        result = check_feasibility(part, Family.FREE.base_type, engine="sat")
+        assert result.outcome == "yes"
+        assert [_digest(region) for region in result.regions] == POOL_DIGESTS
+        (ctx,) = contexts
+        solver = ctx.solver
+        assert (solver.conflicts, solver.decisions, solver.propagations) == (
+            9, 896, 2985,
+        )
+
+
+POOL_DIGESTS = [
+    "7866d5d63334d3ec", "6489799800799445", "28fc75432ee4352e", "8d41a5aeb51f1fab",
+    "0563c030420bb0c8", "a3f5bf04dadabd14", "018a4fb3072dd1bf", "0d125e2ac63c5bcf",
+    "1d3135240cc38848", "9ee2c7ad905ee10c", "b2be4e39e22a7a26", "563a39ba1d5428ec",
+    "42bb4cef4f3b4fb7", "966ef9badc95550e", "b3ce7db22bc43b34", "f1980197330a36b4",
+    "9a6d4791440303d3", "d68e357ec8d9d888", "329f559b7a116b25", "f8148a6e465e6a8f",
+    "cb734efd2d10705a", "a88e135e629b48f0", "7c1a6c26b11f734f", "e4442fc7824a7944",
+    "d7e1375640a0c32c", "e731fb47e4e85b6c", "7db540fda03ce75e", "1b82768428ba4e85",
+    "17d07b075558ac72", "3a73b7f57f92f69c", "bfdb59c49277b388", "68d5ae2e9284eabf",
+    "ca8fa4418354ac14", "cdf50eaa312d5a60", "9b10483f1bdffab6", "8197a72896aa2432",
+    "42ed13048df5f21d", "01d3eb745f183710", "051ab154f158702d", "5d7d2110ecc358f1",
+    "35bd3d3eadff8ace", "031fe5683637cbe1", "487ff06f18773ff5",
+]
