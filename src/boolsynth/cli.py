@@ -87,14 +87,14 @@ def _emit_witnesses(
     records = assign_witnesses(
         subject, tau, result.regions, want_ssp=want_ssp, want_essp=want_essp
     )
-    # One record per distinct region, so a region reused by thousands of
-    # requirements is written once; each requirement appears as one atom line.
-    grouped: dict[object, tuple[object, list]] = {}
+    # One record per pooled region (the pool holds each region once, so the
+    # object identifies it): a region reused by thousands of requirements is
+    # written once, and each requirement appears as one atom line.
+    grouped: dict[int, tuple[Region, list]] = {}
     for atom, region in records:
-        key = region.key()
-        entry = grouped.get(key)
+        entry = grouped.get(id(region))
         if entry is None:
-            grouped[key] = (region, [atom])
+            grouped[id(region)] = (region, [atom])
         else:
             entry[1].append(atom)
     _write_out(

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Mapping, Optional
 
 from .interactions import Interaction, NetType, require_usable
 from .regions import Region, validate_region
-from .solving import Atom, essp_atoms, ssp_atoms
+from .solving import Atom, first_unsettled
 from .ts import TransitionSystem
 
 
@@ -188,16 +188,9 @@ def synthesize(
             raise ValueError("witness is not an admissible region of the input")
         distinct.setdefault(region.key(), region)
     regions = [distinct[key] for key in sorted(distinct)]
-    for pair_atom in ssp_atoms(subject):
-        if not any(
-            r.separates(pair_atom.first, pair_atom.second) for r in regions
-        ):
-            raise SynthesisError(pair_atom)
-    for inhibit_atom in essp_atoms(subject):
-        if not any(
-            r.inhibits(inhibit_atom.event, inhibit_atom.state) for r in regions
-        ):
-            raise SynthesisError(inhibit_atom)
+    unsettled = first_unsettled(subject, tau, regions)
+    if unsettled is not None:
+        raise SynthesisError(unsettled)
     places = tuple(f"p{k}" for k in range(len(regions)))
     flow = {
         (place, event): region.signature[event]

@@ -18,8 +18,14 @@ on the support value of a state the event must not fire in).
   bits and signature selectors and answers individual requirements through
   assumption-based incremental SAT queries.
 
-Both engines pool every witnessing region they find and skip requirements an
-earlier region already settles, so verdicts stay cheap on large subjects.
+One coverage tracker, ``_Coverage``, records which requirements are still
+pending: a partition of state blocks for separation (pairs inside a block
+are pending) and one uncovered-state mask per event for inhibition. Both
+engines pool every witnessing region they find and credit it to the
+tracker, so requirements an earlier region settles cost no further work
+and verdicts stay cheap on large subjects. The counterexample is the
+tracker's first pending requirement, and ``assign_witnesses`` and
+``first_unsettled`` replay a pool through the same tracker.
 For a fixed subject the two engines agree on all verdicts and report the
 same (canonically first) counterexample; only the shape of the witnessing
 regions may differ.
@@ -213,66 +219,99 @@ class _Problem:
         return region
 
     def support_int_of(self, region: Region) -> int:
-        value = 0
-        for pos, state in enumerate(self.states):
-            if region.support[state]:
-                value |= self.state_bit(pos)
-        return value
+        support = region.support
+        return int("".join("1" if support[s] else "0" for s in self.states), 2)
 
-    def initial_blocks(self) -> list[int]:
-        """Starting partition for separation tracking: pairs inside one block
-        are requirements, pairs across blocks are not."""
-        if isinstance(self.subject, TsUnion):
-            blocks = []
-            for member in self.subject.members:
-                mask = 0
-                for state in member.states:
-                    mask |= self.state_bit(self.state_pos[state])
-                blocks.append(mask)
-            return [b for b in blocks if b & (b - 1)]
-        return [self.full] if self.n > 1 else []
 
-    def first_pending_pair(self, blocks: Sequence[int]) -> tuple[int, int]:
-        """Canonically first state pair that still shares a block."""
-        best = max(blocks, key=int.bit_length)
-        first_bit = 1 << (best.bit_length() - 1)
-        rest = best ^ first_bit
-        second_bit = 1 << (rest.bit_length() - 1)
-        return self.n - first_bit.bit_length(), self.n - second_bit.bit_length()
+class _Coverage:
+    """Which requirements of a problem a set of regions leaves pending.
 
-    def refine(self, blocks: list[int], support_int: int) -> bool:
-        """Split blocks by a support; drops singleton blocks. True if the
-        partition changed."""
-        changed = False
-        out: list[int] = []
-        for block in blocks:
-            ones = block & support_int
-            zeros = block & ~support_int
+    State pairs are tracked as a partition of state masks: two states are a
+    pending pair iff they share a block (singleton blocks are dropped, and a
+    union starts with one block per member). Inhibitions are tracked as one
+    mask per event of the states it is still to be inhibited at.
+    """
+
+    __slots__ = ("problem", "blocks", "uncovered")
+
+    def __init__(self, problem: _Problem, want_ssp: bool, want_essp: bool) -> None:
+        self.problem = problem
+        self.blocks: list[int] = []
+        if want_ssp:
+            # A union lists its states member by member, so each member's
+            # states are one run of adjacent bits.
+            subject = problem.subject
+            members = subject.members if isinstance(subject, TsUnion) else (subject,)
+            end = 0
+            for member in members:
+                size = len(member.states)
+                end += size
+                if size > 1:
+                    self.blocks.append(((1 << size) - 1) << (problem.n - end))
+        full = problem.full if want_essp else 0
+        self.uncovered = [~mask & full for mask in problem.enabled_mask]
+
+    def split(self, support: int) -> list[tuple[int, int]]:
+        """Split every block the support cuts; returns the (ones, zeros)
+        halves of each cut block, whose cross pairs are now settled."""
+        halves: list[tuple[int, int]] = []
+        kept: list[int] = []
+        for block in self.blocks:
+            ones = block & support
+            zeros = block ^ ones
             if ones and zeros:
-                changed = True
+                halves.append((ones, zeros))
                 if ones & (ones - 1):
-                    out.append(ones)
+                    kept.append(ones)
                 if zeros & (zeros - 1):
-                    out.append(zeros)
+                    kept.append(zeros)
             else:
-                out.append(block)
-        if changed:
-            blocks[:] = out
-        return changed
+                kept.append(block)
+        if halves:
+            self.blocks[:] = kept
+        return halves
 
-    def apply_coverage(self, region: Region, uncovered: list[int]) -> None:
-        """Drop from ``uncovered`` (one mask per event) every state at which
-        the region inhibits the event."""
-        support_int = self.support_int_of(region)
-        inverse = ~support_int & self.full
-        for e, event in enumerate(self.events):
-            if not uncovered[e]:
+    def cover(self, event_pos: int, states: int) -> int:
+        """Mark the event inhibited at ``states``; returns those pending."""
+        newly = self.uncovered[event_pos] & states
+        self.uncovered[event_pos] ^= newly
+        return newly
+
+    def settle(
+        self, region: Region
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Credit a region with every requirement it settles; returns the
+        split halves and (event, newly inhibited states) per partial event."""
+        problem = self.problem
+        support = problem.support_int_of(region)
+        halves = self.split(support)
+        inverse = support ^ problem.full
+        inhibited: list[tuple[int, int]] = []
+        for e, event in enumerate(problem.events):
+            if not self.uncovered[e]:
                 continue
             interaction = region.signature[event]
-            if not interaction.is_partial:
-                continue
-            mask = support_int if _undefined_bit(interaction) == 1 else inverse
-            uncovered[e] &= ~mask
+            if interaction.is_partial:
+                at = support if _undefined_bit(interaction) else inverse
+                inhibited.append((e, self.cover(e, at)))
+        return halves, inhibited
+
+    def first_pending(self) -> Optional[Atom]:
+        """The canonically first pending requirement, state pairs first."""
+        problem = self.problem
+        if self.blocks:
+            block = max(self.blocks, key=int.bit_length)
+            rest = block ^ (1 << (block.bit_length() - 1))
+            return StatePairAtom(
+                problem.states[problem.n - block.bit_length()],
+                problem.states[problem.n - rest.bit_length()],
+            )
+        for e, pending in enumerate(self.uncovered):
+            if pending:
+                return EventStateAtom(
+                    problem.events[e], problem.states[problem.n - pending.bit_length()]
+                )
+        return None
 
 
 @dataclass(frozen=True)
@@ -433,31 +472,26 @@ def _exhaustive_inhibitors(
 
 
 def _exhaustive_check(
-    problem: _Problem,
-    want_ssp: bool,
-    want_essp: bool,
-    deadline: Optional[float],
-) -> tuple[Optional[Atom], Optional[Atom], tuple[Region, ...], bool]:
-    """Full-support-sweep decision. Returns (ssp counterexample, essp
-    counterexample, pooled regions, completed)."""
-    n = problem.n
+    problem: _Problem, coverage: _Coverage, deadline: Optional[float]
+) -> tuple[tuple[Region, ...], bool]:
+    """Full-support-sweep decision: settles ``coverage`` as far as the
+    admissible regions allow. Returns (pooled regions, completed).
+
+    A support that splits a block pools its first-allowed region; a forced
+    inhibiting region is credited only for the event it was forced for."""
     full = problem.full
-    blocks = problem.initial_blocks() if want_ssp else []
-    uncovered: list[int] = []
-    if want_essp:
-        uncovered = [~m & full for m in problem.enabled_mask]
+    blocks = coverage.blocks
+    uncovered = coverage.uncovered
+    essp = any(uncovered)
     pool = _RegionPool()
     n_events = len(problem.events)
-    completed = True
-    if blocks or any(uncovered):
+    if blocks or essp:
         for support in _admissible_supports(problem, deadline):
             if support is None:
-                completed = False
-                break
-            if blocks:
-                if problem.refine(blocks, support):
-                    pool.add(problem.region_at(support))
-            if want_essp:
+                return pool.regions(), False
+            if blocks and coverage.split(support):
+                pool.add(problem.region_at(support))
+            if essp:
                 for e in range(n_events):
                     pending = uncovered[e]
                     if not pending:
@@ -468,29 +502,13 @@ def _exhaustive_check(
                         if not partial_mask:
                             continue
                         here = support if bit_value == 1 else ~support & full
-                        cover = pending & here
-                        if not cover:
-                            continue
-                        forced = {e: problem.first_of_mask(partial_mask)}
-                        pool.add(problem.region_at(support, forced))
-                        uncovered[e] &= ~cover
+                        if pending & here:
+                            forced = {e: problem.first_of_mask(partial_mask)}
+                            pool.add(problem.region_at(support, forced))
+                            coverage.cover(e, here)
             if not blocks and not any(uncovered):
                 break
-    ssp_fail: Optional[Atom] = None
-    essp_fail: Optional[Atom] = None
-    if completed:
-        if blocks:
-            i, j = problem.first_pending_pair(blocks)
-            ssp_fail = StatePairAtom(problem.states[i], problem.states[j])
-        if want_essp:
-            for e in range(n_events):
-                if uncovered[e]:
-                    pos = n - uncovered[e].bit_length()
-                    essp_fail = EventStateAtom(
-                        problem.events[e], problem.states[pos]
-                    )
-                    break
-    return ssp_fail, essp_fail, pool.regions(), completed
+    return pool.regions(), True
 
 
 # ------------------------------------------------------------ propositional
@@ -623,61 +641,32 @@ def _consistency_clauses(
 
 
 def _sat_check(
-    problem: _Problem,
-    want_ssp: bool,
-    want_essp: bool,
-    deadline: Optional[float],
-) -> tuple[Optional[Atom], Optional[Atom], tuple[Region, ...], bool]:
-    """Query-driven decision via incremental SAT. Same result contract as
-    the exhaustive sweep."""
+    problem: _Problem, coverage: _Coverage, deadline: Optional[float]
+) -> tuple[tuple[Region, ...], bool]:
+    """Query-driven decision via incremental SAT: asks for a region settling
+    the first pending requirement until none is left or one is unsettleable."""
     ctx = _SatContext(problem)
     pool = _RegionPool()
-    completed = True
-    ssp_fail: Optional[Atom] = None
-    essp_fail: Optional[Atom] = None
-    if want_ssp:
-        blocks = problem.initial_blocks()
-        while blocks:
-            if deadline is not None and time.monotonic() > deadline:
-                completed = False
-                break
-            i, j = problem.first_pending_pair(blocks)
-            status, region = ctx.solve_pair(i, j, deadline)
-            if status == "unknown":
-                completed = False
-                break
-            if status == "unsat":
-                ssp_fail = StatePairAtom(problem.states[i], problem.states[j])
-                break
-            assert region is not None
-            pool.add(region)
-            problem.refine(blocks, problem.support_int_of(region))
-    if want_essp and completed and ssp_fail is None:
-        full = problem.full
-        uncovered = [~m & full for m in problem.enabled_mask]
-        for region in pool.regions():
-            problem.apply_coverage(region, uncovered)
-        for e in range(len(problem.events)):
-            while uncovered[e]:
-                if deadline is not None and time.monotonic() > deadline:
-                    completed = False
-                    break
-                state_pos = problem.n - uncovered[e].bit_length()
-                status, region = ctx.solve_inhibit(e, state_pos, deadline)
-                if status == "unknown":
-                    completed = False
-                    break
-                if status == "unsat":
-                    essp_fail = EventStateAtom(
-                        problem.events[e], problem.states[state_pos]
-                    )
-                    break
-                assert region is not None
-                pool.add(region)
-                problem.apply_coverage(region, uncovered)
-            if essp_fail is not None or not completed:
-                break
-    return ssp_fail, essp_fail, pool.regions(), completed
+    state_pos = problem.state_pos
+    while (atom := coverage.first_pending()) is not None:
+        if deadline is not None and time.monotonic() > deadline:
+            return pool.regions(), False
+        if isinstance(atom, StatePairAtom):
+            status, region = ctx.solve_pair(
+                state_pos[atom.first], state_pos[atom.second], deadline
+            )
+        else:
+            status, region = ctx.solve_inhibit(
+                problem.event_pos[atom.event], state_pos[atom.state], deadline
+            )
+        if status == "unknown":
+            return pool.regions(), False
+        if status == "unsat":
+            break
+        assert region is not None
+        pool.add(region)
+        coverage.settle(region)
+    return pool.regions(), True
 
 
 # ------------------------------------------------------------------- public
@@ -695,30 +684,18 @@ def _run_check(
     deadline = _deadline_from_budget(budget)
     want_ssp = property_name in ("ssp", "feasible")
     want_essp = property_name in ("essp", "feasible")
-    if engine_name == "exhaustive":
-        ssp_fail, essp_fail, regions, completed = _exhaustive_check(
-            problem, want_ssp, want_essp, deadline
-        )
-    else:
-        ssp_fail, essp_fail, regions, completed = _sat_check(
-            problem, want_ssp, want_essp, deadline
-        )
-    if not completed:
-        return CheckResult(
-            property_name=property_name,
-            outcome="inconclusive",
-            engine=engine_name,
-            counterexample=None,
-            regions=regions,
-            reason="budget exhausted before a verdict",
-        )
-    counterexample = ssp_fail if ssp_fail is not None else essp_fail
+    coverage = _Coverage(problem, want_ssp, want_essp)
+    decide = _exhaustive_check if engine_name == "exhaustive" else _sat_check
+    regions, completed = decide(problem, coverage, deadline)
+    counterexample = coverage.first_pending() if completed else None
+    outcome = "yes" if counterexample is None else "no"
     return CheckResult(
         property_name=property_name,
-        outcome="no" if counterexample is not None else "yes",
+        outcome=outcome if completed else "inconclusive",
         engine=engine_name,
         counterexample=counterexample,
         regions=regions,
+        reason="" if completed else "budget exhausted before a verdict",
     )
 
 
@@ -864,79 +841,49 @@ def assign_witnesses(
     """Pair every separation requirement with the first region in ``regions``
     that settles it, in canonical atom order.
 
-    Replays the same greedy coverage the checkers use, so feeding a check's
-    region pool back in yields one record per requirement the pool settles;
-    requirements no region settles are silently omitted (that is the failing
-    or inconclusive case).
+    Replays the regions through the checkers' coverage tracker, so feeding a
+    check's region pool back in yields one record per requirement the pool
+    settles; requirements no region settles are silently omitted (that is
+    the failing or inconclusive case).
     """
     problem = _Problem(subject, tau)
-    n = problem.n
-    assigned: dict[Atom, Region] = {}
-    if want_ssp:
-        blocks = problem.initial_blocks()
-        for region in regions:
-            if not blocks:
-                break
-            support_int = problem.support_int_of(region)
-            out: list[int] = []
-            for block in blocks:
-                ones = block & support_int
-                zeros = block & ~support_int
-                if not ones or not zeros:
-                    out.append(block)
-                    continue
-                ones_rest = ones
-                while ones_rest:
-                    low_one = ones_rest & -ones_rest
-                    ones_rest ^= low_one
-                    pos_one = n - low_one.bit_length()
-                    zeros_rest = zeros
-                    while zeros_rest:
-                        low_zero = zeros_rest & -zeros_rest
-                        zeros_rest ^= low_zero
-                        pos_zero = n - low_zero.bit_length()
-                        i, j = sorted((pos_one, pos_zero))
-                        atom = StatePairAtom(problem.states[i], problem.states[j])
-                        assigned[atom] = region
-                if ones & (ones - 1):
-                    out.append(ones)
-                if zeros & (zeros - 1):
-                    out.append(zeros)
-            blocks = out
-    if want_essp:
-        full = problem.full
-        uncovered = [~mask & full for mask in problem.enabled_mask]
-        remaining = sum(1 for mask in uncovered if mask)
-        for region in regions:
-            if not remaining:
-                break
-            support_int = problem.support_int_of(region)
-            inverse = ~support_int & full
-            for e, event in enumerate(problem.events):
-                if not uncovered[e]:
-                    continue
-                interaction = region.signature[event]
-                if not interaction.is_partial:
-                    continue
-                mask = support_int if _undefined_bit(interaction) == 1 else inverse
-                newly = uncovered[e] & mask
-                while newly:
-                    low = newly & -newly
-                    newly ^= low
-                    pos = n - low.bit_length()
-                    assigned[EventStateAtom(event, problem.states[pos])] = region
-                uncovered[e] &= ~mask
-                if not uncovered[e]:
-                    remaining -= 1
-    ordered: list[tuple[Atom, Region]] = []
-    if want_ssp:
-        for pair_atom in ssp_atoms(subject):
-            found = assigned.get(pair_atom)
-            if found is not None:
-                ordered.append((pair_atom, found))
-    if want_essp:
-        for inhibit_atom in essp_atoms(subject):
-            found = assigned.get(inhibit_atom)
-            if found is not None:
-                ordered.append((inhibit_atom, found))
-    return ordered
+    n, states, events = problem.n, problem.states, problem.events
+    coverage = _Coverage(problem, want_ssp, want_essp)
+    # Canonical order is position order: (first, second) for state pairs,
+    # (event, state) for inhibitions, with state pairs first.
+    pairs: dict[tuple[int, int], Region] = {}
+    inhibitions: dict[tuple[int, int], Region] = {}
+    for region in regions:
+        halves, inhibited = coverage.settle(region)
+        for ones, zeros in halves:
+            for i in _positions(ones, n):
+                for j in _positions(zeros, n):
+                    pairs[min(i, j), max(i, j)] = region
+        for e, newly in inhibited:
+            for pos in _positions(newly, n):
+                inhibitions[e, pos] = region
+    return [
+        (StatePairAtom(states[i], states[j]), pairs[i, j]) for i, j in sorted(pairs)
+    ] + [
+        (EventStateAtom(events[e], states[pos]), inhibitions[e, pos])
+        for e, pos in sorted(inhibitions)
+    ]
+
+
+def _positions(mask: int, n: int) -> Iterator[int]:
+    """The state positions whose bits are set in ``mask``."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield n - low.bit_length()
+
+
+def first_unsettled(
+    subject: Subject, tau: NetType, regions: Sequence[Region]
+) -> Optional[Atom]:
+    """The canonically first requirement (state pairs first) that none of
+    ``regions`` settles, or None when they settle every requirement."""
+    coverage = _Coverage(_Problem(subject, tau), True, True)
+    for region in regions:
+        coverage.settle(region)
+    return coverage.first_pending()

@@ -3,6 +3,7 @@ independent brute-force separation oracle used to cross-check the engines."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Iterable, Optional
 
@@ -60,6 +61,12 @@ def line_ts(n_states: int) -> TransitionSystem:
     return TransitionSystem.build(
         "s0", [(f"s{k}", "a", f"s{k + 1}") for k in range(n_states - 1)]
     )
+
+
+def region_digest(region: Region) -> str:
+    """First 16 hex digits of the sha256 of a region's key, for golden
+    values that pin which regions a computation returns."""
+    return hashlib.sha256(repr(region.key()).encode()).hexdigest()[:16]
 
 
 # ------------------------------------------------------- brute-force oracle

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -10,7 +11,9 @@ from boolsynth import (
     PHI_SAT,
     PHI_UNSAT,
     Family,
+    TsUnion,
     build_instance,
+    build_union,
     is_isomorphic,
     solve_atom,
 )
@@ -20,6 +23,7 @@ from boolsynth.fileformats import (
     format_cnf,
     format_instance,
     format_ts,
+    format_union,
     format_witnesses,
     parse_instance,
     parse_net,
@@ -122,6 +126,27 @@ class TestCheck:
         for record in records:
             for atom in record.atoms:
                 assert record.region.separates(atom.first, atom.second)
+
+    def test_witness_file_of_a_union_part_is_pinned(self, capsys, tmp_path):
+        # Golden sha256 of the witness file for the 20-state PHI_SAT union
+        # part H0+G0+T0_1, recorded before witness assignment shared the
+        # engines' coverage tracker: the pool, the record grouping and the
+        # atom order must all stay as they were.
+        union, _ = build_union(PHI_SAT, Family.FREE)
+        part = TsUnion(
+            tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
+        )
+        ts_path = tmp_path / "part.ts"
+        ts_path.write_text(format_union(part))
+        witness_path = tmp_path / "part.wit"
+        code, out, _ = run(
+            capsys, "check", "feasible", str(ts_path), "--type", TAU_SPEC,
+            "--engine", "sat", "--witness", str(witness_path),
+        )
+        assert (code, out.strip()) == (0, "feasible: yes")
+        assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == (
+            "fcbda1242a87367be189a4510b5a05104aed1154872c53179077ef3a92c6f426"
+        )
 
     def test_bad_type_spec_is_a_usage_error(self, capsys, battery_files):
         code, _, err = run(

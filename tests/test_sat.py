@@ -4,7 +4,6 @@ small formulas, and a golden trace of the search on the hardness gadgets."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 
@@ -25,6 +24,7 @@ from boolsynth import (
 )
 from boolsynth import sat as sat_module
 from boolsynth.sat import _luby
+from conftest import region_digest
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -342,11 +342,6 @@ class TestDifferential:
                     assert solver.model_value(abs(lit)) is (lit > 0)
 
 
-def _digest(region):
-    """First 16 hex digits of the sha256 of a region's key."""
-    return hashlib.sha256(repr(region.key()).encode()).hexdigest()[:16]
-
-
 class TestSearchIdentity:
     """A golden trace of the search: verdicts, decoded regions and the
     solver's conflict, decision and propagation counts on the hardness
@@ -374,7 +369,7 @@ class TestSearchIdentity:
         )
         solver = ctx.solver
         assert got == status
-        assert (region and _digest(region)) == digest
+        assert (region and region_digest(region)) == digest
         assert (solver.conflicts, solver.decisions, solver.propagations) == work
 
     def test_union_part_pool(self, monkeypatch):
@@ -393,7 +388,7 @@ class TestSearchIdentity:
         monkeypatch.setattr(solving, "_SatContext", recording)
         result = check_feasibility(part, Family.FREE.base_type, engine="sat")
         assert result.outcome == "yes"
-        assert [_digest(region) for region in result.regions] == POOL_DIGESTS
+        assert [region_digest(region) for region in result.regions] == POOL_DIGESTS
         (ctx,) = contexts
         solver = ctx.solver
         assert (solver.conflicts, solver.decisions, solver.propagations) == (

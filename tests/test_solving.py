@@ -17,6 +17,7 @@ from boolsynth import (
     NetType,
     ResourceExhausted,
     StatePairAtom,
+    SynthesisError,
     TransitionSystem,
     TsUnion,
     all_net_types,
@@ -30,6 +31,7 @@ from boolsynth import (
     region_coherence_report,
     solve_atom,
     ssp_atoms,
+    synthesize,
     validate_region,
 )
 from boolsynth import solving
@@ -42,6 +44,7 @@ from conftest import (
     oracle_separable,
     oracle_ssp,
     random_ts,
+    region_digest,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -467,3 +470,95 @@ class TestAssignWitnesses:
         assert only_essp and all(
             isinstance(atom, EventStateAtom) for atom, _ in only_essp
         )
+
+
+def settles(region, atom) -> bool:
+    if isinstance(atom, StatePairAtom):
+        return region.separates(atom.first, atom.second)
+    return region.inhibits(atom.event, atom.state)
+
+
+def union_with_a_single_state_member() -> TsUnion:
+    return TsUnion.of(
+        TransitionSystem.build(
+            "p0", [("p0", "a", "p1"), ("p1", "b", "p2"), ("p2", "a", "p0")]
+        ),
+        TransitionSystem.build("q0", [("q0", "b", "q0")]),
+        TransitionSystem.build("r0", [("r0", "a", "r1"), ("r1", "a", "r2")]),
+    )
+
+
+def sampled_pool(seed: int):
+    """A seeded subject, a type, and a random subset of a check's pool in
+    random order; seed 0 is the union with a single-state member."""
+    rng = random.Random(seed)
+    subject = union_with_a_single_state_member() if seed == 0 else random_ts(rng)
+    tau = rng.choice((TAU, TAU_TILDE, FULL))
+    pool = list(check_feasibility(subject, tau, engine=rng.choice(ENGINES)).regions)
+    return subject, tau, rng.sample(pool, rng.randint(0, len(pool)))
+
+
+class TestCoverageReplay:
+    """Witness assignment and synthesis replay regions through the engines'
+    coverage tracker; naive per-atom scans over the same regions agree."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_assign_witnesses_matches_a_naive_scan(self, seed):
+        subject, tau, regions = sampled_pool(seed)
+        for want_ssp, want_essp in ((True, True), (True, False), (False, True)):
+            atoms = (list(ssp_atoms(subject)) if want_ssp else []) + (
+                list(essp_atoms(subject)) if want_essp else []
+            )
+            expected = []
+            for atom in atoms:
+                first = next((r for r in regions if settles(r, atom)), None)
+                if first is not None:
+                    expected.append((atom, id(first)))
+            records = assign_witnesses(
+                subject, tau, regions, want_ssp=want_ssp, want_essp=want_essp
+            )
+            assert [(atom, id(region)) for atom, region in records] == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_synthesize_names_the_first_unsettled_atom(self, seed):
+        subject, tau, regions = sampled_pool(seed)
+        atoms = list(ssp_atoms(subject)) + list(essp_atoms(subject))
+        expected = next(
+            (a for a in atoms if not any(settles(r, a) for r in regions)), None
+        )
+        assert solving.first_unsettled(subject, tau, regions) == expected
+        if isinstance(subject, TsUnion):
+            return  # a union has no initial state to synthesize a net from
+        if expected is None:
+            net = synthesize(subject, tau, regions)
+            assert len(net.places) == len({r.key() for r in regions})
+        else:
+            with pytest.raises(SynthesisError) as raised:
+                synthesize(subject, tau, regions)
+            assert raised.value.atom == expected
+
+
+class TestExhaustivePoolPins:
+    """Golden pools of the exhaustive engine on seeded systems where forced
+    inhibiting regions are pooled, recorded before the engines shared one
+    coverage tracker. A forced region is credited only for the event it was
+    forced for; crediting it for every event settles more per region and
+    would give both pools one region fewer."""
+
+    @pytest.mark.parametrize(
+        "seed, spec, outcome, digests",
+        [
+            (72, "nop,out,swap,used", "yes", [
+                "bf58dadefae5bcc6", "d9d355e74c525786",
+                "265f3a0b55b28be0", "f8101a9ebae1e9e2",
+            ]),
+            (844, "nop,inp,set,res,swap,used", "no", [
+                "179ea61d3e24c749", "998b2ac651eb3f7d", "e9c74860de625af9",
+            ]),
+        ],
+    )
+    def test_pool(self, seed, spec, outcome, digests):
+        ts = random_ts(random.Random(seed), max_states=12, max_events=5)
+        result = check_feasibility(ts, NetType.from_spec(spec), engine="exhaustive")
+        assert result.outcome == outcome
+        assert [region_digest(region) for region in result.regions] == digests
