@@ -211,9 +211,10 @@ def validate_region(subject: Subject, tau: NetType, region: Region) -> bool:
     """
     _check_domains(subject, tau, region)
     sup = region.support
-    sig = region.signature
+    # (image of 0, image of 1) per event, looked up once instead of per arc
+    effect = {event: i.effect for event, i in region.signature.items()}
     for arc in subject.arcs:
-        if sig[arc.event].apply(sup[arc.source]) != sup[arc.target]:
+        if effect[arc.event][sup[arc.source]] != sup[arc.target]:
             return False
     return True
 

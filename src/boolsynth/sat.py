@@ -3,8 +3,8 @@
 Implements just what the propositional region engine needs: incremental
 clause addition, solving under assumptions, watched literals with a binary
 fast path, first-UIP clause learning, activity-based decisions with index
-tie-breaking, phase saving, and Luby restarts. No randomness anywhere, so
-runs are reproducible.
+tie-breaking, phase saving (callers may hint a phase with ``set_phase``),
+and Luby restarts. No randomness anywhere, so runs are reproducible.
 
 Literal convention: DIMACS-style nonzero ints at the API boundary
 (``v``/``-v``), mapped internally to ``2v`` (positive) / ``2v + 1``
@@ -220,6 +220,16 @@ class SatSolver:
             if deadline is not None and not self._n_decisions % 1024:
                 if time.monotonic() > deadline:
                     return None
+
+    def set_phase(self, var: int, value: bool) -> None:
+        """Set the saved phase that the next decision on ``var`` takes. A
+        hint only: it never changes whether a query is satisfiable, and any
+        later assignment of ``var`` saves its own phase over it."""
+        if var < 1:
+            raise ValueError("variables are numbered from 1")
+        if var > self._nvars:
+            self.ensure_vars(var)
+        self._phase[var] = 1 if value else 0
 
     def model_value(self, var: int) -> bool:
         """Truth of ``var`` in the most recent satisfying assignment."""

@@ -16,7 +16,10 @@ on the support value of a state the event must not fire in).
   per-support signature derivation and region re-validation.
 * The propositional engine encodes region admissibility as CNF over support
   bits and signature selectors and answers individual requirements through
-  assumption-based incremental SAT queries.
+  assumption-based incremental SAT queries. Phase hints steer each query
+  toward supports that settle many pending requirements at once, and each
+  decoded region is re-signed to inhibit as many pending states as its
+  support allows. Both shape the region pool, never a verdict.
 
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
@@ -37,13 +40,12 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Container, Iterator, Optional, Sequence, Union
 
 from .interactions import (
     INTERACTION_ORDER,
     Interaction,
     NetType,
-    UNDEFINED_AT,
     interactions_matching,
     iter_type,
     require_usable,
@@ -90,14 +92,21 @@ _MATCH_MASK = {
     for a in (0, 1)
     for b in (0, 1)
 }
-_PARTIAL_MASK_AT = {
-    b: sum(1 << _GLOBAL_INDEX[i] for i in UNDEFINED_AT[b]) for b in (0, 1)
-}
 
 
 def _undefined_bit(interaction: Interaction) -> int:
     """The token value on which a partial interaction is undefined."""
     return 0 if interaction.effect[0] is None else 1
+
+
+#: Per partial interaction, in canonical order: (its bit in an allowed
+#: mask, the interaction, the token value it is undefined at).
+_PARTIALS = tuple(
+    (1 << k, i, _undefined_bit(i))
+    for k, i in enumerate(INTERACTION_ORDER)
+    if i.is_partial
+)
+_PARTIAL_MASK_AT = {b: sum(m for m, _, at in _PARTIALS if at == b) for b in (0, 1)}
 
 
 def ssp_atoms(subject: Subject) -> Iterator[StatePairAtom]:
@@ -295,6 +304,29 @@ class _Coverage:
                 at = support if _undefined_bit(interaction) else inverse
                 inhibited.append((e, self.cover(e, at)))
         return halves, inhibited
+
+    def resign(
+        self, support: int, signature: dict[str, Interaction], keep: Container[int]
+    ) -> None:
+        """Upgrade a signature for the given support in place: every event
+        with pending inhibitions, except those in ``keep``, gets the
+        admissible partial interaction that inhibits the most of its pending
+        states (canonically first among equals), unless its own inhibits as
+        many."""
+        problem = self.problem
+        at = (support ^ problem.full, support)  # the states holding 0, 1
+        for e, pending in enumerate(self.uncovered):
+            if not pending or e in keep:
+                continue
+            event = problem.events[e]
+            counts = ((pending & at[0]).bit_count(), (pending & at[1]).bit_count())
+            own = signature[event]
+            most = next((counts[bit] for _, i, bit in _PARTIALS if i is own), 0)
+            if max(counts) > most:
+                allowed = problem.allowed_mask(e, support)
+                for mask_bit, interaction, bit in _PARTIALS:
+                    if allowed & mask_bit and counts[bit] > most:
+                        signature[event], most = interaction, counts[bit]
 
     def first_pending(self) -> Optional[Atom]:
         """The canonically first pending requirement, state pairs first."""
@@ -543,27 +575,48 @@ class _SatContext:
             add_clause(clause)
 
     def solve_pair(
-        self, first_pos: int, second_pos: int, deadline: Optional[float]
+        self,
+        first_pos: int,
+        second_pos: int,
+        deadline: Optional[float],
+        coverage: Optional[_Coverage] = None,
     ) -> tuple[str, Optional[Region]]:
+        """A region separating the two states. With ``coverage``, each query
+        hints 1, 0, 1, ... in position order inside every pending block, so
+        that one model tends to cut every block, and the region is re-signed."""
         a = self.sup_var[first_pos]
         b = self.sup_var[second_pos]
         for lits in ((a, -b), (-a, b)):
+            for block in coverage.blocks if coverage else ():
+                for k, pos in enumerate(sorted(_positions(block, self.problem.n))):
+                    self.solver.set_phase(self.sup_var[pos], k % 2 == 0)
             verdict = self.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 return "unknown", None
             if verdict:
-                return "sat", self.decode()
+                return "sat", self.decode(coverage=coverage)
         return "unsat", None
 
     def solve_inhibit(
-        self, event_pos: int, state_pos: int, deadline: Optional[float]
+        self,
+        event_pos: int,
+        state_pos: int,
+        deadline: Optional[float],
+        coverage: Optional[_Coverage] = None,
     ) -> tuple[str, Optional[Region]]:
+        """A region inhibiting the event at the state. With ``coverage``,
+        each query hints every state still pending for the event to the value
+        the tried interaction is undefined at, and the region is re-signed."""
         for interaction, lits in self.inhibit_assumptions(event_pos, state_pos):
+            value = _undefined_bit(interaction) == 1
+            pending = coverage.uncovered[event_pos] if coverage else 0
+            for pos in _positions(pending, self.problem.n):
+                self.solver.set_phase(self.sup_var[pos], value)
             verdict = self.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 return "unknown", None
             if verdict:
-                return "sat", self.decode({event_pos: interaction})
+                return "sat", self.decode({event_pos: interaction}, coverage)
         return "unsat", None
 
     def inhibit_assumptions(
@@ -581,13 +634,18 @@ class _SatContext:
         model = self.solver.model_value
         self.solver.add_clause([-var if model(var) else var for var in self.sup_var])
 
-    def decode(self, forced: Optional[dict[int, Interaction]] = None) -> Region:
+    def decode(
+        self,
+        forced: Optional[dict[int, Interaction]] = None,
+        coverage: Optional[_Coverage] = None,
+    ) -> Region:
+        """The region of the last model, with the ``forced`` signature
+        entries; with ``coverage``, re-signed by ``_Coverage.resign``. The
+        region is validated once, after re-signing."""
         problem = self.problem
         model = self.solver.model_value
-        support = {
-            state: int(model(self.sup_var[pos]))
-            for pos, state in enumerate(problem.states)
-        }
+        digits = "".join("1" if model(var) else "0" for var in self.sup_var)
+        support = {state: int(digit) for state, digit in zip(problem.states, digits)}
         signature: dict[str, Interaction] = {}
         for event_pos, event in enumerate(problem.events):
             if forced and event_pos in forced:
@@ -599,6 +657,8 @@ class _SatContext:
                     break
             else:  # pragma: no cover - excluded by the at-least-one clauses
                 raise EngineError(f"no interaction selected for {event!r}")
+        if coverage is not None:
+            coverage.resign(int(digits, 2), signature, forced or {})
         region = Region(support=support, signature=signature)
         if not validate_region(problem.subject, problem.tau, region):
             raise EngineError("solver model decoded to an inadmissible region")
@@ -644,7 +704,8 @@ def _sat_check(
     problem: _Problem, coverage: _Coverage, deadline: Optional[float]
 ) -> tuple[tuple[Region, ...], bool]:
     """Query-driven decision via incremental SAT: asks for a region settling
-    the first pending requirement until none is left or one is unsettleable."""
+    the first pending requirement until none is left or one is unsettleable;
+    each query is steered toward settling the other pending ones as well."""
     ctx = _SatContext(problem)
     pool = _RegionPool()
     state_pos = problem.state_pos
@@ -653,11 +714,11 @@ def _sat_check(
             return pool.regions(), False
         if isinstance(atom, StatePairAtom):
             status, region = ctx.solve_pair(
-                state_pos[atom.first], state_pos[atom.second], deadline
+                state_pos[atom.first], state_pos[atom.second], deadline, coverage
             )
         else:
             status, region = ctx.solve_inhibit(
-                problem.event_pos[atom.event], state_pos[atom.state], deadline
+                problem.event_pos[atom.event], state_pos[atom.state], deadline, coverage
             )
         if status == "unknown":
             return pool.regions(), False

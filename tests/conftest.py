@@ -177,9 +177,11 @@ def oracle_essp(subject: TransitionSystem | TsUnion, tau: NetType) -> Optional[t
 # ------------------------------------------------- deterministic random TSs
 
 
-def random_ts(rng, max_states: int = 6, max_events: int = 4) -> TransitionSystem:
+def random_ts(
+    rng, max_states: int = 6, max_events: int = 4, min_states: int = 1
+) -> TransitionSystem:
     """A small deterministic transition system with every state reachable."""
-    n_states = rng.randint(1, max_states)
+    n_states = rng.randint(min_states, max_states)
     n_events = rng.randint(1, max_events)
     states = [f"s{k}" for k in range(n_states)]
     events = [f"e{k}" for k in range(n_events)]

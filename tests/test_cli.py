@@ -129,9 +129,10 @@ class TestCheck:
 
     def test_witness_file_of_a_union_part_is_pinned(self, capsys, tmp_path):
         # Golden sha256 of the witness file for the 20-state PHI_SAT union
-        # part H0+G0+T0_1, recorded before witness assignment shared the
-        # engines' coverage tracker: the pool, the record grouping and the
-        # atom order must all stay as they were.
+        # part H0+G0+T0_1: it pins the pool, the record grouping and the
+        # atom order. Re-recorded when the sat engine began to hint each
+        # query toward the pending requirements and to re-sign decoded
+        # regions, which shrank this pool from 43 regions to 23.
         union, _ = build_union(PHI_SAT, Family.FREE)
         part = TsUnion(
             tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
@@ -145,7 +146,7 @@ class TestCheck:
         )
         assert (code, out.strip()) == (0, "feasible: yes")
         assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == (
-            "fcbda1242a87367be189a4510b5a05104aed1154872c53179077ef3a92c6f426"
+            "733830d9849701f818cf3f2c39b3523c4d274198ae76d4ebb68d9a4abf4780d7"
         )
 
     def test_bad_type_spec_is_a_usage_error(self, capsys, battery_files):
@@ -243,6 +244,24 @@ class TestReduceSolveExtract:
             )
             assert code == 0
             assert parse_instance(out_path.read_text()).family is family
+
+    def test_sat_engine_counterexample_on_the_largest_union(
+        self, capsys, cnf_files, tmp_path
+    ):
+        # The full PHI_UNSAT gadget union (397 states): the steered sat
+        # engine must still name the canonically first unsettled atom.
+        union_path = tmp_path / "phi4_free.ts"
+        code, _, _ = run(
+            capsys, "reduce", cnf_files["unsat"], "--family", "free", "--union",
+            "-o", str(union_path),
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "check", "feasible", str(union_path), "--type", TAU_SPEC,
+            "--engine", "sat",
+        )
+        assert code == 1
+        assert out.splitlines() == ["feasible: no", "counterexample: essp k h_0_2"]
 
     def test_reduce_union_lists_every_member(self, capsys, cnf_files):
         code, out, _ = run(

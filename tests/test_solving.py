@@ -15,6 +15,7 @@ from boolsynth import (
     EventStateAtom,
     Interaction,
     NetType,
+    Region,
     ResourceExhausted,
     StatePairAtom,
     SynthesisError,
@@ -27,6 +28,7 @@ from boolsynth import (
     check_ssp,
     enumerate_inhibiting_regions,
     essp_atoms,
+    family_types,
     reachability_graph,
     region_coherence_report,
     solve_atom,
@@ -562,3 +564,112 @@ class TestExhaustivePoolPins:
         result = check_feasibility(ts, NetType.from_spec(spec), engine="exhaustive")
         assert result.outcome == outcome
         assert [region_digest(region) for region in result.regions] == digests
+
+
+def resign_system() -> TransitionSystem:
+    """s0 -a-> s1 and s2 -c-> s3, plus an event ``z`` with no arcs, so any
+    interaction is admissible for ``z`` under any support."""
+    return TransitionSystem.build(
+        "s0",
+        [("s0", "a", "s1"), ("s2", "c", "s3")],
+        states=["s0", "s1", "s2", "s3"],
+        events=["a", "c", "z"],
+    )
+
+
+class TestResign:
+    """``_Coverage.resign`` on support s0..s3 = 0, 1, 1, 0 under the full
+    type. There ``a`` (0 -> 1) admits out as its one partial interaction,
+    ``c`` (1 -> 0) admits inp, and ``z`` admits all four."""
+
+    SUPPORT = 0b0110
+
+    def resign(self, signature, keep=(), covered=()):
+        ts = resign_system()
+        problem = solving._Problem(ts, FULL)
+        coverage = solving._Coverage(problem, False, True)
+        for event, states in covered:
+            bits = sum(problem.state_bit(problem.state_pos[s]) for s in states)
+            coverage.cover(problem.event_pos[event], bits)
+        signature = {event: Interaction(name) for event, name in signature.items()}
+        keep = {problem.event_pos[event] for event in keep}
+        coverage.resign(self.SUPPORT, signature, keep)
+        support = dict(zip(problem.states, (0, 1, 1, 0)))
+        assert validate_region(ts, FULL, Region(support, signature))
+        return {event: interaction.value for event, interaction in signature.items()}
+
+    def test_events_get_the_partial_with_the_most_pending_states(self):
+        # a is pending at s1, s2 (holding 1) and s3: out inhibits two of
+        # them. z is pending at s1, s2 and s3 once s0 is covered: out and
+        # free (undefined at 1) inhibit two, inp and used (at 0) one.
+        got = self.resign(
+            {"a": "set", "c": "swap", "z": "nop"}, covered=[("z", ["s0"])]
+        )
+        assert got == {"a": "out", "c": "inp", "z": "out"}
+
+    def test_ties_go_in_canonical_order(self):
+        # z is pending everywhere: two states hold 0 and two hold 1, so
+        # inp, out, used and free all inhibit two; inp comes first.
+        assert self.resign({"a": "set", "c": "swap", "z": "nop"})["z"] == "inp"
+
+    def test_the_own_interaction_stays_unless_beaten(self):
+        # used inhibits as many of z's states as inp: no change. a's out
+        # would inhibit none of its pending states (s3 holds 0): no change.
+        got = self.resign(
+            {"a": "set", "c": "swap", "z": "used"},
+            covered=[("a", ["s1", "s2"])],
+        )
+        assert got == {"a": "set", "c": "inp", "z": "used"}
+
+    def test_the_forced_event_keeps_its_interaction(self):
+        got = self.resign({"a": "set", "c": "swap", "z": "nop"}, keep=["c"])
+        assert got == {"a": "out", "c": "swap", "z": "inp"}
+
+    def test_settled_events_are_left_alone(self):
+        got = self.resign(
+            {"a": "set", "c": "swap", "z": "nop"},
+            covered=[("a", ["s1", "s2", "s3"]), ("c", ["s0", "s1", "s3"])],
+        )
+        assert got == {"a": "set", "c": "swap", "z": "inp"}
+
+
+def random_net_graph(rng: random.Random, tau: NetType) -> TransitionSystem:
+    """Reachability graph of 12 to 16 states of a random five-place,
+    four-transition net over ``tau``; feasible under ``tau``."""
+    places = tuple(f"p{k}" for k in range(5))
+    transitions = ("t0", "t1", "t2", "t3")
+    interactions = list(tau)
+    while True:
+        flow = {
+            (place, t): rng.choice(interactions)
+            for place in places
+            for t in transitions
+        }
+        marking = {place: rng.randint(0, 1) for place in places}
+        net = BooleanNet(tau, places, transitions, flow, marking)
+        graph = reachability_graph(net)
+        if 12 <= len(graph.states) <= 16:
+            return graph
+
+
+class TestEngineAgreementAtScale:
+    """The sat engine steers its queries and re-signs its regions, so its
+    pools differ from the exhaustive engine's; outcomes and counterexamples
+    must not. Random systems (mostly infeasible) and net graphs (feasible
+    under their own type) of 12 to 16 states, each under sampled types."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_outcome_and_counterexample(self, seed):
+        rng = random.Random(f"agree/{seed}")
+        types = list(all_net_types())
+        tau = rng.choice(family_types())
+        ts = random_ts(rng, max_states=16, max_events=4, min_states=12)
+        graph = random_net_graph(rng, tau)
+        cases = [(ts, t) for t in rng.sample(types, 3)]
+        cases += [(graph, t) for t in [tau, *rng.sample(types, 2)]]
+        for subject, net_type in cases:
+            for checker in (check_ssp, check_essp, check_feasibility):
+                exhaustive = checker(subject, net_type, engine="exhaustive")
+                via_sat = checker(subject, net_type, engine="sat")
+                assert exhaustive.outcome == via_sat.outcome, net_type.spec()
+                assert exhaustive.counterexample == via_sat.counterexample
