@@ -16,6 +16,14 @@ As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
 and the decision heap holds no duplicate entries. ``conflicts``,
 ``decisions`` and ``propagations`` count work over the solver's lifetime.
+
+Chronological backtracking (Nadel & Ryvchin, SAT 2018; Mohle & Biere, SAT
+2019): a backjump over more than ``CHRONO_LEVELS`` levels backtracks one
+level, and the learnt literal takes its asserting level, so the trail may
+hold literals out of level order. On the glued hardness gadgets most open
+levels have nothing to do with a given conflict, so long backjumps made most
+propagations redo undone assignments. Of 0, 10, 25 and 100, 10 ran them the
+fastest, and it leaves every search without longer backjumps as it was.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from typing import Iterable, Optional, Sequence
 _FALSE = 0
 _TRUE = 1
 _UNDEF = 2
+
+#: Backjumps over more levels than this backtrack one level (read per conflict).
+CHRONO_LEVELS = 10
 
 
 def _luby(i: int) -> int:
@@ -135,7 +146,7 @@ class SatSolver:
         if len(internal) > 1:
             self._attach(internal)
             return
-        self._enqueue(internal[0], None)
+        self._enqueue(internal[0], 0, None)
         if self._propagate() is not None:
             self._ok = False
 
@@ -172,12 +183,15 @@ class SatSolver:
             if conflict is not None:
                 self._n_conflicts += 1
                 conflicts_here += 1
-                if not trail_lim:
+                conflict_level = max(self._level[lit >> 1] for lit in conflict)
+                if not conflict_level:
                     self._ok = False
                     return False
+                self._backtrack(conflict_level)
                 learnt, back_level = self._analyze(conflict)
-                self._backtrack(back_level)
-                self._record_learnt(learnt)
+                chrono = conflict_level - back_level > CHRONO_LEVELS
+                self._backtrack(conflict_level - 1 if chrono else back_level)
+                self._record_learnt(learnt, back_level)
                 self._var_inc /= 0.95
                 if self._var_inc > 1e100:
                     self._rescale_activity()
@@ -202,7 +216,7 @@ class SatSolver:
                     return False
                 trail_lim.append(len(trail))
                 if value == _UNDEF:
-                    self._enqueue(lit, None)
+                    self._enqueue(lit, lvl + 1, None)
                 continue
             if len(trail) == self._nvars:
                 self._model = bytes(val)
@@ -252,11 +266,11 @@ class SatSolver:
 
     # ------------------------------------------------------------ internals
 
-    def _enqueue(self, lit: int, reason: Optional[Sequence[int]]) -> None:
+    def _enqueue(self, lit: int, level: int, reason: Optional[Sequence[int]]) -> None:
         self._val[lit] = _TRUE
         self._val[lit ^ 1] = _FALSE
         var = lit >> 1
-        self._level[var] = len(self._trail_lim)
+        self._level[var] = level
         self._reason[var] = reason
         self._phase[var] = 1 - (lit & 1)
         self._trail.append(lit)
@@ -283,7 +297,7 @@ class SatSolver:
                         val[implied] = _TRUE
                         val[implied ^ 1] = _FALSE
                         var = implied >> 1
-                        level[var] = lvl
+                        level[var] = level[falsified >> 1]
                         reasons[var] = (implied, falsified)
                         phase[var] = 1 - (implied & 1)
                         trail.append(implied)
@@ -319,7 +333,10 @@ class SatSolver:
                         val[first] = _TRUE
                         val[first ^ 1] = _FALSE
                         var = first >> 1
-                        level[var] = lvl
+                        implied_level = level[falsified >> 1]
+                        if implied_level != lvl:
+                            implied_level = max(level[lit >> 1] for lit in clause[1:])
+                        level[var] = implied_level
                         reasons[var] = clause
                         phase[var] = 1 - (first & 1)
                         trail.append(first)
@@ -333,10 +350,12 @@ class SatSolver:
         learnt: list[int] = [0]
         seen: set[int] = set()
         counter = 0
+        levels = self._level
         level = len(self._trail_lim)
+        trail = self._trail
         reason: Sequence[int] = conflict
         skip: Optional[int] = None
-        idx = len(self._trail) - 1
+        idx = len(trail) - 1
         bump = self._bump_activity
         while True:
             for lit in reason:
@@ -345,7 +364,7 @@ class SatSolver:
                 var = lit >> 1
                 if var in seen:
                     continue
-                lit_level = self._level[var]
+                lit_level = levels[var]
                 if lit_level == 0:
                     continue
                 seen.add(var)
@@ -354,9 +373,10 @@ class SatSolver:
                     counter += 1
                 else:
                     learnt.append(lit)
-            while self._trail[idx] >> 1 not in seen:
+            # lower-level literals may sit among this level's on the trail
+            while trail[idx] >> 1 not in seen or levels[trail[idx] >> 1] != level:
                 idx -= 1
-            uip = self._trail[idx]
+            uip = trail[idx]
             idx -= 1
             seen.discard(uip >> 1)
             counter -= 1
@@ -367,10 +387,10 @@ class SatSolver:
             skip = uip
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self._level[lit >> 1] for lit in learnt[1:])
+        back = max(levels[lit >> 1] for lit in learnt[1:])
         # keep a literal of the backjump level in the second watch slot
         for k in range(1, len(learnt)):
-            if self._level[learnt[k] >> 1] == back:
+            if levels[learnt[k] >> 1] == back:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back
@@ -385,27 +405,35 @@ class SatSolver:
             self._watches[clause[0]].append(clause)
             self._watches[clause[1]].append(clause)
 
-    def _record_learnt(self, learnt: list[int]) -> None:
+    def _record_learnt(self, learnt: list[int], level: int) -> None:
         if len(learnt) > 1:
             self._attach(learnt)
-        self._enqueue(learnt[0], learnt if len(learnt) > 1 else None)
+        self._enqueue(learnt[0], level, learnt if len(learnt) > 1 else None)
 
     def _backtrack(self, target_level: int) -> None:
+        # Lower-level literals above the target's start stay, in trail order,
+        # and are propagated again: that restores their watch invariants.
         if len(self._trail_lim) <= target_level:
             return
-        boundary = self._trail_lim[target_level]
+        trail = self._trail
+        boundary = kept = self._trail_lim[target_level]
         val = self._val
+        level = self._level
         in_heap = self._in_heap
-        for lit in self._trail[boundary:]:
+        for lit in trail[boundary:]:
+            var = lit >> 1
+            if level[var] <= target_level:
+                trail[kept] = lit
+                kept += 1
+                continue
             val[lit] = _UNDEF
             val[lit ^ 1] = _UNDEF
-            var = lit >> 1
             if not in_heap[var]:  # push only variables without an entry
                 in_heap[var] = 1
                 heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[boundary:]
+        del trail[kept:]
         del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
+        self._qhead = boundary
 
     def _bump_activity(self, var: int) -> None:
         self._activity[var] += self._var_inc

@@ -378,13 +378,15 @@ class CheckResult:
 
 
 class _RegionPool:
-    """Deduplicating, order-preserving collection of witness regions."""
+    """Deduplicating, order-preserving collection of one problem's witness
+    regions, keyed by support and signature values (built in state/event order)."""
 
     def __init__(self) -> None:
         self._by_key: dict = {}
 
     def add(self, region: Region) -> None:
-        self._by_key.setdefault(region.key(), region)
+        key = (tuple(region.support.values()), tuple(region.signature.values()))
+        self._by_key.setdefault(key, region)
 
     def regions(self) -> tuple[Region, ...]:
         return tuple(self._by_key.values())

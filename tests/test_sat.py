@@ -1,6 +1,7 @@
 """The CDCL core: unit behavior, assumptions, restarts, budgets, work
 counters, differential checks against a brute-force evaluator on random
-small formulas, and a golden trace of the search on the hardness gadgets."""
+small formulas, a golden trace of the search on the hardness gadgets, and
+checks of chronological backtracking with every backjump made chronological."""
 
 from __future__ import annotations
 
@@ -20,7 +21,10 @@ from boolsynth import (
     build_instance,
     build_union,
     check_feasibility,
+    solve_atom,
+    solve_one_in_three,
     solving,
+    verify_inhibiting_region,
 )
 from boolsynth import sat as sat_module
 from boolsynth.sat import _luby
@@ -401,14 +405,18 @@ class TestSearchIdentity:
     @pytest.mark.parametrize(
         "cnf, family, status, digest, work",
         [
-            (PHI_SAT, Family.FREE, "sat", "ef4134429e1e72f3", (7, 687, 1793)),
-            (PHI_SAT, Family.USED, "sat", "060c9de54fab2ddb", (17, 657, 6201)),
-            (PHI_UNSAT, Family.FREE, "unsat", None, (178, 6644, 23898)),
-            (PHI_UNSAT, Family.USED, "unsat", None, (214, 7448, 45443)),
+            (PHI_SAT, Family.FREE, "sat", "ef4134429e1e72f3", (7, 607, 1571)),
+            (PHI_SAT, Family.USED, "sat", "060c9de54fab2ddb", (17, 240, 1676)),
+            (PHI_UNSAT, Family.FREE, "unsat", None, (188, 3051, 12958)),
+            (PHI_UNSAT, Family.USED, "unsat", None, (208, 2777, 17470)),
         ],
         ids=["sat-free", "sat-used", "unsat-free", "unsat-used"],
     )
     def test_target_atom_query(self, cnf, family, status, digest, work):
+        # Re-recorded when the solver began to backtrack chronologically
+        # over long backjumps; the regions are unchanged and the work went
+        # from (7, 687, 1793), (17, 657, 6201), (178, 6644, 23898) and
+        # (214, 7448, 45443), in the order of the cases above.
         instance = build_instance(cnf, family)
         problem = solving._Problem(instance.ts, family.base_type)
         ctx = solving._SatContext(problem)
@@ -456,3 +464,181 @@ POOL_DIGESTS = [
     "dded6d976a41139f", "ec6fc777acb73271", "c489c3aee9ab9fb6", "cbe02d27626b371a",
     "78c13d76583180d7", "a44d23e926d712b9", "a0e8fd09643d24c4",
 ]
+
+
+# ------------------------------------------------- chronological backtracking
+
+
+def check_levels(solver, n_assumptions):
+    """The level bookkeeping of a solver that has just answered sat: every
+    implied literal's level is the highest level among its reason's other
+    literals, which all precede it on the trail, and each level holds one
+    decision, at its start on the trail (an assumption that was already
+    true when its level opened holds none)."""
+    trail = solver._trail
+    levels = solver._level
+    position = {lit >> 1: i for i, lit in enumerate(trail)}
+    assert len(position) == len(trail) == solver.num_vars
+    assert solver._qhead == len(trail)
+    decided = []
+    for i, lit in enumerate(trail):
+        var = lit >> 1
+        reason = solver._reason[var]
+        if reason is None:
+            if levels[var]:
+                decided.append(levels[var])
+                assert solver._trail_lim[levels[var] - 1] == i
+            continue
+        assert reason[0] == lit
+        assert all(position[other >> 1] < i for other in reason[1:])
+        assert levels[var] == max(levels[other >> 1] for other in reason[1:])
+    assert decided == sorted(set(decided))
+    undecided = set(range(1, len(solver._trail_lim) + 1)) - set(decided)
+    assert all(level <= n_assumptions for level in undecided)
+
+
+def satisfying_set(nvars, clauses):
+    """The assignments that satisfy every clause, as a set of bits: bit a
+    stands for the assignment that makes variable v true iff bit v - 1 of
+    a is set."""
+    everything = (1 << (1 << nvars)) - 1
+    true_at = [0] + [
+        sum(1 << a for a in range(1 << nvars) if a >> (var - 1) & 1)
+        for var in range(1, nvars + 1)
+    ]
+    result = everything
+    for clause in clauses:
+        mask = 0
+        for lit in clause:
+            mask |= true_at[lit] if lit > 0 else everything ^ true_at[-lit]
+        result &= mask
+    return result
+
+
+def body(test):
+    """The undecorated body of a Hypothesis test."""
+    return test.hypothesis.inner_test
+
+
+@pytest.fixture(scope="class")
+def always_chronological():
+    """Backtrack one level on every conflict, so the trail holds literals
+    out of level order, and check the level bookkeeping after every
+    satisfiable ``solve``."""
+    solve = SatSolver.solve
+
+    def checked(self, assumptions=(), *args, **kwargs):
+        verdict = solve(self, assumptions, *args, **kwargs)
+        if verdict:
+            check_levels(self, len(assumptions))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sat_module, "CHRONO_LEVELS", 0)
+        patch.setattr(SatSolver, "solve", checked)
+        yield
+
+
+@pytest.mark.usefixtures("always_chronological")
+class TestChronological:
+    """Every backjump chronological: the brute-force differential and
+    phase-hint properties again, learnt clauses and propagation checked on
+    random 3-SAT, and target-atom decisions checked against the oracle."""
+
+    # Hypothesis runs each property from one instance only, so these
+    # rerun the bodies of the properties above as new properties.
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_matches_brute_force(self, seed):
+        body(TestDifferential.test_matches_brute_force)(self, seed)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_matches_brute_force_under_assumptions(self, seed):
+        body(TestDifferential.test_matches_brute_force_under_assumptions)(self, seed)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_incremental_sequence_matches(self, seed):
+        body(TestDifferential.test_incremental_sequence_matches)(self, seed)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_clause_loading_paths_match_brute_force(self, seed):
+        body(TestDifferential.test_clause_loading_paths_match_brute_force)(self, seed)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_phase_hints_never_change_an_answer(self, seed):
+        body(TestSetPhase.test_phase_hints_never_change_an_answer)(self, seed)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_learnt_clauses_follow_from_the_formula(self, seed):
+        # Random 3-SAT near the threshold searches long enough to learn
+        # from trails out of level order. Every learnt clause must hold in
+        # every model of the formula, and a propagation that ends without
+        # a conflict must leave no clause unit.
+        rng = random.Random(seed)
+        nvars = rng.randint(8, 12)
+        clauses = [
+            [rng.randint(1, nvars) * rng.choice((1, -1)) for _ in range(3)]
+            for _ in range(43 * nvars // 10)
+        ]
+        models = satisfying_set(nvars, clauses)
+        solver = fresh(nvars, clauses)
+        watched = [{2 * abs(lit) + (lit < 0) for lit in c} for c in clauses]
+        record_learnt = solver._record_learnt
+        propagate = solver._propagate
+
+        def checking(learnt, level):
+            clause = [(lit >> 1) * (-1 if lit & 1 else 1) for lit in learnt]
+            assert models & satisfying_set(nvars, [clause]) == models
+            watched.append(set(learnt))
+            record_learnt(learnt, level)
+
+        def complete():
+            conflict = propagate()
+            if conflict is None:
+                for clause in watched:
+                    values = [solver._val[lit] for lit in clause]
+                    unit = values.count(sat_module._UNDEF) == 1
+                    assert sat_module._TRUE in values or not unit
+            return conflict
+
+        solver._record_learnt = checking
+        solver._propagate = complete
+        assert solver.solve() == bool(models)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name)
+    @pytest.mark.parametrize("cnf", [PHI_SAT, PHI_UNSAT], ids=["sat", "unsat"])
+    def test_target_atom_decision_matches_the_oracle(self, cnf, family, monkeypatch):
+        # Count the learnt literals asserted below the current level and
+        # the lower-level literals a backtrack keeps: the paths that only
+        # chronological backtracking reaches.
+        out_of_order = kept = 0
+        record_learnt = SatSolver._record_learnt
+        backtrack = SatSolver._backtrack
+
+        def recording(self, learnt, level):
+            nonlocal out_of_order
+            out_of_order += level < len(self._trail_lim)
+            record_learnt(self, learnt, level)
+
+        def counting(self, target_level):
+            nonlocal kept
+            boundary = self._trail_lim[target_level:][:1]
+            backtrack(self, target_level)
+            kept += sum(len(self._trail) - b for b in boundary)
+
+        monkeypatch.setattr(SatSolver, "_record_learnt", recording)
+        monkeypatch.setattr(SatSolver, "_backtrack", counting)
+        instance = build_instance(cnf, family)
+        tau = family.base_type
+        region = solve_atom(instance.ts, tau, instance.target_atom, engine="sat")
+        assert (region is None) == (solve_one_in_three(cnf) is None)
+        if region is not None:
+            assert verify_inhibiting_region(instance, tau, region).ok
+        assert out_of_order
+        assert kept or region is not None  # the sat searches are short
