@@ -351,10 +351,7 @@ def format_cnf(cnf: CubicCnf) -> str:
 def parse_cnf(text: str) -> CubicCnf:
     clauses: list[tuple[str, str, str]] = []
     expected: Optional[int] = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for number, line in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "p":
             if expected is not None:
@@ -367,6 +364,8 @@ def parse_cnf(text: str) -> CubicCnf:
                 raise _fail(number, "clause count must be an integer") from None
             continue
         if expected is None:
+            if line.startswith("c"):
+                continue  # a DIMACS comment; after the header it is a clause
             raise _fail(number, "clause before the 'p cnf13' header")
         if len(tokens) != 3:
             raise _fail(number, "each clause names exactly three variables")

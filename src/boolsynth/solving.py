@@ -29,6 +29,8 @@ tracker, so requirements an earlier region settles cost no further work
 and verdicts stay cheap on large subjects. The counterexample is the
 tracker's first pending requirement, and ``assign_witnesses`` and
 ``first_unsettled`` replay a pool through the same tracker.
+``solve_atom`` is a check whose tracker has one pending requirement
+(``_Coverage.of_atom``); it answers with the first pooled region.
 For a fixed subject the two engines agree on all verdicts and report the
 same (canonically first) counterexample; only the shape of the witnessing
 regions may differ.
@@ -37,7 +39,6 @@ regions may differ.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Container, Iterator, Optional, Sequence, Union
@@ -210,9 +211,6 @@ class _Problem:
     ) -> Region:
         """Region with the given support; each signature entry is the first
         allowed interaction in canonical order (unless forced)."""
-        support = {
-            s: self.support_value(support_int, p) for p, s in enumerate(self.states)
-        }
         signature: dict[str, Interaction] = {}
         for e, event in enumerate(self.events):
             if forced and e in forced:
@@ -222,6 +220,14 @@ class _Problem:
             if not mask:
                 raise EngineError(f"no admissible interaction for event {event!r}")
             signature[event] = self.first_of_mask(mask)
+        return self.region(support_int, signature)
+
+    def region(self, support_int: int, signature: dict[str, Interaction]) -> Region:
+        """The region of a support integer and a signature, re-validated:
+        an engine that builds an inadmissible region is at fault."""
+        support = {
+            s: self.support_value(support_int, p) for p, s in enumerate(self.states)
+        }
         region = Region(support=support, signature=signature)
         if not validate_region(self.subject, self.tau, region):
             raise EngineError("engine produced an inadmissible region")
@@ -259,6 +265,27 @@ class _Coverage:
                     self.blocks.append(((1 << size) - 1) << (problem.n - end))
         full = problem.full if want_essp else 0
         self.uncovered = [~mask & full for mask in problem.enabled_mask]
+
+    @classmethod
+    def of_atom(cls, problem: _Problem, atom: Atom) -> _Coverage:
+        """A tracker whose one pending requirement is ``atom``."""
+        coverage = cls(problem, False, False)
+        if isinstance(atom, StatePairAtom):
+            i = problem.state_pos[atom.first]
+            j = problem.state_pos[atom.second]
+            if i == j:
+                raise ValueError("state pair requirement needs distinct states")
+            coverage.blocks.append(problem.state_bit(i) | problem.state_bit(j))
+            return coverage
+        event_pos = problem.event_pos[atom.event]
+        state_bit = problem.state_bit(problem.state_pos[atom.state])
+        if problem.enabled_mask[event_pos] & state_bit:
+            raise ValueError(
+                f"event {atom.event!r} occurs at state {atom.state!r}; "
+                "nothing to inhibit"
+            )
+        coverage.uncovered[event_pos] = state_bit
+        return coverage
 
     def split(self, support: int) -> list[tuple[int, int]]:
         """Split every block the support cuts; returns the (ones, zeros)
@@ -377,21 +404,6 @@ class CheckResult:
         return None
 
 
-class _RegionPool:
-    """Deduplicating, order-preserving collection of one problem's witness
-    regions, keyed by support and signature values (built in state/event order)."""
-
-    def __init__(self) -> None:
-        self._by_key: dict = {}
-
-    def add(self, region: Region) -> None:
-        key = (tuple(region.support.values()), tuple(region.signature.values()))
-        self._by_key.setdefault(key, region)
-
-    def regions(self) -> tuple[Region, ...]:
-        return tuple(self._by_key.values())
-
-
 def _resolve_engine(engine: str, problem: _Problem) -> str:
     if engine == "auto":
         return "exhaustive" if problem.n <= 16 else "sat"
@@ -487,24 +499,6 @@ def _admissible_supports(
                     return
 
 
-def _exhaustive_inhibitors(
-    problem: _Problem, event_pos: int, state_pos: int, deadline: Optional[float]
-) -> Iterator[Region]:
-    """Regions inhibiting the event at the state, at most one per support,
-    in ascending support order. Raises ResourceExhausted on budget expiry."""
-    state_bit = problem.state_bit(state_pos)
-    for support in _admissible_supports(problem, deadline):
-        if support is None:
-            raise ResourceExhausted("budget exhausted")
-        bit_value = 1 if support & state_bit else 0
-        partial_mask = problem.allowed_mask(event_pos, support) & _PARTIAL_MASK_AT[
-            bit_value
-        ]
-        if partial_mask:
-            forced = {event_pos: problem.first_of_mask(partial_mask)}
-            yield problem.region_at(support, forced)
-
-
 def _exhaustive_check(
     problem: _Problem, coverage: _Coverage, deadline: Optional[float]
 ) -> tuple[tuple[Region, ...], bool]:
@@ -512,19 +506,26 @@ def _exhaustive_check(
     admissible regions allow. Returns (pooled regions, completed).
 
     A support that splits a block pools its first-allowed region; a forced
-    inhibiting region is credited only for the event it was forced for."""
+    inhibiting region is credited only for the event it was forced for.
+    A forced region can equal another region of its support, so the pool
+    is keyed by support and signature."""
     full = problem.full
     blocks = coverage.blocks
     uncovered = coverage.uncovered
     essp = any(uncovered)
-    pool = _RegionPool()
+    pool: dict[tuple[int, tuple[Interaction, ...]], Region] = {}
+
+    def add(support: int, forced: Optional[dict[int, Interaction]] = None) -> None:
+        region = problem.region_at(support, forced)
+        pool.setdefault((support, tuple(region.signature.values())), region)
+
     n_events = len(problem.events)
     if blocks or essp:
         for support in _admissible_supports(problem, deadline):
             if support is None:
-                return pool.regions(), False
+                return tuple(pool.values()), False
             if blocks and coverage.split(support):
-                pool.add(problem.region_at(support))
+                add(support)
             if essp:
                 for e in range(n_events):
                     pending = uncovered[e]
@@ -537,12 +538,11 @@ def _exhaustive_check(
                             continue
                         here = support if bit_value == 1 else ~support & full
                         if pending & here:
-                            forced = {e: problem.first_of_mask(partial_mask)}
-                            pool.add(problem.region_at(support, forced))
+                            add(support, {e: problem.first_of_mask(partial_mask)})
                             coverage.cover(e, here)
             if not blocks and not any(uncovered):
                 break
-    return pool.regions(), True
+    return tuple(pool.values()), True
 
 
 # ------------------------------------------------------------ propositional
@@ -581,22 +581,22 @@ class _SatContext:
         first_pos: int,
         second_pos: int,
         deadline: Optional[float],
-        coverage: Optional[_Coverage] = None,
+        coverage: _Coverage,
     ) -> tuple[str, Optional[Region]]:
-        """A region separating the two states. With ``coverage``, each query
-        hints 1, 0, 1, ... in position order inside every pending block, so
-        that one model tends to cut every block, and the region is re-signed."""
+        """A region separating the two states. Each query hints 1, 0, 1, ...
+        in position order inside every block pending in ``coverage``, so that
+        one model tends to cut every block, and the region is re-signed."""
         a = self.sup_var[first_pos]
         b = self.sup_var[second_pos]
         for lits in ((a, -b), (-a, b)):
-            for block in coverage.blocks if coverage else ():
+            for block in coverage.blocks:
                 for k, pos in enumerate(sorted(_positions(block, self.problem.n))):
                     self.solver.set_phase(self.sup_var[pos], k % 2 == 0)
             verdict = self.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 return "unknown", None
             if verdict:
-                return "sat", self.decode(coverage=coverage)
+                return "sat", self.decode({}, coverage)
         return "unsat", None
 
     def solve_inhibit(
@@ -604,15 +604,14 @@ class _SatContext:
         event_pos: int,
         state_pos: int,
         deadline: Optional[float],
-        coverage: Optional[_Coverage] = None,
+        coverage: _Coverage,
     ) -> tuple[str, Optional[Region]]:
-        """A region inhibiting the event at the state. With ``coverage``,
-        each query hints every state still pending for the event to the value
+        """A region inhibiting the event at the state. Each query hints every
+        state at which ``coverage`` still has the event pending to the value
         the tried interaction is undefined at, and the region is re-signed."""
         for interaction, lits in self.inhibit_assumptions(event_pos, state_pos):
             value = _undefined_bit(interaction) == 1
-            pending = coverage.uncovered[event_pos] if coverage else 0
-            for pos in _positions(pending, self.problem.n):
+            for pos in _positions(coverage.uncovered[event_pos], self.problem.n):
                 self.solver.set_phase(self.sup_var[pos], value)
             verdict = self.solver.solve(lits, deadline=deadline)
             if verdict is None:
@@ -636,21 +635,16 @@ class _SatContext:
         model = self.solver.model_value
         self.solver.add_clause([-var if model(var) else var for var in self.sup_var])
 
-    def decode(
-        self,
-        forced: Optional[dict[int, Interaction]] = None,
-        coverage: Optional[_Coverage] = None,
-    ) -> Region:
+    def decode(self, forced: dict[int, Interaction], coverage: _Coverage) -> Region:
         """The region of the last model, with the ``forced`` signature
-        entries; with ``coverage``, re-signed by ``_Coverage.resign``. The
-        region is validated once, after re-signing."""
+        entries, re-signed by ``_Coverage.resign``. The region is validated
+        once, after re-signing."""
         problem = self.problem
         model = self.solver.model_value
-        digits = "".join("1" if model(var) else "0" for var in self.sup_var)
-        support = {state: int(digit) for state, digit in zip(problem.states, digits)}
+        support = int("".join("1" if model(var) else "0" for var in self.sup_var), 2)
         signature: dict[str, Interaction] = {}
         for event_pos, event in enumerate(problem.events):
-            if forced and event_pos in forced:
+            if event_pos in forced:
                 signature[event] = forced[event_pos]
                 continue
             for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
@@ -659,12 +653,8 @@ class _SatContext:
                     break
             else:  # pragma: no cover - excluded by the at-least-one clauses
                 raise EngineError(f"no interaction selected for {event!r}")
-        if coverage is not None:
-            coverage.resign(int(digits, 2), signature, forced or {})
-        region = Region(support=support, signature=signature)
-        if not validate_region(problem.subject, problem.tau, region):
-            raise EngineError("solver model decoded to an inadmissible region")
-        return region
+        coverage.resign(support, signature, forced)
+        return problem.region(support, signature)
 
 
 def _consistency_clauses(
@@ -709,11 +699,13 @@ def _sat_check(
     the first pending requirement until none is left or one is unsettleable;
     each query is steered toward settling the other pending ones as well."""
     ctx = _SatContext(problem)
-    pool = _RegionPool()
+    # Each region settles a requirement that no earlier one settles, so no
+    # region is pooled twice.
+    pool: list[Region] = []
     state_pos = problem.state_pos
     while (atom := coverage.first_pending()) is not None:
         if deadline is not None and time.monotonic() > deadline:
-            return pool.regions(), False
+            return tuple(pool), False
         if isinstance(atom, StatePairAtom):
             status, region = ctx.solve_pair(
                 state_pos[atom.first], state_pos[atom.second], deadline, coverage
@@ -723,16 +715,26 @@ def _sat_check(
                 problem.event_pos[atom.event], state_pos[atom.state], deadline, coverage
             )
         if status == "unknown":
-            return pool.regions(), False
+            return tuple(pool), False
         if status == "unsat":
             break
         assert region is not None
-        pool.add(region)
+        pool.append(region)
         coverage.settle(region)
-    return pool.regions(), True
+    return tuple(pool), True
 
 
 # ------------------------------------------------------------------- public
+
+
+def _decide(
+    problem: _Problem, coverage: _Coverage, engine: str, budget: Optional[float]
+) -> tuple[str, tuple[Region, ...], bool]:
+    """Settle ``coverage`` with the engine under the budget. Returns (the
+    engine that ran, pooled regions, completed)."""
+    engine_name = _resolve_engine(engine, problem)
+    decide = _exhaustive_check if engine_name == "exhaustive" else _sat_check
+    return (engine_name, *decide(problem, coverage, _deadline_from_budget(budget)))
 
 
 def _run_check(
@@ -743,13 +745,10 @@ def _run_check(
     budget: Optional[float],
 ) -> CheckResult:
     problem = _Problem(subject, tau)
-    engine_name = _resolve_engine(engine, problem)
-    deadline = _deadline_from_budget(budget)
     want_ssp = property_name in ("ssp", "feasible")
     want_essp = property_name in ("essp", "feasible")
     coverage = _Coverage(problem, want_ssp, want_essp)
-    decide = _exhaustive_check if engine_name == "exhaustive" else _sat_check
-    regions, completed = decide(problem, coverage, deadline)
+    engine_name, regions, completed = _decide(problem, coverage, engine, budget)
     counterexample = coverage.first_pending() if completed else None
     outcome = "yes" if counterexample is None else "no"
     return CheckResult(
@@ -806,41 +805,11 @@ def solve_atom(
     """Find one admissible region settling the given requirement, or None
     if no such region exists. Raises ResourceExhausted on budget expiry."""
     problem = _Problem(subject, tau)
-    engine_name = _resolve_engine(engine, problem)
-    deadline = _deadline_from_budget(budget)
-    if isinstance(atom, StatePairAtom):
-        i = problem.state_pos[atom.first]
-        j = problem.state_pos[atom.second]
-        if i == j:
-            raise ValueError("state pair requirement needs distinct states")
-        if engine_name == "sat":
-            status, region = _SatContext(problem).solve_pair(i, j, deadline)
-            if status == "unknown":
-                raise ResourceExhausted("budget exhausted")
-            return region
-        bit_i, bit_j = problem.state_bit(i), problem.state_bit(j)
-        for support in _admissible_supports(problem, deadline):
-            if support is None:
-                raise ResourceExhausted("budget exhausted")
-            if bool(support & bit_i) != bool(support & bit_j):
-                return problem.region_at(support)
-        return None
-    event_pos = problem.event_pos[atom.event]
-    state_pos = problem.state_pos[atom.state]
-    if problem.enabled_mask[event_pos] & problem.state_bit(state_pos):
-        raise ValueError(
-            f"event {atom.event!r} occurs at state {atom.state!r}; "
-            "nothing to inhibit"
-        )
-    if engine_name == "sat":
-        status, region = _SatContext(problem).solve_inhibit(
-            event_pos, state_pos, deadline
-        )
-        if status == "unknown":
-            raise ResourceExhausted("budget exhausted")
-        return region
-    regions = _exhaustive_inhibitors(problem, event_pos, state_pos, deadline)
-    return next(regions, None)
+    coverage = _Coverage.of_atom(problem, atom)
+    _, regions, completed = _decide(problem, coverage, engine, budget)
+    if not completed:
+        raise ResourceExhausted("budget exhausted")
+    return regions[0] if regions else None
 
 
 def enumerate_inhibiting_regions(
@@ -862,18 +831,25 @@ def enumerate_inhibiting_regions(
     problem = _Problem(subject, tau)
     engine_name = _resolve_engine(engine, problem)
     deadline = _deadline_from_budget(budget)
-    event_pos = problem.event_pos[event]
-    state_pos = problem.state_pos[state]
-    if problem.enabled_mask[event_pos] & problem.state_bit(state_pos):
-        raise ValueError(
-            f"event {event!r} occurs at state {state!r}; nothing to inhibit"
-        )
+    coverage = _Coverage.of_atom(problem, EventStateAtom(event, state))
     if limit is not None and limit <= 0:
         return []
-    if engine_name == "exhaustive":
-        regions = _exhaustive_inhibitors(problem, event_pos, state_pos, deadline)
-        return list(itertools.islice(regions, limit))
+    event_pos = problem.event_pos[event]
+    state_pos = problem.state_pos[state]
     found: list[Region] = []
+    if engine_name == "exhaustive":
+        state_bit = problem.state_bit(state_pos)
+        for support in _admissible_supports(problem, deadline):
+            if support is None:
+                raise ResourceExhausted("budget exhausted")
+            partial_mask = problem.allowed_mask(event_pos, support)
+            partial_mask &= _PARTIAL_MASK_AT[1 if support & state_bit else 0]
+            if partial_mask:
+                forced = {event_pos: problem.first_of_mask(partial_mask)}
+                found.append(problem.region_at(support, forced))
+                if len(found) == limit:
+                    break
+        return found
     if limit is None:
         raise ValueError(
             "the propositional engine needs an explicit limit for enumeration"
@@ -886,7 +862,7 @@ def enumerate_inhibiting_regions(
                 raise ResourceExhausted("budget exhausted")
             if not verdict:
                 break
-            found.append(ctx.decode({event_pos: interaction}))
+            found.append(ctx.decode({event_pos: interaction}, coverage))
             ctx.block_support()
         if len(found) >= limit:
             break

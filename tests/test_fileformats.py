@@ -230,6 +230,18 @@ class TestCnfText:
         text = "c header comment\np cnf13 3\nx0 x1 x2\nx0 x1 x2\nx0 x1 x2\n"
         assert parse_cnf(text) == PHI_SAT
 
+    def test_variables_named_c_lead_clauses(self):
+        # After the header a line starting with "c" is a clause.
+        cnf = CubicCnf((("c", "cx", "b"), ("cx", "c", "b"), ("b", "c", "cx")))
+        assert parse_cnf(format_cnf(cnf)) == cnf
+
+    def test_hash_comments_skipped(self):
+        text = (
+            "# a formula\np cnf13 3  # three clauses\nx0 x1 x2\n"
+            "  # between clauses\nx0 x1 x2 # trailing\nx0 x1 x2\n"
+        )
+        assert parse_cnf(text) == PHI_SAT
+
     def test_occurrence_rule_enforced_at_parse_time(self):
         text = "p cnf13 1\nx0 x1 x2\n"
         with pytest.raises(FormatError, match="exactly three times"):

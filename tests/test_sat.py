@@ -422,7 +422,10 @@ class TestSearchIdentity:
         ctx = solving._SatContext(problem)
         atom = instance.target_atom
         got, region = ctx.solve_inhibit(
-            problem.event_pos[atom.event], problem.state_pos[atom.state], None
+            problem.event_pos[atom.event],
+            problem.state_pos[atom.state],
+            None,
+            solving._Coverage.of_atom(problem, atom),
         )
         solver = ctx.solver
         assert got == status

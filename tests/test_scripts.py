@@ -11,15 +11,10 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_engine_benchmark_reports_no_disagreements(tmp_path):
+def test_battery_report_tallies_all_types(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     completed = subprocess.run(
-        [
-            sys.executable,
-            str(SCRIPTS / "engine_benchmark.py"),
-            "--sizes", "12,18",
-            "--trials", "2",
-        ],
+        [sys.executable, str(SCRIPTS / "battery_report.py"), "--all-types"],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -27,7 +22,9 @@ def test_engine_benchmark_reports_no_disagreements(tmp_path):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    header, *rows = completed.stdout.splitlines()
-    assert header.split()[-1] == "disagreements"
-    assert [row.split()[0] for row in rows] == ["12", "18"]
-    assert [row.split()[-1] for row in rows] == ["0", "0"]
+    summary = completed.stdout.splitlines()[-1]
+    assert summary.startswith("255 types x 4 examples in ")
+    assert summary.endswith(
+        "verdict counts (ssp, essp): ('yes', 'yes')=96, ('yes', 'no')=96, "
+        "('no', 'yes')=414, ('no', 'no')=414"
+    )

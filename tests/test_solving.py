@@ -4,6 +4,7 @@ cross-checked against the brute-force oracle from conftest."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -171,6 +172,12 @@ class TestAllTypesAgree:
             assert baseline.counterexample == other.counterexample, tau.spec()
 
 
+def assert_distinct(regions) -> None:
+    """No two regions have the same support and signature."""
+    keys = [region.key() for region in regions]
+    assert len(set(keys)) == len(keys)
+
+
 class TestDifferentialAgainstOracle:
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 10**9))
@@ -203,6 +210,9 @@ class TestDifferentialAgainstOracle:
             for region in result.regions:
                 assert validate_region(ts, tau, region)
                 assert region_coherence_report(ts, tau, region).ok
+            # The exhaustive engine drops a region built twice; each region
+            # of the sat engine settles a requirement no earlier one does.
+            assert_distinct(result.regions)
 
 
 class TestSolveAtom:
@@ -244,6 +254,28 @@ class TestSolveAtom:
     def test_enabled_event_rejected(self, battery):
         with pytest.raises(ValueError, match="occurs at"):
             solve_atom(battery["a1"], TAU, EventStateAtom("a", "s0"))
+
+    def test_one_atom_tracker_pends_exactly_the_atom(self):
+        # solve_atom is a check of a tracker whose one pending requirement
+        # is the atom; a state pair is pending in canonical order.
+        ts = random_ts(random.Random(5), max_states=6, max_events=3, min_states=4)
+        problem = solving._Problem(ts, FULL)
+        of_atom = solving._Coverage.of_atom
+        for atom in list(ssp_atoms(ts)) + list(essp_atoms(ts)):
+            coverage = of_atom(problem, atom)
+            assert coverage.first_pending() == atom
+            if isinstance(atom, StatePairAtom):
+                assert coverage.blocks and not any(coverage.uncovered)
+                swapped = StatePairAtom(atom.second, atom.first)
+                assert of_atom(problem, swapped).first_pending() == atom
+            else:
+                assert not coverage.blocks
+                assert sum(map(int.bit_count, coverage.uncovered)) == 1
+        with pytest.raises(ValueError, match="distinct"):
+            of_atom(problem, StatePairAtom("s1", "s1"))
+        arc = ts.arcs[0]
+        with pytest.raises(ValueError, match="occurs at"):
+            of_atom(problem, EventStateAtom(arc.event, arc.source))
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 10**9))
@@ -566,6 +598,79 @@ class TestExhaustivePoolPins:
         assert [region_digest(region) for region in result.regions] == digests
 
 
+def pinned_subject(seed):
+    """A seeded system of 4 to 7 states under a family type (or TAU, or
+    TAU_TILDE); seed None is the union with a single-state member, under
+    the full type."""
+    if seed is None:
+        return union_with_a_single_state_member(), FULL
+    rng = random.Random(f"atom-pins/{seed}")
+    ts = random_ts(rng, max_states=7, max_events=3, min_states=4)
+    return ts, rng.choice([TAU, TAU_TILDE, *family_types()])
+
+
+def combined_digest(regions) -> str:
+    """One digest of a list of regions, None entries included."""
+    digests = [region and region_digest(region) for region in regions]
+    return hashlib.sha256(repr(digests).encode()).hexdigest()[:16]
+
+
+class TestSingleQueryPins:
+    """Golden regions of ``solve_atom`` on every requirement of seeded
+    systems, and of ``enumerate_inhibiting_regions``, recorded while
+    ``solve_atom`` still had a code path per engine, before it became a
+    check of one pending requirement."""
+
+    @pytest.mark.parametrize(
+        "seed, engine, solved, unsolved, digest",
+        [
+            (None, "exhaustive", (6, 5), 3, "fd679477d17de192"),
+            (None, "sat", (6, 5), 3, "893c811daa5ac14c"),
+            (0, "exhaustive", (19, 1), 14, "82e8c5e9ecc953b8"),
+            (0, "sat", (19, 1), 14, "f2c1107f0b11a44b"),
+            (1, "exhaustive", (6, 3), 4, "04fdd2084dd92947"),
+            (1, "sat", (6, 3), 4, "ce68d11cf9bc0214"),
+            (6, "exhaustive", (10, 4), 3, "b25b735f951db5fa"),
+            (6, "sat", (10, 4), 3, "2a08796be08685dc"),
+        ],
+    )
+    def test_solve_atom(self, seed, engine, solved, unsolved, digest):
+        # Every state pair in canonical order, then every inhibition.
+        subject, tau = pinned_subject(seed)
+        atoms = list(ssp_atoms(subject)) + list(essp_atoms(subject))
+        regions = [solve_atom(subject, tau, atom, engine=engine) for atom in atoms]
+        kinds = [
+            type(atom) for atom, region in zip(atoms, regions) if region is not None
+        ]
+        assert (kinds.count(StatePairAtom), kinds.count(EventStateAtom)) == solved
+        assert regions.count(None) == unsolved
+        assert combined_digest(regions) == digest
+
+    @pytest.mark.parametrize(
+        "seed, event, state, count, digest, first_three",
+        [
+            (None, "b", "r0", 6, "ce901bbe91861012", [
+                "901f881c3c6679ff", "b86c01adffda6436", "494fb5b1536ad17c",
+            ]),
+            (None, "a", "q0", 2, "284a4da535254a6e", [
+                "1d6de2897c7a1f1f", "cf1060845123c3ab",
+            ]),
+            (1, "e0", "s2", 2, "7f5a0787d8ded0d3", [
+                "93229328e8336bcf", "1320374b2d727afe",
+            ]),
+        ],
+    )
+    def test_enumeration(self, seed, event, state, count, digest, first_three):
+        subject, tau = pinned_subject(seed)
+        every = enumerate_inhibiting_regions(subject, tau, event, state)
+        assert len(every) == count
+        assert combined_digest(every) == digest
+        via_sat = enumerate_inhibiting_regions(
+            subject, tau, event, state, engine="sat", limit=3
+        )
+        assert [region_digest(region) for region in via_sat] == first_three
+
+
 def resign_system() -> TransitionSystem:
     """s0 -a-> s1 and s2 -c-> s3, plus an event ``z`` with no arcs, so any
     interaction is admissible for ``z`` under any support."""
@@ -673,3 +778,4 @@ class TestEngineAgreementAtScale:
                 via_sat = checker(subject, net_type, engine="sat")
                 assert exhaustive.outcome == via_sat.outcome, net_type.spec()
                 assert exhaustive.counterexample == via_sat.counterexample
+                assert_distinct(via_sat.regions)
