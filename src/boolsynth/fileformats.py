@@ -353,9 +353,13 @@ def parse_cnf(text: str) -> CubicCnf:
     expected: Optional[int] = None
     for number, line in _content_lines(text):
         tokens = line.split()
-        if tokens[0] == "p":
-            if expected is not None:
-                raise _fail(number, "duplicate header")
+        # Before the header a "p" line is the header and a "c" line a DIMACS
+        # comment; after it, either is a clause.
+        if expected is None:
+            if line.startswith("c"):
+                continue
+            if tokens[0] != "p":
+                raise _fail(number, "clause before the 'p cnf13' header")
             if len(tokens) != 3 or tokens[1] != "cnf13":
                 raise _fail(number, "header must read 'p cnf13 <clauses>'")
             try:
@@ -363,10 +367,6 @@ def parse_cnf(text: str) -> CubicCnf:
             except ValueError:
                 raise _fail(number, "clause count must be an integer") from None
             continue
-        if expected is None:
-            if line.startswith("c"):
-                continue  # a DIMACS comment; after the header it is a clause
-            raise _fail(number, "clause before the 'p cnf13' header")
         if len(tokens) != 3:
             raise _fail(number, "each clause names exactly three variables")
         clauses.append((tokens[0], tokens[1], tokens[2]))

@@ -24,6 +24,10 @@ class Interaction(enum.Enum):
     USED = "used"
     FREE = "free"
 
+    # Members are singletons compared by identity; hashing them by identity
+    # in C spares the hot dict and set lookups Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # keep solver/witness dumps compact
         return self.value
 

@@ -12,23 +12,26 @@ on the support value of a state the event must not fire in).
   state's value is a bitset over the window, each event's arcs give the
   bitset of supports showing each (source, target) value pattern, and a
   support survives iff every event keeps an interaction of the type that
-  follows all patterns shown there. Only the surviving supports reach the
-  per-support signature derivation and region re-validation.
+  follows all patterns shown there. At each surviving support the tracker
+  signs regions, as long as each settles something new.
 * The propositional engine encodes region admissibility as CNF over support
   bits and signature selectors and answers individual requirements through
   assumption-based incremental SAT queries. Phase hints steer each query
-  toward supports that settle many pending requirements at once, and each
-  decoded region is re-signed to inhibit as many pending states as its
-  support allows. Both shape the region pool, never a verdict.
+  toward supports that settle many pending requirements at once, and the
+  tracker re-signs each decoded region. Both shape the region pool, never
+  a verdict.
 
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
-are pending) and one uncovered-state mask per event for inhibition. Both
-engines pool every witnessing region they find and credit it to the
-tracker, so requirements an earlier region settles cost no further work
-and verdicts stay cheap on large subjects. The counterexample is the
-tracker's first pending requirement, and ``assign_witnesses`` and
-``first_unsettled`` replay a pool through the same tracker.
+are pending) and one uncovered-state mask per event for inhibition. It
+decides inhibition for both engines: ``resign`` gives each event with
+pending inhibitions the admissible partial interaction that inhibits the
+most of them, and ``settle`` credits a region with every requirement it
+settles. Each pooled region settles a requirement no earlier one settles,
+so no pool repeats a region, and verdicts stay cheap on large subjects.
+The counterexample is the tracker's first pending requirement, and
+``assign_witnesses`` and ``first_unsettled`` replay a pool through the
+same tracker.
 ``solve_atom`` is a check whose tracker has one pending requirement
 (``_Coverage.of_atom``); it answers with the first pooled region.
 For a fixed subject the two engines agree on all verdicts and report the
@@ -41,7 +44,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Container, Iterator, Optional, Sequence, Union
+from typing import Container, Iterator, Mapping, Optional, Sequence, Union
 
 from .interactions import (
     INTERACTION_ORDER,
@@ -88,26 +91,22 @@ class EventStateAtom:
 Atom = Union[StatePairAtom, EventStateAtom]
 
 _GLOBAL_INDEX = {i: idx for idx, i in enumerate(INTERACTION_ORDER)}
-_MATCH_MASK = {
-    (a, b): sum(1 << _GLOBAL_INDEX[i] for i in interactions_matching(a, b))
+#: Per arc pattern ``2*a + b`` (source holds a, target holds b), the mask
+#: of the interactions that follow it.
+_MATCH_MASK = tuple(
+    sum(1 << _GLOBAL_INDEX[i] for i in interactions_matching(a, b))
     for a in (0, 1)
     for b in (0, 1)
+)
+
+#: The token value each partial interaction is undefined at, in canonical
+#: order; a total interaction is not a key.
+_UNDEFINED_AT = {
+    i: 0 if i.effect[0] is None else 1 for i in INTERACTION_ORDER if i.is_partial
 }
-
-
-def _undefined_bit(interaction: Interaction) -> int:
-    """The token value on which a partial interaction is undefined."""
-    return 0 if interaction.effect[0] is None else 1
-
-
 #: Per partial interaction, in canonical order: (its bit in an allowed
 #: mask, the interaction, the token value it is undefined at).
-_PARTIALS = tuple(
-    (1 << k, i, _undefined_bit(i))
-    for k, i in enumerate(INTERACTION_ORDER)
-    if i.is_partial
-)
-_PARTIAL_MASK_AT = {b: sum(m for m, _, at in _PARTIALS if at == b) for b in (0, 1)}
+_PARTIALS = tuple((1 << _GLOBAL_INDEX[i], i, at) for i, at in _UNDEFINED_AT.items())
 
 
 def ssp_atoms(subject: Subject) -> Iterator[StatePairAtom]:
@@ -147,7 +146,9 @@ def _type_data(
 ) -> tuple[tuple[Interaction, ...], int, tuple[tuple[int, ...], ...]]:
     """The interactions of ``tau`` in canonical order, their mask, and per
     interaction the arc patterns ``2*a + b`` (source holds a, target holds
-    b) it cannot follow, supersets dropped (they are never the last left)."""
+    b) it cannot follow, supersets dropped (they are never the last left).
+    Rejects the empty type."""
+    require_usable(tau)
     tau_list = iter_type(tau)
     sets = {
         frozenset(2 * a + b for a in (0, 1) for b in (0, 1) if i.effect[a] != b)
@@ -161,7 +162,6 @@ class _Problem:
     """Indexed, bitmask-friendly view of a subject under a net type."""
 
     def __init__(self, subject: Subject, tau: NetType) -> None:
-        require_usable(tau)
         self.subject = subject
         self.tau = tau
         self.states: list[str] = list(subject.states)
@@ -171,13 +171,14 @@ class _Problem:
         self.state_pos = {s: i for i, s in enumerate(self.states)}
         self.event_pos = {e: i for i, e in enumerate(self.events)}
         arcs_by_event: list[list[tuple[int, int]]] = [[] for _ in self.events]
-        enabled: list[int] = [0 for _ in self.events]
+        enabled = [0] * len(self.events)
+        n1 = self.n - 1
+        state_pos = self.state_pos
         for arc in subject.arcs:
             e = self.event_pos[arc.event]
-            src = self.state_pos[arc.source]
-            dst = self.state_pos[arc.target]
-            arcs_by_event[e].append((src, dst))
-            enabled[e] |= self.state_bit(src)
+            src = state_pos[arc.source]
+            arcs_by_event[e].append((src, state_pos[arc.target]))
+            enabled[e] |= 1 << (n1 - src)
         self.arcs_by_event = arcs_by_event
         self.enabled_mask = enabled
         self.tau_list, self.tau_mask, self.forbidden = _type_data(tau)
@@ -187,9 +188,6 @@ class _Problem:
         so ascending integers enumerate supports in lexicographic order)."""
         return 1 << (self.n - 1 - pos)
 
-    def support_value(self, support_int: int, pos: int) -> int:
-        return (support_int >> (self.n - 1 - pos)) & 1
-
     def allowed_mask(self, event_idx: int, support_int: int) -> int:
         """Interactions (as a bitmask over the canonical order) consistent
         with every arc of the event under the given support."""
@@ -197,37 +195,29 @@ class _Problem:
         n1 = self.n - 1
         for src, dst in self.arcs_by_event[event_idx]:
             mask &= _MATCH_MASK[
-                (support_int >> (n1 - src)) & 1, (support_int >> (n1 - dst)) & 1
+                (support_int >> (n1 - src) & 1) << 1 | support_int >> (n1 - dst) & 1
             ]
             if not mask:
                 break
         return mask
 
-    def first_of_mask(self, mask: int) -> Interaction:
-        return INTERACTION_ORDER[(mask & -mask).bit_length() - 1]
-
-    def region_at(
-        self, support_int: int, forced: Optional[dict[int, Interaction]] = None
-    ) -> Region:
-        """Region with the given support; each signature entry is the first
-        allowed interaction in canonical order (unless forced)."""
+    def region_at(self, support_int: int, picks: dict[str, Interaction]) -> Region:
+        """Region with the given support; each event not in ``picks`` gets
+        its first allowed interaction in canonical order."""
         signature: dict[str, Interaction] = {}
         for e, event in enumerate(self.events):
-            if forced and e in forced:
-                signature[event] = forced[e]
-                continue
-            mask = self.allowed_mask(e, support_int)
-            if not mask:
-                raise EngineError(f"no admissible interaction for event {event!r}")
-            signature[event] = self.first_of_mask(mask)
+            interaction = picks.get(event)
+            if interaction is None:
+                mask = self.allowed_mask(e, support_int)
+                interaction = INTERACTION_ORDER[(mask & -mask).bit_length() - 1]
+            signature[event] = interaction
         return self.region(support_int, signature)
 
     def region(self, support_int: int, signature: dict[str, Interaction]) -> Region:
         """The region of a support integer and a signature, re-validated:
         an engine that builds an inadmissible region is at fault."""
-        support = {
-            s: self.support_value(support_int, p) for p, s in enumerate(self.states)
-        }
+        n1 = self.n - 1
+        support = {s: support_int >> (n1 - p) & 1 for p, s in enumerate(self.states)}
         region = Region(support=support, signature=signature)
         if not validate_region(self.subject, self.tau, region):
             raise EngineError("engine produced an inadmissible region")
@@ -307,48 +297,41 @@ class _Coverage:
             self.blocks[:] = kept
         return halves
 
-    def cover(self, event_pos: int, states: int) -> int:
-        """Mark the event inhibited at ``states``; returns those pending."""
-        newly = self.uncovered[event_pos] & states
-        self.uncovered[event_pos] ^= newly
-        return newly
-
     def settle(
-        self, region: Region
+        self, support: int, signature: Mapping[str, Interaction]
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Credit a region with every requirement it settles; returns the
-        split halves and (event, newly inhibited states) per partial event."""
+        """Credit the region of a support integer and a signature with every
+        requirement it settles; returns the split halves and (event, newly
+        inhibited states) per partial event."""
         problem = self.problem
-        support = problem.support_int_of(region)
         halves = self.split(support)
-        inverse = support ^ problem.full
+        at = (support ^ problem.full, support)  # the states holding 0, 1
         inhibited: list[tuple[int, int]] = []
-        for e, event in enumerate(problem.events):
-            if not self.uncovered[e]:
-                continue
-            interaction = region.signature[event]
-            if interaction.is_partial:
-                at = support if _undefined_bit(interaction) else inverse
-                inhibited.append((e, self.cover(e, at)))
+        for e, pending in enumerate(self.uncovered):
+            if pending:
+                bit = _UNDEFINED_AT.get(signature[problem.events[e]])
+                if bit is not None:
+                    newly = pending & at[bit]
+                    self.uncovered[e] ^= newly
+                    inhibited.append((e, newly))
         return halves, inhibited
 
     def resign(
-        self, support: int, signature: dict[str, Interaction], keep: Container[int]
+        self, support: int, signature: dict[str, Interaction], keep: Container[str]
     ) -> None:
         """Upgrade a signature for the given support in place: every event
         with pending inhibitions, except those in ``keep``, gets the
         admissible partial interaction that inhibits the most of its pending
-        states (canonically first among equals), unless its own inhibits as
-        many."""
+        states (canonically first among equals), unless its own, if any,
+        inhibits as many."""
         problem = self.problem
-        at = (support ^ problem.full, support)  # the states holding 0, 1
         for e, pending in enumerate(self.uncovered):
-            if not pending or e in keep:
+            if not pending or problem.events[e] in keep:
                 continue
             event = problem.events[e]
-            counts = ((pending & at[0]).bit_count(), (pending & at[1]).bit_count())
-            own = signature[event]
-            most = next((counts[bit] for _, i, bit in _PARTIALS if i is own), 0)
+            counts = ((pending & ~support).bit_count(), (pending & support).bit_count())
+            own = _UNDEFINED_AT.get(signature.get(event))
+            most = 0 if own is None else counts[own]
             if max(counts) > most:
                 allowed = problem.allowed_mask(e, support)
                 for mask_bit, interaction, bit in _PARTIALS:
@@ -505,44 +488,34 @@ def _exhaustive_check(
     """Full-support-sweep decision: settles ``coverage`` as far as the
     admissible regions allow. Returns (pooled regions, completed).
 
-    A support that splits a block pools its first-allowed region; a forced
-    inhibiting region is credited only for the event it was forced for.
-    A forced region can equal another region of its support, so the pool
-    is keyed by support and signature."""
-    full = problem.full
+    At each support the tracker signs a region from an empty signature
+    (``resign``; every other event gets its first allowed interaction),
+    which is pooled and settled if the support splits a block (its first
+    region only) or ``resign`` picked an interaction. This repeats until a
+    round settles nothing, so each pooled region settles something new and
+    none repeats."""
     blocks = coverage.blocks
     uncovered = coverage.uncovered
     essp = any(uncovered)
-    pool: dict[tuple[int, tuple[Interaction, ...]], Region] = {}
-
-    def add(support: int, forced: Optional[dict[int, Interaction]] = None) -> None:
-        region = problem.region_at(support, forced)
-        pool.setdefault((support, tuple(region.signature.values())), region)
-
-    n_events = len(problem.events)
+    pool: list[Region] = []
     if blocks or essp:
         for support in _admissible_supports(problem, deadline):
             if support is None:
-                return tuple(pool.values()), False
-            if blocks and coverage.split(support):
-                add(support)
-            if essp:
-                for e in range(n_events):
-                    pending = uncovered[e]
-                    if not pending:
-                        continue
-                    mask = problem.allowed_mask(e, support)
-                    for bit_value in (0, 1):
-                        partial_mask = mask & _PARTIAL_MASK_AT[bit_value]
-                        if not partial_mask:
-                            continue
-                        here = support if bit_value == 1 else ~support & full
-                        if pending & here:
-                            add(support, {e: problem.first_of_mask(partial_mask)})
-                            coverage.cover(e, here)
+                return tuple(pool), False
+            cut = blocks and coverage.split(support)
+            while True:
+                picks: dict[str, Interaction] = {}
+                if essp:
+                    coverage.resign(support, picks, ())
+                if not cut and not picks:
+                    break
+                region = problem.region_at(support, picks)
+                pool.append(region)
+                coverage.settle(support, region.signature)
+                cut = False
             if not blocks and not any(uncovered):
                 break
-    return tuple(pool.values()), True
+    return tuple(pool), True
 
 
 # ------------------------------------------------------------ propositional
@@ -585,7 +558,7 @@ class _SatContext:
     ) -> tuple[str, Optional[Region]]:
         """A region separating the two states. Each query hints 1, 0, 1, ...
         in position order inside every block pending in ``coverage``, so that
-        one model tends to cut every block, and the region is re-signed."""
+        one model tends to cut every block; see ``decode`` for the region."""
         a = self.sup_var[first_pos]
         b = self.sup_var[second_pos]
         for lits in ((a, -b), (-a, b)):
@@ -608,16 +581,18 @@ class _SatContext:
     ) -> tuple[str, Optional[Region]]:
         """A region inhibiting the event at the state. Each query hints every
         state at which ``coverage`` still has the event pending to the value
-        the tried interaction is undefined at, and the region is re-signed."""
+        the tried interaction is undefined at; see ``decode`` for the region."""
         for interaction, lits in self.inhibit_assumptions(event_pos, state_pos):
-            value = _undefined_bit(interaction) == 1
+            value = _UNDEFINED_AT[interaction] == 1
             for pos in _positions(coverage.uncovered[event_pos], self.problem.n):
                 self.solver.set_phase(self.sup_var[pos], value)
             verdict = self.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 return "unknown", None
             if verdict:
-                return "sat", self.decode({event_pos: interaction}, coverage)
+                return "sat", self.decode(
+                    {self.problem.events[event_pos]: interaction}, coverage
+                )
         return "unsat", None
 
     def inhibit_assumptions(
@@ -627,34 +602,36 @@ class _SatContext:
         assumptions that make it the event's and undefined at the state."""
         sup = self.sup_var[state_pos]
         for sel, interaction in zip(self.sel_var[event_pos], self.problem.tau_list):
-            if interaction.is_partial:
-                yield interaction, (sel, sup if _undefined_bit(interaction) else -sup)
+            at = _UNDEFINED_AT.get(interaction)
+            if at is not None:
+                yield interaction, (sel, sup if at else -sup)
 
     def block_support(self) -> None:
         """Exclude the support of the last model from future answers."""
         model = self.solver.model_value
         self.solver.add_clause([-var if model(var) else var for var in self.sup_var])
 
-    def decode(self, forced: dict[int, Interaction], coverage: _Coverage) -> Region:
+    def decode(self, forced: dict[str, Interaction], coverage: _Coverage) -> Region:
         """The region of the last model, with the ``forced`` signature
-        entries, re-signed by ``_Coverage.resign``. The region is validated
-        once, after re-signing."""
+        entries, re-signed by ``_Coverage.resign`` and credited to
+        ``coverage``. The region is validated once, after re-signing."""
         problem = self.problem
         model = self.solver.model_value
-        support = int("".join("1" if model(var) else "0" for var in self.sup_var), 2)
+        support = 0
+        for var in self.sup_var:
+            support = support << 1 | model(var)
         signature: dict[str, Interaction] = {}
-        for event_pos, event in enumerate(problem.events):
-            if event_pos in forced:
-                signature[event] = forced[event_pos]
-                continue
-            for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
-                if model(sel):
-                    signature[event] = interaction
-                    break
-            else:  # pragma: no cover - excluded by the at-least-one clauses
-                raise EngineError(f"no interaction selected for {event!r}")
+        for event, sels in zip(problem.events, self.sel_var):
+            interaction = forced.get(event)
+            if interaction is None:
+                interaction = next(
+                    i for sel, i in zip(sels, problem.tau_list) if model(sel)
+                )
+            signature[event] = interaction
         coverage.resign(support, signature, forced)
-        return problem.region(support, signature)
+        region = problem.region(support, signature)
+        coverage.settle(support, signature)
+        return region
 
 
 def _consistency_clauses(
@@ -720,7 +697,6 @@ def _sat_check(
             break
         assert region is not None
         pool.append(region)
-        coverage.settle(region)
     return tuple(pool), True
 
 
@@ -838,15 +814,13 @@ def enumerate_inhibiting_regions(
     state_pos = problem.state_pos[state]
     found: list[Region] = []
     if engine_name == "exhaustive":
-        state_bit = problem.state_bit(state_pos)
         for support in _admissible_supports(problem, deadline):
             if support is None:
                 raise ResourceExhausted("budget exhausted")
-            partial_mask = problem.allowed_mask(event_pos, support)
-            partial_mask &= _PARTIAL_MASK_AT[1 if support & state_bit else 0]
-            if partial_mask:
-                forced = {event_pos: problem.first_of_mask(partial_mask)}
-                found.append(problem.region_at(support, forced))
+            picks: dict[str, Interaction] = {}
+            coverage.resign(support, picks, ())
+            if picks:
+                found.append(problem.region_at(support, picks))
                 if len(found) == limit:
                     break
         return found
@@ -862,7 +836,7 @@ def enumerate_inhibiting_regions(
                 raise ResourceExhausted("budget exhausted")
             if not verdict:
                 break
-            found.append(ctx.decode({event_pos: interaction}, coverage))
+            found.append(ctx.decode({event: interaction}, coverage))
             ctx.block_support()
         if len(found) >= limit:
             break
@@ -893,7 +867,8 @@ def assign_witnesses(
     pairs: dict[tuple[int, int], Region] = {}
     inhibitions: dict[tuple[int, int], Region] = {}
     for region in regions:
-        halves, inhibited = coverage.settle(region)
+        support = problem.support_int_of(region)
+        halves, inhibited = coverage.settle(support, region.signature)
         for ones, zeros in halves:
             for i in _positions(ones, n):
                 for j in _positions(zeros, n):
@@ -922,7 +897,8 @@ def first_unsettled(
 ) -> Optional[Atom]:
     """The canonically first requirement (state pairs first) that none of
     ``regions`` settles, or None when they settle every requirement."""
-    coverage = _Coverage(_Problem(subject, tau), True, True)
+    problem = _Problem(subject, tau)
+    coverage = _Coverage(problem, True, True)
     for region in regions:
-        coverage.settle(region)
+        coverage.settle(problem.support_int_of(region), region.signature)
     return coverage.first_pending()

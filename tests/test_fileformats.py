@@ -235,6 +235,11 @@ class TestCnfText:
         cnf = CubicCnf((("c", "cx", "b"), ("cx", "c", "b"), ("b", "c", "cx")))
         assert parse_cnf(format_cnf(cnf)) == cnf
 
+    def test_variables_named_p_lead_clauses(self):
+        # After the header a line starting with "p" is a clause.
+        cnf = CubicCnf((("p", "q", "b"), ("q", "p", "b"), ("b", "p", "q")))
+        assert parse_cnf(format_cnf(cnf)) == cnf
+
     def test_hash_comments_skipped(self):
         text = (
             "# a formula\np cnf13 3  # three clauses\nx0 x1 x2\n"

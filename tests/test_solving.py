@@ -205,13 +205,20 @@ class TestDifferentialAgainstOracle:
         rng = random.Random(seed)
         ts = random_ts(rng, max_states=5, max_events=3)
         tau = rng.choice([TAU, TAU_TILDE, FULL])
+        problem = solving._Problem(ts, tau)
         for engine in ENGINES:
             result = check_feasibility(ts, tau, engine=engine)
+            coverage = solving._Coverage(problem, True, True)
             for region in result.regions:
                 assert validate_region(ts, tau, region)
                 assert region_coherence_report(ts, tau, region).ok
-            # The exhaustive engine drops a region built twice; each region
-            # of the sat engine settles a requirement no earlier one does.
+                # Replayed in pool order, each region settles a requirement
+                # the earlier ones leave pending, so no region repeats and
+                # neither engine needs to deduplicate its pool.
+                support = problem.support_int_of(region)
+                halves, inhibited = coverage.settle(support, region.signature)
+                assert halves or any(newly for _, newly in inhibited)
+            assert coverage.first_pending() == result.counterexample
             assert_distinct(result.regions)
 
 
@@ -573,26 +580,36 @@ class TestCoverageReplay:
 
 
 class TestExhaustivePoolPins:
-    """Golden pools of the exhaustive engine on seeded systems where forced
-    inhibiting regions are pooled, recorded before the engines shared one
-    coverage tracker. A forced region is credited only for the event it was
-    forced for; crediting it for every event settles more per region and
-    would give both pools one region fewer."""
+    """Golden pools of the exhaustive engine on seeded systems where a
+    support inhibits pending states. Re-recorded when the engine began to
+    sign and credit its regions through the coverage tracker, by the one
+    rule the sat engine uses: a region inhibiting for one event is now
+    credited for every event it inhibits, so the pools shrank from 4 to 2
+    and from 3 to 2 regions (each a region of the old pool), with the same
+    outcomes and the same supports. Seed None is ``resign_system``, whose
+    event z has no arcs: its first support, s1 and s3, admits inp for z
+    (undefined at 0) and out (undefined at 1), so it pools one region for
+    each side."""
 
     @pytest.mark.parametrize(
         "seed, spec, outcome, digests",
         [
             (72, "nop,out,swap,used", "yes", [
-                "bf58dadefae5bcc6", "d9d355e74c525786",
-                "265f3a0b55b28be0", "f8101a9ebae1e9e2",
+                "d9d355e74c525786", "265f3a0b55b28be0",
             ]),
             (844, "nop,inp,set,res,swap,used", "no", [
-                "179ea61d3e24c749", "998b2ac651eb3f7d", "e9c74860de625af9",
+                "179ea61d3e24c749", "998b2ac651eb3f7d",
+            ]),
+            (None, "inp,out", "yes", [
+                "00c521eab42884b8", "77878d5d354c03a5", "f69c53d323665e0a",
             ]),
         ],
     )
     def test_pool(self, seed, spec, outcome, digests):
-        ts = random_ts(random.Random(seed), max_states=12, max_events=5)
+        if seed is None:
+            ts = resign_system()
+        else:
+            ts = random_ts(random.Random(seed), max_states=12, max_events=5)
         result = check_feasibility(ts, NetType.from_spec(spec), engine="exhaustive")
         assert result.outcome == outcome
         assert [region_digest(region) for region in result.regions] == digests
@@ -695,9 +712,8 @@ class TestResign:
         coverage = solving._Coverage(problem, False, True)
         for event, states in covered:
             bits = sum(problem.state_bit(problem.state_pos[s]) for s in states)
-            coverage.cover(problem.event_pos[event], bits)
+            coverage.uncovered[problem.event_pos[event]] &= ~bits
         signature = {event: Interaction(name) for event, name in signature.items()}
-        keep = {problem.event_pos[event] for event in keep}
         coverage.resign(self.SUPPORT, signature, keep)
         support = dict(zip(problem.states, (0, 1, 1, 0)))
         assert validate_region(ts, FULL, Region(support, signature))
