@@ -23,14 +23,15 @@ from .interactions import Interaction, NetType
 from .regions import Family, Region, validate_region
 from .solving import EventStateAtom
 from .ts import (
-    Arc,
     Joined,
     Report,
     TransitionSystem,
     TsUnion,
     Violation,
+    Way,
     check_join_preconditions,
     join,
+    path_arcs,
 )
 
 
@@ -123,109 +124,21 @@ class RoleMap:
         return EventStateAtom(self.target_event, self.target_state)
 
 
-def _two_way(arcs: list[Arc], a: str, event: str, b: str) -> None:
-    arcs.append(Arc(a, event, b))
-    arcs.append(Arc(b, event, a))
-
-
-def _anchor_member(j: int, unique: str) -> TransitionSystem:
-    s = [f"h_{j}_{x}" for x in range(6)]
-    arcs: list[Arc] = []
-    _two_way(arcs, s[0], "k", s[1])
-    _two_way(arcs, s[1], "m", s[2])
-    _two_way(arcs, s[2], f"v_{j}", s[3])
-    _two_way(arcs, s[3], "k", s[4])
-    _two_way(arcs, s[4], unique, s[5])
-    return TransitionSystem.build(initial=s[5], arcs=arcs, name=f"H{j}")
-
-
-def _calibrate0(unique: str) -> TransitionSystem:
-    s = [f"f_0_{x}" for x in range(9)]
-    arcs: list[Arc] = []
-    for i, event in enumerate(("k", "m", "q0", "k", "m", "q1", "k", unique)):
-        _two_way(arcs, s[i], event, s[i + 1])
-    return TransitionSystem.build(initial=s[8], arcs=arcs, name="F0")
-
-
-def _calibrate1(unique: str) -> TransitionSystem:
-    s = [f"f_1_{x}" for x in range(6)]
-    arcs: list[Arc] = []
-    for i, event in enumerate(("k", "q2", "q3", "k", unique)):
-        _two_way(arcs, s[i], event, s[i + 1])
-    return TransitionSystem.build(initial=s[5], arcs=arcs, name="F1")
-
-
-def _calibrate2(unique: str) -> TransitionSystem:
-    s = [f"f_2_{x}" for x in range(10)]
-    arcs: list[Arc] = []
-    for i, event in enumerate(
-        ("k", "q2", "q0", "z", "q1", "z", "q3", "k", unique)
-    ):
-        _two_way(arcs, s[i], event, s[i + 1])
-    return TransitionSystem.build(initial=s[9], arcs=arcs, name="F2")
-
-
-def _guard_member(
-    name: str, prefix: str, mid_event: str, tail_event: str, unique: str
+def _path(
+    name: str, prefix: str, steps: Sequence[tuple[str, Way]], unique: str
 ) -> TransitionSystem:
-    """Common shape of clause guards and occurrence guards: a chain with a
-    one-way shift arc in the middle."""
-    s = [f"{prefix}_{x}" for x in range(9)]
-    arcs: list[Arc] = []
-    _two_way(arcs, s[0], "k", s[1])
-    _two_way(arcs, s[1], mid_event, s[2])
-    arcs.append(Arc(s[2], "z", s[3]))  # one-way
-    _two_way(arcs, s[3], "z", s[4])
-    _two_way(arcs, s[4], mid_event, s[5])
-    _two_way(arcs, s[5], tail_event, s[6])
-    _two_way(arcs, s[6], "k", s[7])
-    _two_way(arcs, s[7], unique, s[8])
-    return TransitionSystem.build(initial=s[8], arcs=arcs, name=name)
+    """A gadget member: the path ``prefix_0, prefix_1, ...`` along ``steps``,
+    closed by a two-way step on the private handle ``unique`` into its last
+    state, the member's initial state."""
+    steps = [*steps, (unique, Way.BOTH)]
+    states = [f"{prefix}_{x}" for x in range(len(steps) + 1)]
+    return TransitionSystem.build(
+        initial=states[-1], arcs=path_arcs(states, steps), name=name
+    )
 
 
-def _big_clause_member(
-    i: int,
-    clause: tuple[str, str, str],
-    family: Family,
-    unique: str,
-) -> TransitionSystem:
-    s = [f"t_{i}_0_{x}" for x in range(18)]
-    x0, x1, x2 = clause
-    a0, a1, a2 = f"a_{3 * i}", f"a_{3 * i + 1}", f"a_{3 * i + 2}"
-    head, tail = f"v_{4 * i}", f"w_{i}"
-    if family is Family.USED:
-        head, tail = tail, head
-    arcs: list[Arc] = []
-    _two_way(arcs, s[0], "k", s[1])
-    _two_way(arcs, s[1], head, s[2])
-    _two_way(arcs, s[2], a0, s[3])
-    _two_way(arcs, s[3], x0, s[4])
-    arcs.append(Arc(s[5], x0, s[4]))  # one-way
-    _two_way(arcs, s[5], a0, s[6])
-    _two_way(arcs, s[6], a1, s[7])
-    _two_way(arcs, s[7], x1, s[8])
-    arcs.append(Arc(s[9], x1, s[8]))  # one-way
-    _two_way(arcs, s[9], a1, s[10])
-    _two_way(arcs, s[10], a2, s[11])
-    _two_way(arcs, s[11], x2, s[12])
-    arcs.append(Arc(s[13], x2, s[12]))  # one-way
-    _two_way(arcs, s[13], a2, s[14])
-    _two_way(arcs, s[14], tail, s[15])
-    _two_way(arcs, s[15], "k", s[16])
-    _two_way(arcs, s[16], unique, s[17])
-    return TransitionSystem.build(initial=s[17], arcs=arcs, name=f"T{i}_0")
-
-
-def _small_clause_member(
-    i: int, alpha: int, first: str, second: str, unique: str
-) -> TransitionSystem:
-    s = [f"t_{i}_{alpha}_{x}" for x in range(5)]
-    arcs: list[Arc] = []
-    _two_way(arcs, s[0], first, s[1])
-    _two_way(arcs, s[1], f"v_{4 * i + alpha}", s[2])
-    _two_way(arcs, s[2], second, s[3])
-    _two_way(arcs, s[3], unique, s[4])
-    return TransitionSystem.build(initial=s[4], arcs=arcs, name=f"T{i}_{alpha}")
+def _both(*events: str) -> list[tuple[str, Way]]:
+    return [(event, Way.BOTH) for event in events]
 
 
 def _reserved_event_names(m: int) -> set[str]:
@@ -258,29 +171,34 @@ def build_union(cnf: CubicCnf, family: Family) -> tuple[TsUnion, RoleMap]:
         )
     members: list[TransitionSystem] = []
 
-    def unique() -> str:
-        return f"u_{len(members)}"
+    def add(name: str, prefix: str, steps: Sequence[tuple[str, Way]]) -> None:
+        members.append(_path(name, prefix, steps, f"u_{len(members)}"))
 
     for j in range(4 * m):
-        members.append(_anchor_member(j, unique()))
-    members.append(_calibrate0(unique()))
-    members.append(_calibrate1(unique()))
-    members.append(_calibrate2(unique()))
-    for j in range(m):
-        members.append(
-            _guard_member(f"G{j}", f"g_{j}", f"y_{j}", f"w_{j}", unique())
-        )
-    for l in range(3 * m):
-        members.append(
-            _guard_member(f"D{l}", f"d_{l}", f"p_{l}", f"a_{l}", unique())
-        )
+        add(f"H{j}", f"h_{j}", _both("k", "m", f"v_{j}", "k"))
+    add("F0", "f_0", _both("k", "m", "q0", "k", "m", "q1", "k"))
+    add("F1", "f_1", _both("k", "q2", "q3", "k"))
+    add("F2", "f_2", _both("k", "q2", "q0", "z", "q1", "z", "q3", "k"))
+    # clause guards G and occurrence guards D
+    guards = [(f"G{j}", f"g_{j}", f"y_{j}", f"w_{j}") for j in range(m)]
+    guards += [(f"D{l}", f"d_{l}", f"p_{l}", f"a_{l}") for l in range(3 * m)]
+    shift = ("z", Way.FORWARD)
+    for name, prefix, mid, tail in guards:
+        add(name, prefix, [*_both("k", mid), shift, *_both("z", mid, tail, "k")])
     for i, clause in enumerate(cnf.clauses):
-        members.append(_big_clause_member(i, clause, family, unique()))
+        head, tail = f"v_{4 * i}", f"w_{i}"
+        if family is Family.USED:
+            head, tail = tail, head
+        steps = _both("k", head)
+        for l, x in enumerate(clause, start=3 * i):
+            steps += [*_both(f"a_{l}", x), (x, Way.BACK), *_both(f"a_{l}")]
+        add(f"T{i}_0", f"t_{i}_0", steps + _both(tail, "k"))
         x0, x1, x2 = clause
         for alpha, (first, second) in enumerate(
             ((x0, x1), (x0, x2), (x1, x2)), start=1
         ):
-            members.append(_small_clause_member(i, alpha, first, second, unique()))
+            flip = f"v_{4 * i + alpha}"
+            add(f"T{i}_{alpha}", f"t_{i}_{alpha}", _both(first, flip, second))
     union = TsUnion(members=tuple(members))
     roles = RoleMap(
         family=family,

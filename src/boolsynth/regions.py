@@ -175,29 +175,27 @@ def derive_signature(
 
 
 def _check_domains(subject: Subject, tau: NetType, region: Region) -> None:
-    states = subject.states
-    events = subject.events
-    missing_states = [s for s in states if s not in region.support]
-    if missing_states:
-        raise RegionDomainError(f"support misses states {missing_states[:5]}")
-    extra_states = set(region.support) - set(states)
-    if extra_states:
-        raise RegionDomainError(
-            f"support names unknown states {sorted(extra_states)[:5]}"
-        )
-    missing_events = [e for e in events if e not in region.signature]
-    if missing_events:
-        raise RegionDomainError(f"signature misses events {missing_events[:5]}")
-    extra_events = set(region.signature) - set(events)
-    if extra_events:
-        raise RegionDomainError(
-            f"signature names unknown events {sorted(extra_events)[:5]}"
-        )
-    for state in states:
-        if region.support[state] not in (0, 1):
-            raise RegionDomainError(f"support of {state!r} is not a bit")
-    outside = [e for e in events if region.signature[e] not in tau]
-    if outside:
+    domains = (
+        ("support", "states", subject.states, region.support),
+        ("signature", "events", subject.events, region.signature),
+    )
+    for name, kind, items, mapping in domains:
+        extra = mapping.keys() - items
+        # fewer keys inside the domain than items: some item lacks a key
+        # (or the subject repeats an item)
+        if len(mapping) - len(extra) < len(items):
+            missing = [x for x in items if x not in mapping]
+            if missing:
+                raise RegionDomainError(f"{name} misses {kind} {missing[:5]}")
+        if extra:
+            raise RegionDomainError(
+                f"{name} names unknown {kind} {sorted(extra)[:5]}"
+            )
+    if not set(region.support.values()) <= {0, 1}:
+        state = next(s for s in subject.states if region.support[s] not in (0, 1))
+        raise RegionDomainError(f"support of {state!r} is not a bit")
+    if not set(region.signature.values()) <= tau.interactions:
+        outside = [e for e in subject.events if region.signature[e] not in tau]
         raise RegionDomainError(
             f"signature uses interactions outside the net type on {outside[:5]}"
         )

@@ -154,10 +154,10 @@ class SatSolver:
         self,
         assumptions: Sequence[int] = (),
         deadline: Optional[float] = None,
-        conflict_budget: Optional[int] = None,
     ) -> Optional[bool]:
         """True = satisfiable, False = unsatisfiable (under assumptions), None =
-        budget exhausted (deadline checked every 64 conflicts, 1,024 decisions)."""
+        deadline passed (checked every 64 conflicts and 1,024 decisions); a
+        later call resumes from the learnt clauses."""
         if not self._ok:
             return False
         if deadline is not None and time.monotonic() > deadline:
@@ -174,7 +174,6 @@ class SatSolver:
         val = self._val
         trail = self._trail
         trail_lim = self._trail_lim
-        budget_start = self._n_conflicts
         restart_count = 0
         limit = 32 * _luby(1)
         conflicts_here = 0
@@ -195,10 +194,6 @@ class SatSolver:
                 self._var_inc /= 0.95
                 if self._var_inc > 1e100:
                     self._rescale_activity()
-                if conflict_budget is not None and (
-                    self._n_conflicts - budget_start
-                ) >= conflict_budget:
-                    return None
                 if deadline is not None and self._n_conflicts % 64 == 0:
                     if time.monotonic() > deadline:
                         return None

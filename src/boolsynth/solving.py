@@ -59,7 +59,7 @@ from .ts import Subject, TransitionSystem, TsUnion
 
 
 class ResourceExhausted(RuntimeError):
-    """A computation hit its time or conflict budget before a verdict."""
+    """A computation ran out of its time budget before a verdict."""
 
 
 class EngineError(RuntimeError):

@@ -8,8 +8,10 @@ reachability/occurrence conventions rather than refusing construction.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -347,6 +349,28 @@ def check_join_preconditions(union: TsUnion) -> Report:
     return Report(tuple(violations))
 
 
+class Way(enum.Enum):
+    """Direction of one path step from state ``a`` to the next state ``b``."""
+
+    BOTH = "both"  # a -e-> b, then b -e-> a
+    FORWARD = "forward"  # a -e-> b only
+    BACK = "back"  # b -e-> a only
+
+
+def path_arcs(
+    states: Sequence[str], steps: Iterable[tuple[str, Way]]
+) -> list[Arc]:
+    """The arcs of a path: step ``k``, an event and its way, links
+    ``states[k]`` to ``states[k + 1]``."""
+    arcs: list[Arc] = []
+    for (a, b), (event, way) in zip(pairwise(states), steps, strict=True):
+        if way is not Way.BACK:
+            arcs.append(Arc(a, event, b))
+        if way is not Way.FORWARD:
+            arcs.append(Arc(b, event, a))
+    return arcs
+
+
 @dataclass(frozen=True)
 class Joined:
     """A union glued into one transition system plus the gluing bookkeeping.
@@ -354,24 +378,12 @@ class Joined:
     A fresh rail of states threads the members together; each member is
     entered through a three-state branch hanging off its rail section, via a
     fresh entry event looping on the member's initial state.
+    ``fresh_events`` lists ``seal_i, step_i, side_i, entry_i`` per member.
     """
 
     ts: TransitionSystem
     rail_states: tuple[str, ...]
-    branch_states: tuple[tuple[str, str, str], ...]
-    seal_events: tuple[str, ...]
-    step_events: tuple[str, ...]
-    side_events: tuple[str, ...]
-    entry_events: tuple[str, ...]
-
-    @property
-    def fresh_events(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for quad in zip(
-            self.seal_events, self.step_events, self.side_events, self.entry_events
-        ):
-            out.extend(quad)
-        return tuple(out)
+    fresh_events: tuple[str, ...]
 
 
 def join(union: TsUnion, name: str = "") -> Joined:
@@ -389,20 +401,12 @@ def join(union: TsUnion, name: str = "") -> Joined:
     """
     n = len(union.members)
     rail = [f"rail_{k}" for k in range(4 * n + 1)]
-    branches = [
-        (f"branch_{i}_1", f"branch_{i}_2", f"branch_{i}_3") for i in range(n)
+    branches = [f"branch_{i}_{x}" for i in range(n) for x in (1, 2, 3)]
+    fresh = [
+        f"{kind}_{i}" for i in range(n) for kind in ("seal", "step", "side", "entry")
     ]
-    seal = [f"seal_{i}" for i in range(n)]
-    step = [f"step_{i}" for i in range(n)]
-    side = [f"side_{i}" for i in range(n)]
-    entry = [f"entry_{i}" for i in range(n)]
-
-    member_states = set(union.states)
-    member_events = set(union.events)
-    fresh_states = set(rail) | {s for triple in branches for s in triple}
-    fresh_events = set(seal) | set(step) | set(side) | set(entry)
-    state_clash = member_states & fresh_states
-    event_clash = member_events & fresh_events
+    state_clash = set(union.states).intersection(rail + branches)
+    event_clash = set(union.events).intersection(fresh)
     if state_clash:
         raise ValueError(f"member states collide with rail names: {sorted(state_clash)}")
     if event_clash:
@@ -411,32 +415,21 @@ def join(union: TsUnion, name: str = "") -> Joined:
     arcs: list[Arc] = []
     states: list[str] = [rail[0]]
     events: list[str] = []
+    both, forward = Way.BOTH, Way.FORWARD
     for i, member in enumerate(union.members):
-        r0, r1, r2, r3, r4 = rail[4 * i : 4 * i + 5]
-        b1, b2, b3 = branches[i]
-        arcs.extend(
-            [
-                Arc(r0, seal[i], r1),
-                Arc(r1, seal[i], r0),
-                Arc(r1, step[i], r2),
-                Arc(r2, step[i], r3),
-                Arc(r3, step[i], r2),
-                Arc(r3, seal[i], r4),
-                Arc(r4, seal[i], r3),
-                Arc(r2, side[i], b1),
-                Arc(b1, side[i], b2),
-                Arc(b2, side[i], b1),
-                Arc(b2, step[i], b3),
-                Arc(b3, step[i], b2),
-                Arc(b3, entry[i], member.initial),
-                Arc(member.initial, entry[i], b3),
-            ]
+        section = rail[4 * i : 4 * i + 5]
+        b1, b2, b3 = branches[3 * i : 3 * i + 3]
+        seal, step, side, entry = fresh[4 * i : 4 * i + 4]
+        arcs += path_arcs(
+            section, ((seal, both), (step, forward), (step, both), (seal, both))
+        )
+        arcs += path_arcs(
+            (section[2], b1, b2, b3, member.initial),
+            ((side, forward), (side, both), (step, both), (entry, both)),
         )
         arcs.extend(member.arcs)
-        states.extend((r1, r2, r3, r4, b1, b2, b3))
-        states.extend(member.states)
-        events.extend((seal[i], step[i], side[i], entry[i]))
-        events.extend(member.events)
+        states += [*section[1:], b1, b2, b3, *member.states]
+        events += [seal, step, side, entry, *member.events]
     ts = TransitionSystem(
         initial=rail[0],
         arcs=tuple(arcs),
@@ -444,15 +437,7 @@ def join(union: TsUnion, name: str = "") -> Joined:
         events=tuple(dict.fromkeys(events)),
         name=name or "joined",
     )
-    return Joined(
-        ts=ts,
-        rail_states=tuple(rail),
-        branch_states=tuple(branches),
-        seal_events=tuple(seal),
-        step_events=tuple(step),
-        side_events=tuple(side),
-        entry_events=tuple(entry),
-    )
+    return Joined(ts=ts, rail_states=tuple(rail), fresh_events=tuple(fresh))
 
 
 Subject = Union[TransitionSystem, TsUnion]

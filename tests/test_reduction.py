@@ -4,6 +4,9 @@ and the verify/extract pipeline with its falsification guards."""
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from boolsynth import (
@@ -26,6 +29,7 @@ from boolsynth import (
     validate_region,
     verify_inhibiting_region,
 )
+from boolsynth.fileformats import format_instance, format_union
 
 SIX_CLAUSES = CubicCnf(
     (
@@ -37,6 +41,75 @@ SIX_CLAUSES = CubicCnf(
         ("d", "e", "f"),
     )
 )
+
+#: Two seeded cubic formulas, written out so that their instances stay pinned.
+CUBIC_6 = CubicCnf(
+    (
+        ("x0", "x4", "x5"), ("x0", "x2", "x1"), ("x1", "x5", "x3"),
+        ("x2", "x0", "x4"), ("x1", "x3", "x4"), ("x2", "x5", "x3"),
+    )
+)
+CUBIC_9 = CubicCnf(
+    (
+        ("x8", "x6", "x2"), ("x3", "x6", "x1"), ("x4", "x5", "x2"),
+        ("x5", "x1", "x7"), ("x4", "x3", "x0"), ("x7", "x1", "x8"),
+        ("x0", "x5", "x3"), ("x7", "x8", "x6"), ("x0", "x4", "x2"),
+    )
+)
+
+FORMULAS = {
+    "PHI_SAT": PHI_SAT,
+    "PHI_UNSAT": PHI_UNSAT,
+    "CUBIC_6": CUBIC_6,
+    "CUBIC_9": CUBIC_9,
+}
+
+#: sha256 of format_instance(instance) and of format_union(instance.union).
+GOLDEN = {
+    ("PHI_SAT", Family.FREE): (
+        "d13525bffa36c2172f4c8bb393e77805326fa76081e5cecfac98fdc81689f983",
+        "92d5909a6822529c58968d287592c733e91719f2e167e15bc33e53b3c493e56a",
+    ),
+    ("PHI_SAT", Family.USED): (
+        "1f39feae93df429517d91b2a1b7821f15ff5fb53f403538a4aece04d9143b9ae",
+        "e8c1feec98078e82d09c934ec0bf7fcbd333ecb95396df47f3003f6a4e9d5139",
+    ),
+    ("PHI_UNSAT", Family.FREE): (
+        "a8de9595c9097f1262c654a210c02b544219ba8b2a89d59b93fa921faef54d8f",
+        "7ba00b3a38f7d2212c3652f005ce46b3fa78b9b2c0371ac238dad78b8d7cc34d",
+    ),
+    ("PHI_UNSAT", Family.USED): (
+        "8800b5c6929ec67ac55623630ddc009126a3ea657ed888b9997b3de70dd6de8b",
+        "0cd0cafcdd7a1f33943a7bb3a463d0d4f52a2a3fbcfa206d85cc09592c2964de",
+    ),
+    ("CUBIC_6", Family.FREE): (
+        "f8f420febb95ec8410f3a26d79a2f213e9726e9fb70bfac33d3d08e3f0b2f003",
+        "d13b6dd01fda35a7677d2acc77d6eb2d1cb8f0dd165b9b194c866a439fdb5718",
+    ),
+    ("CUBIC_6", Family.USED): (
+        "0856d23ac642320e4ae9bafcae4e12fe9ba32e0bf6702c2acc76e73ca5d13912",
+        "f3ddbc83a20a0940559411a6aae6851285b0b3aa77c809a45ce94923b090173c",
+    ),
+    ("CUBIC_9", Family.FREE): (
+        "925a6579af8faff49f0032ca63fc23fe01812c8f6e4e5e16478abfacfd9380ef",
+        "593fe16ee7c3cd99d8b05caf035c5e2d281821f7489c18ec942c8513a38b5afa",
+    ),
+    ("CUBIC_9", Family.USED): (
+        "2295256025c6094510285c47cd810c71011591b66db2dcab69ead026e5bb7f85",
+        "4652b07305c14f59da3de8894f02fe6f263c556b4100292e85e039f8a3802795",
+    ),
+}
+
+
+def random_cubic(rng: random.Random, m: int) -> CubicCnf:
+    """A cubic formula over m variables: three copies of each variable are
+    shuffled into m clauses until no clause repeats a variable."""
+    slots = [f"x{i}" for i in range(m) for _ in range(3)]
+    while True:
+        rng.shuffle(slots)
+        clauses = [tuple(slots[3 * k : 3 * k + 3]) for k in range(m)]
+        if all(len(set(clause)) == 3 for clause in clauses):
+            return CubicCnf(tuple(clauses))
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +220,33 @@ class TestGadgetStructure:
         for inst in (phi3_free, phi3_used, phi4_free, phi4_used):
             assert grade(inst.ts) == 2
             assert grade(inst.union) == 2
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_grade_two_on_random_cubic_formulas(self, family):
+        rng = random.Random(7)
+        for m in range(3, 13):
+            instance = build_instance(random_cubic(rng, m), family)
+            assert grade(instance.ts) == 2, m
+
+    @pytest.mark.parametrize(
+        "name, family", list(GOLDEN), ids=[f"{n}-{f.value}" for n, f in GOLDEN]
+    )
+    def test_instance_files_are_pinned(self, name, family):
+        instance = build_instance(FORMULAS[name], family)
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (format_instance(instance), format_union(instance.union))
+        )
+        assert digests == GOLDEN[name, family]
+
+    def test_variable_names_do_not_mark_arc_directions(self, phi3_free):
+        # "<" and ">" are legal in variable names; renamed back, the arcs
+        # are those of the PHI_SAT instance
+        marked = CubicCnf((("<x0", ">x1", "x2"),) * 3)
+        instance = build_instance(marked, Family.FREE)
+        back = {"<x0": "x0", ">x1": "x1"}
+        arcs = [(s, back.get(e, e), t) for s, e, t in instance.ts.arcs]
+        assert arcs == [tuple(arc) for arc in phi3_free.ts.arcs]
 
     def test_exactly_36_unreachable_guard_states(self, phi3_free):
         reachable = phi3_free.ts.reachable_states()

@@ -99,20 +99,36 @@ class TestValidateRegion:
     def test_signature_outside_type_raises(self, battery):
         region = region_of(battery["a1"], {"s0", "s2"}, {"a": Interaction.SWAP})
         narrow = NetType.from_spec("nop,set,free")
-        with pytest.raises(RegionDomainError):
+        with pytest.raises(RegionDomainError, match=r"outside the net type on \['a'\]"):
             validate_region(battery["a1"], narrow, region)
 
     def test_missing_state_raises(self, battery):
         region = Region({"s0": 1, "s1": 0}, {"a": Interaction.SWAP})
-        with pytest.raises(RegionDomainError):
+        with pytest.raises(RegionDomainError, match=r"support misses states \['s2'\]"):
             validate_region(battery["a1"], TAU, region)
+        extra = Region({"s0": 0, "s1": 0, "s2": 0, "s9": 0}, {"a": Interaction.NOP})
+        with pytest.raises(
+            RegionDomainError, match=r"support names unknown states \['s9'\]"
+        ):
+            validate_region(battery["a1"], TAU, extra)
+        not_bit = Region({"s0": 0, "s1": 2, "s2": 0}, {"a": Interaction.NOP})
+        with pytest.raises(RegionDomainError, match="support of 's1' is not a bit"):
+            validate_region(battery["a1"], TAU, not_bit)
 
     def test_missing_event_raises(self, battery):
         region = Region(
             {"s0": 0, "s1": 0, "s2": 0}, {"wrong": Interaction.NOP}
         )
-        with pytest.raises(RegionDomainError):
+        with pytest.raises(RegionDomainError, match=r"signature misses events \['a'\]"):
             validate_region(battery["a1"], TAU, region)
+        extra = Region(
+            {"s0": 0, "s1": 0, "s2": 0},
+            {"a": Interaction.NOP, "wrong": Interaction.NOP},
+        )
+        with pytest.raises(
+            RegionDomainError, match=r"signature names unknown events \['wrong'\]"
+        ):
+            validate_region(battery["a1"], TAU, extra)
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 10**9))

@@ -174,11 +174,18 @@ class TestHarderInstances:
         assert solver.solve() is True
         assert solver.verify_model(clauses)
 
-    def test_conflict_budget_yields_unknown(self):
-        nvars, clauses = pigeonhole(8, 7)
+    def test_interrupted_solve_resumes(self, monkeypatch):
+        # The clock passes the deadline after the entry check, so the search
+        # stops at its first deadline check, the 64th conflict.
+        nvars, clauses = pigeonhole(6, 5)
+        clock = iter([0.0])
+        monkeypatch.setattr(
+            sat_module.time, "monotonic", lambda: next(clock, 100.0)
+        )
         solver = fresh(nvars, clauses)
-        assert solver.solve(conflict_budget=10) is None
-        # and without the budget the instance is still decidable
+        assert solver.solve(deadline=1.0) is None
+        assert solver.conflicts == 64
+        # and without the deadline the instance is still decidable
         assert solver.solve() is False
 
     def test_expired_deadline_yields_unknown(self):
