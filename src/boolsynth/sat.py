@@ -8,9 +8,11 @@ and Luby restarts. No randomness anywhere, so runs are reproducible.
 
 Literal convention: DIMACS-style nonzero ints at the API boundary
 (``v``/``-v``), mapped internally to ``2v`` (positive) / ``2v + 1``
-(negative). ``watches[lit]`` holds the long clauses currently watching
-``lit``; ``bins[lit]`` holds the partner literals of binary clauses
-containing ``lit``. Both fire when ``lit`` becomes false.
+(negative); ``add_clauses`` loads a batch already in internal literals,
+and ``add_clause`` converts one DIMACS clause and loads it. ``watches[lit]``
+holds the long clauses currently watching ``lit``; ``bins[lit]`` holds the
+partner literals of binary clauses containing ``lit``. Both fire when ``lit``
+becomes false.
 
 As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
@@ -118,37 +120,59 @@ class SatSolver:
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause of DIMACS literals (the solver first backtracks to
         level 0, so adding clauses between ``solve`` calls is safe)."""
+        self.add_clauses(([lit * 2 if lit > 0 else 1 - lit * 2 for lit in lits],))
+
+    def add_clauses(self, clauses: Iterable[list[int]]) -> None:
+        """Add clauses of internal literals, with the effect of ``add_clause``
+        on each in turn; the solver keeps the lists and may reorder them.
+        While nothing is assigned, two or three distinct known variables
+        need no normalising."""
+        bins = self._bins
+        watches = self._watches
+        trail = self._trail
+        fast = self._ok and not trail and not self._trail_lim
+        known = len(self._val)
+        for clause in clauses:
+            if fast:
+                if len(clause) == 3:
+                    a, b, c = clause
+                    if 1 < a < known and 1 < b < known and 1 < c < known:
+                        if a >> 1 != b >> 1 != c >> 1 != a >> 1:
+                            watches[a].append(clause)
+                            watches[b].append(clause)
+                            continue
+                elif len(clause) == 2:
+                    a, b = clause
+                    if 1 < a < known and 1 < b < known and a >> 1 != b >> 1:
+                        bins[a].append(b)
+                        bins[b].append(a)
+                        continue
+            self._add_normalised(clause)
+            fast = self._ok and not trail
+            known = len(self._val)
+
+    def _add_normalised(self, clause: list[int]) -> None:
+        # Literals are taken in order: a tautology or a literal true at level
+        # 0 skips the clause, and no variable after it is created.
+        if min(clause, default=2) < 2:
+            raise ValueError("literal 0 is not allowed")
         if self._trail_lim:
             self._backtrack(0)
         val = self._val
-        internal: list[int] = []
-        for lit in lits:
-            if not lit:
-                raise ValueError("literal 0 is not allowed")
-            ilit = lit * 2 if lit > 0 else 1 - lit * 2
-            if ilit >= len(val):
-                self.ensure_vars(ilit >> 1)
-            if ilit ^ 1 in internal:
-                return  # tautology
-            if ilit in internal:
-                continue
-            value = val[ilit]
-            if value == _TRUE:
-                return  # already satisfied at level 0
-            if value == _FALSE:
-                continue  # falsified at level 0: drop the literal
-            internal.append(ilit)
-        if not self._ok:
-            return
-        if not internal:
+        kept: list[int] = []
+        for lit in clause:
+            self.ensure_vars(lit >> 1)
+            if lit ^ 1 in kept or val[lit] == _TRUE:
+                return
+            if val[lit] == _UNDEF and lit not in kept:
+                kept.append(lit)
+        if not kept:
             self._ok = False
-            return
-        if len(internal) > 1:
-            self._attach(internal)
-            return
-        self._enqueue(internal[0], 0, None)
-        if self._propagate() is not None:
-            self._ok = False
+        elif self._ok and len(kept) > 1:
+            self._attach(kept)
+        elif self._ok:
+            self._enqueue(kept[0], 0, None)
+            self._ok = self._propagate() is None
 
     def solve(
         self,

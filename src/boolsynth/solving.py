@@ -545,9 +545,8 @@ class _SatContext:
             self.sel_var[event_pos] = list(range(base + 1, base + width + 1))
             base += width
         self.solver.ensure_vars(base)
-        add_clause = self.solver.add_clause
-        for clause in _consistency_clauses(problem, self.sup_var, self.sel_var):
-            add_clause(clause)
+        clauses = _consistency_clauses(problem, self.sup_var, self.sel_var)
+        self.solver.add_clauses(clauses)
 
     def solve_pair(
         self,
@@ -639,33 +638,35 @@ def _consistency_clauses(
     sup_var: Sequence[int],
     sel_var: Sequence[Sequence[int]],
 ) -> Iterator[list[int]]:
-    """CNF for 'the chosen signature is consistent with every arc'.
+    """CNF for 'the chosen signature is consistent with every arc', in the
+    solver's internal literals (``2v`` for v, ``2v + 1`` for not v).
 
     For every event at least one interaction is selected; a selected
     interaction constrains the support bits along each arc of the event:
     if it is undefined on token b, the source cannot carry b; if it maps
     b to v, a source carrying b forces the target to carry v.
     """
-    # Per interaction tau_list[k] and source bit b, the clause (not selected)
-    # or (source sign * source) or (target sign * target, if the sign is not 0)
+    # Per interaction tau_list[k] and source bit b, the negation bits of the
+    # literals (source is not b) and (target is the image; None if undefined)
     rows = [
-        (k, -1 if b else 1, 0 if image is None else 1 if image else -1)
+        (k, b, None if image is None else 1 - image)
         for k, interaction in enumerate(problem.tau_list)
         for b, image in enumerate(interaction.effect)
     ]
     for sels in sel_var:
-        yield list(sels)
+        yield [2 * sel for sel in sels]
     for sels, arcs in zip(sel_var, problem.arcs_by_event):
+        not_sel = [2 * sel + 1 for sel in sels]
         for src, dst in arcs:
-            s = sup_var[src]
-            d = sup_var[dst]
-            for k, src_sign, dst_sign in rows:
-                if not dst_sign:
-                    yield [-sels[k], src_sign * s]
+            s = 2 * sup_var[src]
+            d = 2 * sup_var[dst]
+            for k, src_neg, dst_neg in rows:
+                if dst_neg is None:
+                    yield [not_sel[k], s | src_neg]
                 elif s != d:
-                    yield [-sels[k], src_sign * s, dst_sign * d]
-                elif src_sign == dst_sign:
-                    yield [-sels[k], src_sign * s]
+                    yield [not_sel[k], s | src_neg, d | dst_neg]
+                elif src_neg == dst_neg:
+                    yield [not_sel[k], s | src_neg]
                 # else a tautology: the same variable in both phases
 
 

@@ -69,6 +69,21 @@ def region_digest(region: Region) -> str:
     return hashlib.sha256(repr(region.key()).encode()).hexdigest()[:16]
 
 
+def solver_state(solver) -> tuple:
+    """What loading clauses leaves in a ``SatSolver``: variable count, ok
+    flag, values, trail, watch and binary lists, and decision heap."""
+    return (
+        solver.num_vars,
+        solver._ok,
+        bytes(solver._val),
+        solver._trail,
+        solver._trail_lim,
+        solver._bins,
+        solver._watches,
+        solver._heap,
+    )
+
+
 # ------------------------------------------------------- brute-force oracle
 
 

@@ -1,7 +1,8 @@
-"""The CDCL core: unit behavior, assumptions, restarts, budgets, work
-counters, differential checks against a brute-force evaluator on random
-small formulas, a golden trace of the search on the hardness gadgets, and
-checks of chronological backtracking with every backjump made chronological."""
+"""The CDCL core: unit behavior, clause loading one by one and in batches,
+assumptions, restarts, budgets, work counters, differential checks against
+a brute-force evaluator on random small formulas, a golden trace of the
+search on the hardness gadgets, and checks of chronological backtracking
+with every backjump made chronological."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from boolsynth import (
 )
 from boolsynth import sat as sat_module
 from boolsynth.sat import _luby
-from conftest import region_digest
+from conftest import region_digest, solver_state
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -400,6 +401,104 @@ class TestSetPhase:
     def test_variable_zero_is_rejected(self):
         with pytest.raises(ValueError):
             SatSolver().set_phase(0, True)
+
+
+def internal(clause):
+    """A DIMACS clause in the solver's internal literals."""
+    return [2 * lit if lit > 0 else 1 - 2 * lit for lit in clause]
+
+
+class TestClauseLoading:
+    def test_a_skipped_clause_creates_only_the_variables_before_the_skip(self):
+        solver = SatSolver()
+        solver.add_clause([2, 1, -2, 5])  # a tautology from its third literal
+        assert solver.num_vars == 2
+        solver.add_clause([-1])
+        solver.add_clause([3, -1, 7])  # satisfied from its second literal
+        assert solver.num_vars == 3
+        solver.add_clause([1, 4])  # 1 is false at level 0: drops to a unit
+        assert solver.num_vars == 4
+        assert solver.solve() is True
+        assert solver.model() == [False, False, False, True]
+
+    def test_zero_after_a_tautology_is_rejected(self):
+        solver = fresh(1, [])
+        with pytest.raises(ValueError):
+            solver.add_clause([1, -1, 0])
+
+    def test_zero_after_a_satisfied_literal_is_rejected(self):
+        solver = fresh(1, [[1]])
+        with pytest.raises(ValueError):
+            solver.add_clause([1, 0])
+
+    def test_zero_is_rejected_before_the_solver_changes(self):
+        solver = SatSolver()
+        with pytest.raises(ValueError):
+            solver.add_clause([2, 0])
+        assert solver.num_vars == 0
+        solver = fresh(2, [[1, 2]])
+        assert solver.solve([-1]) is True
+        before = solver_state(solver)
+        with pytest.raises(ValueError):
+            solver.add_clause([-2, 3, 0])
+        assert solver_state(solver) == before
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_batch_loading_matches_clause_by_clause(self, seed):
+        # Rounds of clauses, each round followed by a solve, so that later
+        # rounds arrive above level 0. Clauses may name unknown variables,
+        # also after a tautology (those stay uncreated), and literals true or
+        # false at level 0. A third solver normalises every clause, so the
+        # clauses attached as they are must be attached as normalised.
+        rng = random.Random(seed)
+        nvars = rng.randint(2, 6)
+        known = rng.randint(0, nvars)
+        one, batch, slow = SatSolver(), SatSolver(), SatSolver()
+        for solver in (one, batch, slow):
+            solver.ensure_vars(known)
+        units: list[int] = []
+        for _ in range(rng.randint(1, 4)):
+            clauses = []
+            for _ in range(rng.randint(0, 8)):
+                kind = rng.choice(
+                    ("plain", "plain", "duplicate", "tautology", "unit", "fixed")
+                )
+                lits = [
+                    rng.randint(1, nvars) * rng.choice((1, -1))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                if kind == "duplicate":
+                    lits.insert(rng.randint(0, len(lits)), rng.choice(lits))
+                elif kind == "tautology":
+                    lits.insert(rng.randint(0, len(lits)), -rng.choice(lits))
+                    lits.append(nvars + rng.randint(1, 2))
+                elif kind == "unit":
+                    lits = lits[:1]
+                    units.append(lits[0])
+                elif kind == "fixed" and units:
+                    unit = rng.choice(units)
+                    lits.insert(rng.randint(0, len(lits)), rng.choice((unit, -unit)))
+                clauses.append(lits)
+            for clause in clauses:
+                one.add_clause(clause)
+            batch.add_clauses([internal(clause) for clause in clauses])
+            for clause in clauses:
+                slow._add_normalised(internal(clause))
+            assert solver_state(batch) == solver_state(one) == solver_state(slow)
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 2))
+            ]
+            verdicts = {solver.solve(assumptions) for solver in (one, batch, slow)}
+            assert len(verdicts) == 1
+            work = {
+                (solver.conflicts, solver.decisions, solver.propagations)
+                for solver in (one, batch, slow)
+            }
+            assert len(work) == 1
+            if verdicts == {True}:
+                assert one.model() == batch.model() == slow.model()
 
 
 class TestSearchIdentity:

@@ -18,6 +18,7 @@ from boolsynth import (
     NetType,
     Region,
     ResourceExhausted,
+    SatSolver,
     StatePairAtom,
     SynthesisError,
     TransitionSystem,
@@ -48,6 +49,7 @@ from conftest import (
     oracle_ssp,
     random_ts,
     region_digest,
+    solver_state,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -417,6 +419,46 @@ class TestSupportSweep:
                 via_sat = checker(ts, tau, engine="sat")
                 assert exhaustive.outcome == via_sat.outcome, tau.spec()
                 assert exhaustive.counterexample == via_sat.counterexample
+
+
+class TestConsistencyCnf:
+    def test_loaded_solver_matches_a_dimacs_reference_for_every_type(self):
+        # A self-loop (a), a two-cycle (b) and an event with three arcs (c).
+        ts = TransitionSystem.build(
+            "p",
+            [
+                ("p", "a", "p"),
+                ("p", "b", "q"),
+                ("q", "b", "p"),
+                ("p", "c", "r"),
+                ("q", "c", "r"),
+                ("r", "c", "p"),
+            ],
+        )
+        single = 0
+        for tau in all_net_types():
+            problem = solving._Problem(ts, tau)
+            ctx = solving._SatContext(problem)
+            # The docstring's rule in DIMACS literals, unsimplified: at least
+            # one interaction per event; per arc, interaction and source bit
+            # b, the interaction is not selected, or the source is not b, or
+            # the target carries the image of b if there is one.
+            reference = SatSolver()
+            reference.ensure_vars(ctx.solver.num_vars)
+            for sels in ctx.sel_var:
+                reference.add_clause(list(sels))
+            for sels, arcs in zip(ctx.sel_var, problem.arcs_by_event):
+                for src, dst in arcs:
+                    s, d = ctx.sup_var[src], ctx.sup_var[dst]
+                    for sel, interaction in zip(sels, problem.tau_list):
+                        for b, image in enumerate(interaction.effect):
+                            clause = [-sel, -s if b else s]
+                            if image is not None:
+                                clause.append(d if image else -d)
+                            reference.add_clause(clause)
+            assert solver_state(ctx.solver) == solver_state(reference), tau.spec()
+            single += len(problem.tau_list) == 1
+        assert single == 8
 
 
 class TestBudgets:
