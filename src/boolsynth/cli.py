@@ -28,11 +28,9 @@ from .reduction import (
 )
 from .regions import Family, Region
 from .solving import (
-    Atom,
     CheckResult,
     EngineError,
     ResourceExhausted,
-    StatePairAtom,
     assign_witnesses,
     check_essp,
     check_feasibility,
@@ -44,13 +42,6 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
-
-
-def _atom_text(atom: Atom) -> str:
-    """Counterexample/witness rendering: ``sp <s> <s'>`` or ``essp <e> <s>``."""
-    if isinstance(atom, StatePairAtom):
-        return f"sp {atom.first} {atom.second}"
-    return f"essp {atom.event} {atom.state}"
 
 
 def _read(path: str) -> str:
@@ -123,7 +114,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if result.outcome == "no":
         print(f"{args.property}: no")
         assert result.counterexample is not None
-        print(f"counterexample: {_atom_text(result.counterexample)}")
+        print(f"counterexample: {ff.format_atom(result.counterexample)}")
         return EXIT_FAILS
     print(f"{args.property}: inconclusive ({result.reason})")
     return EXIT_INCONCLUSIVE
@@ -141,7 +132,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if result.outcome == "no":
         print("feasible: no")
         assert result.counterexample is not None
-        print(f"counterexample: {_atom_text(result.counterexample)}")
+        print(f"counterexample: {ff.format_atom(result.counterexample)}")
         return EXIT_FAILS
     net = synthesize(subject, tau, result.regions)
     if is_isomorphic(reachability_graph(net), subject) is None:

@@ -260,10 +260,12 @@ class WitnessRecord:
     atoms: tuple[Atom, ...] = ()
 
 
-def _format_atom(atom: Atom) -> str:
+def format_atom(atom: Atom) -> str:
+    """A requirement as ``sp <s> <s'>`` or ``essp <e> <s>``: the text of a
+    witness ``atom`` line and of a CLI counterexample."""
     if isinstance(atom, StatePairAtom):
-        return f"atom sp {atom.first} {atom.second}"
-    return f"atom essp {atom.event} {atom.state}"
+        return f"sp {atom.first} {atom.second}"
+    return f"essp {atom.event} {atom.state}"
 
 
 def format_witnesses(records: Iterable[WitnessRecord]) -> str:
@@ -275,7 +277,7 @@ def format_witnesses(records: Iterable[WitnessRecord]) -> str:
         for event, interaction in record.region.signature.items():
             lines.append(f"sig {event} {interaction.value}")
         for atom in record.atoms:
-            lines.append(_format_atom(atom))
+            lines.append(f"atom {format_atom(atom)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -462,6 +464,7 @@ def parse_instance(text: str) -> GadgetInstance:
 __all__ = [
     "FormatError",
     "WitnessRecord",
+    "format_atom",
     "format_ts",
     "format_union",
     "format_net",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .interactions import Interaction, NetType, iter_type
 from .ts import Report, Subject, TransitionSystem, TsUnion, Violation
@@ -103,17 +103,10 @@ def _support_map(
     subject: Subject, support: Mapping[str, int] | AbstractSet[str] | Iterable[str]
 ) -> dict[str, int]:
     states = subject.states
-    if isinstance(support, Mapping):
-        result = {s: int(support[s]) for s in states if s in support}
-        if len(result) != len(states):
-            missing = [s for s in states if s not in support]
-            raise RegionDomainError(f"support misses states {missing[:5]}")
-        return result
-    chosen = set(support)
-    unknown = chosen - set(states)
-    if unknown:
-        raise RegionDomainError(f"support names unknown states {sorted(unknown)[:5]}")
-    return {s: (1 if s in chosen else 0) for s in states}
+    if not isinstance(support, Mapping):
+        support = dict.fromkeys(states, 0) | dict.fromkeys(support, 1)
+    _check_support(states, support)
+    return {s: int(support[s]) for s in states}
 
 
 def derive_signature(
@@ -174,26 +167,32 @@ def derive_signature(
     return Region(support=sup, signature=signature)
 
 
-def _check_domains(subject: Subject, tau: NetType, region: Region) -> None:
-    domains = (
-        ("support", "states", subject.states, region.support),
-        ("signature", "events", subject.events, region.signature),
-    )
-    for name, kind, items, mapping in domains:
-        extra = mapping.keys() - items
-        # fewer keys inside the domain than items: some item lacks a key
-        # (or the subject repeats an item)
-        if len(mapping) - len(extra) < len(items):
-            missing = [x for x in items if x not in mapping]
-            if missing:
-                raise RegionDomainError(f"{name} misses {kind} {missing[:5]}")
-        if extra:
-            raise RegionDomainError(
-                f"{name} names unknown {kind} {sorted(extra)[:5]}"
-            )
-    if not set(region.support.values()) <= {0, 1}:
-        state = next(s for s in subject.states if region.support[s] not in (0, 1))
+def _check_keys(
+    name: str, kind: str, items: Sequence[str], mapping: Mapping
+) -> None:
+    """Raise unless the keys of ``mapping`` are exactly ``items``."""
+    extra = mapping.keys() - items
+    # fewer keys inside the domain than items: some item lacks a key
+    # (or the subject repeats an item)
+    if len(mapping) - len(extra) < len(items):
+        missing = [x for x in items if x not in mapping]
+        if missing:
+            raise RegionDomainError(f"{name} misses {kind} {missing[:5]}")
+    if extra:
+        raise RegionDomainError(f"{name} names unknown {kind} {sorted(extra)[:5]}")
+
+
+def _check_support(states: Sequence[str], support: Mapping) -> None:
+    """Raise unless ``support`` maps exactly ``states``, each to a bit."""
+    _check_keys("support", "states", states, support)
+    if not set(support.values()) <= {0, 1}:
+        state = next(s for s in states if support[s] not in (0, 1))
         raise RegionDomainError(f"support of {state!r} is not a bit")
+
+
+def _check_domains(subject: Subject, tau: NetType, region: Region) -> None:
+    _check_support(subject.states, region.support)
+    _check_keys("signature", "events", subject.events, region.signature)
     if not set(region.signature.values()) <= tau.interactions:
         outside = [e for e in subject.events if region.signature[e] not in tau]
         raise RegionDomainError(

@@ -16,10 +16,14 @@ on the support value of a state the event must not fire in).
   signs regions, as long as each settles something new.
 * The propositional engine encodes region admissibility as CNF over support
   bits and signature selectors and answers individual requirements through
-  assumption-based incremental SAT queries. Phase hints steer each query
-  toward supports that settle many pending requirements at once, and the
-  tracker re-signs each decoded region. Both shape the region pool, never
-  a verdict.
+  assumption-based incremental SAT queries. One table,
+  ``_SatContext.queries``, lists the queries that settle a requirement:
+  the two orientations of a state pair, or one partial interaction of the
+  type per query for an inhibition. Checks take the first satisfiable one;
+  enumeration takes every model of each, excluding each support after use.
+  Phase hints steer each query toward supports that settle many pending
+  requirements at once, and the tracker re-signs each decoded region. Both
+  shape the region pool, never a verdict.
 
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
@@ -548,62 +552,36 @@ class _SatContext:
         clauses = _consistency_clauses(problem, self.sup_var, self.sel_var)
         self.solver.add_clauses(clauses)
 
-    def solve_pair(
-        self,
-        first_pos: int,
-        second_pos: int,
-        deadline: Optional[float],
-        coverage: _Coverage,
-    ) -> tuple[str, Optional[Region]]:
-        """A region separating the two states. Each query hints 1, 0, 1, ...
-        in position order inside every block pending in ``coverage``, so that
-        one model tends to cut every block; see ``decode`` for the region."""
-        a = self.sup_var[first_pos]
-        b = self.sup_var[second_pos]
-        for lits in ((a, -b), (-a, b)):
-            for block in coverage.blocks:
-                for k, pos in enumerate(sorted(_positions(block, self.problem.n))):
-                    self.solver.set_phase(self.sup_var[pos], k % 2 == 0)
-            verdict = self.solver.solve(lits, deadline=deadline)
-            if verdict is None:
-                return "unknown", None
-            if verdict:
-                return "sat", self.decode({}, coverage)
-        return "unsat", None
-
-    def solve_inhibit(
-        self,
-        event_pos: int,
-        state_pos: int,
-        deadline: Optional[float],
-        coverage: _Coverage,
-    ) -> tuple[str, Optional[Region]]:
-        """A region inhibiting the event at the state. Each query hints every
-        state at which ``coverage`` still has the event pending to the value
-        the tried interaction is undefined at; see ``decode`` for the region."""
-        for interaction, lits in self.inhibit_assumptions(event_pos, state_pos):
-            value = _UNDEFINED_AT[interaction] == 1
-            for pos in _positions(coverage.uncovered[event_pos], self.problem.n):
-                self.solver.set_phase(self.sup_var[pos], value)
-            verdict = self.solver.solve(lits, deadline=deadline)
-            if verdict is None:
-                return "unknown", None
-            if verdict:
-                return "sat", self.decode(
-                    {self.problem.events[event_pos]: interaction}, coverage
-                )
-        return "unsat", None
-
-    def inhibit_assumptions(
-        self, event_pos: int, state_pos: int
-    ) -> Iterator[tuple[Interaction, tuple[int, int]]]:
-        """Per partial interaction of the type, in canonical order, the
-        assumptions that make it the event's and undefined at the state."""
-        sup = self.sup_var[state_pos]
-        for sel, interaction in zip(self.sel_var[event_pos], self.problem.tau_list):
+    def queries(
+        self, atom: Atom, coverage: _Coverage
+    ) -> Iterator[tuple[tuple[int, int], dict[str, Interaction]]]:
+        """The ways of settling ``atom``, in order, each as (assumptions, the
+        signature entries they force): ``(a, -b)`` then ``(-a, b)`` for a
+        state pair, one partial interaction of the type per query for an
+        inhibition. Before each, it hints the solver toward settling what
+        ``coverage`` still has pending: 1, 0, 1, ... in position order
+        inside every pending block, or every state at which the event is
+        pending to the value the tried interaction is undefined at."""
+        problem = self.problem
+        sup_var = self.sup_var
+        set_phase = self.solver.set_phase
+        if isinstance(atom, StatePairAtom):
+            a = sup_var[problem.state_pos[atom.first]]
+            b = sup_var[problem.state_pos[atom.second]]
+            for lits in ((a, -b), (-a, b)):
+                for block in coverage.blocks:
+                    for k, pos in enumerate(sorted(_positions(block, problem.n))):
+                        set_phase(sup_var[pos], k % 2 == 0)
+                yield lits, {}
+            return
+        event_pos = problem.event_pos[atom.event]
+        sup = sup_var[problem.state_pos[atom.state]]
+        for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
             at = _UNDEFINED_AT.get(interaction)
             if at is not None:
-                yield interaction, (sel, sup if at else -sup)
+                for pos in _positions(coverage.uncovered[event_pos], problem.n):
+                    set_phase(sup_var[pos], at == 1)
+                yield (sel, sup if at else -sup), {atom.event: interaction}
 
     def block_support(self) -> None:
         """Exclude the support of the last model from future answers."""
@@ -680,24 +658,16 @@ def _sat_check(
     # Each region settles a requirement that no earlier one settles, so no
     # region is pooled twice.
     pool: list[Region] = []
-    state_pos = problem.state_pos
     while (atom := coverage.first_pending()) is not None:
-        if deadline is not None and time.monotonic() > deadline:
-            return tuple(pool), False
-        if isinstance(atom, StatePairAtom):
-            status, region = ctx.solve_pair(
-                state_pos[atom.first], state_pos[atom.second], deadline, coverage
-            )
+        for lits, forced in ctx.queries(atom, coverage):
+            verdict = ctx.solver.solve(lits, deadline=deadline)
+            if verdict is None:
+                return tuple(pool), False
+            if verdict:
+                pool.append(ctx.decode(forced, coverage))
+                break
         else:
-            status, region = ctx.solve_inhibit(
-                problem.event_pos[atom.event], state_pos[atom.state], deadline, coverage
-            )
-        if status == "unknown":
-            return tuple(pool), False
-        if status == "unsat":
-            break
-        assert region is not None
-        pool.append(region)
+            break  # no region settles ``atom``: it is the counterexample
     return tuple(pool), True
 
 
@@ -808,11 +778,10 @@ def enumerate_inhibiting_regions(
     problem = _Problem(subject, tau)
     engine_name = _resolve_engine(engine, problem)
     deadline = _deadline_from_budget(budget)
-    coverage = _Coverage.of_atom(problem, EventStateAtom(event, state))
+    atom = EventStateAtom(event, state)
+    coverage = _Coverage.of_atom(problem, atom)
     if limit is not None and limit <= 0:
         return []
-    event_pos = problem.event_pos[event]
-    state_pos = problem.state_pos[state]
     found: list[Region] = []
     if engine_name == "exhaustive":
         for support in _admissible_supports(problem, deadline):
@@ -830,14 +799,14 @@ def enumerate_inhibiting_regions(
             "the propositional engine needs an explicit limit for enumeration"
         )
     ctx = _SatContext(problem)
-    for interaction, lits in ctx.inhibit_assumptions(event_pos, state_pos):
+    for lits, forced in ctx.queries(atom, coverage):
         while len(found) < limit:
             verdict = ctx.solver.solve(lits, deadline=deadline)
             if verdict is None:
                 raise ResourceExhausted("budget exhausted")
             if not verdict:
                 break
-            found.append(ctx.decode({event: interaction}, coverage))
+            found.append(ctx.decode(forced, coverage))
             ctx.block_support()
         if len(found) >= limit:
             break

@@ -201,6 +201,18 @@ class TestDeriveSignature:
         with pytest.raises(RegionDomainError):
             derive_signature(battery["a1"], {"nope"}, Family.FREE)
 
+    def test_mapping_support_naming_unknown_state_raises(self, battery):
+        support = {"s0": 0, "s1": 1, "s2": 1, "ghost": 1}
+        with pytest.raises(
+            RegionDomainError, match=r"support names unknown states \['ghost'\]"
+        ):
+            derive_signature(battery["a1"], support, Family.FREE)
+
+    def test_mapping_support_with_non_bit_raises(self, battery):
+        support = {"s0": 0, "s1": 7, "s2": 1}
+        with pytest.raises(RegionDomainError, match="support of 's1' is not a bit"):
+            derive_signature(battery["a1"], support, Family.FREE)
+
     def test_candidates_are_not_always_valid(self, battery):
         # a partial support of the chain yields nop, which the arcs refute
         ts = battery["a4"]

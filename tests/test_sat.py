@@ -527,13 +527,13 @@ class TestSearchIdentity:
         problem = solving._Problem(instance.ts, family.base_type)
         ctx = solving._SatContext(problem)
         atom = instance.target_atom
-        got, region = ctx.solve_inhibit(
-            problem.event_pos[atom.event],
-            problem.state_pos[atom.state],
-            None,
-            solving._Coverage.of_atom(problem, atom),
-        )
+        coverage = solving._Coverage.of_atom(problem, atom)
         solver = ctx.solver
+        got, region = "unsat", None
+        for lits, forced in ctx.queries(atom, coverage):
+            if solver.solve(lits):
+                got, region = "sat", ctx.decode(forced, coverage)
+                break
         assert got == status
         assert (region and region_digest(region)) == digest
         assert (solver.conflicts, solver.decisions, solver.propagations) == work

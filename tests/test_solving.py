@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boolsynth import (
+    PHI_SAT,
     BooleanNet,
     EventStateAtom,
+    Family,
     Interaction,
     NetType,
     Region,
@@ -25,6 +27,7 @@ from boolsynth import (
     TsUnion,
     all_net_types,
     assign_witnesses,
+    build_union,
     check_essp,
     check_feasibility,
     check_ssp,
@@ -496,6 +499,34 @@ class TestBudgets:
         with pytest.raises(ResourceExhausted):
             enumerate_inhibiting_regions(
                 battery["a2"], TAU, "a", "s2", engine="exhaustive", budget=0.0
+            )
+
+    def test_deadline_inside_a_sat_query_keeps_the_pool(self, monkeypatch):
+        # The deadline passes during the fifth query: the check keeps the
+        # regions of the four answered ones, the same as a full run's.
+        member = build_union(PHI_SAT, Family.FREE)[0].members[0]
+        full = check_feasibility(member, Family.FREE.base_type, engine="sat")
+        answers = []
+        solve = SatSolver.solve
+
+        def expiring(solver, assumptions=(), deadline=None):
+            if len(answers) == 4:
+                return None
+            answers.append(solve(solver, assumptions, deadline))
+            return answers[-1]
+
+        monkeypatch.setattr(SatSolver, "solve", expiring)
+        result = check_feasibility(member, Family.FREE.base_type, engine="sat")
+        assert answers == [True] * 4
+        assert result.outcome == "inconclusive"
+        assert "budget" in result.reason
+        assert result.regions == full.regions[:4]
+        assert len(full.regions) > 4
+
+    def test_zero_budget_sat_enumeration_raises(self, battery):
+        with pytest.raises(ResourceExhausted):
+            enumerate_inhibiting_regions(
+                battery["a2"], TAU, "a", "s2", engine="sat", limit=3, budget=0.0
             )
 
     def test_exhaustive_windows_stay_small_on_forty_states(self, monkeypatch):
