@@ -125,7 +125,7 @@ class SatSolver:
     def add_clauses(self, clauses: Iterable[list[int]]) -> None:
         """Add clauses of internal literals, with the effect of ``add_clause``
         on each in turn; the solver keeps the lists and may reorder them.
-        While nothing is assigned, two or three distinct known variables
+        While nothing is assigned, two or more distinct known variables
         need no normalising."""
         bins = self._bins
         watches = self._watches
@@ -141,6 +141,11 @@ class SatSolver:
                             watches[a].append(clause)
                             watches[b].append(clause)
                             continue
+                elif len(clause) > 3 and 1 < min(clause) and max(clause) < known:
+                    if len({lit >> 1 for lit in clause}) == len(clause):
+                        watches[clause[0]].append(clause)
+                        watches[clause[1]].append(clause)
+                        continue
                 elif len(clause) == 2:
                     a, b = clause
                     if 1 < a < known and 1 < b < known and a >> 1 != b >> 1:

@@ -19,7 +19,8 @@ on the support value of a state the event must not fire in).
   assumption-based incremental SAT queries. One table,
   ``_SatContext.queries``, lists the queries that settle a requirement:
   the two orientations of a state pair, or one partial interaction of the
-  type per query for an inhibition. Checks take the first satisfiable one;
+  type per query for an inhibition, at all of the event's pending states
+  before the one state. Checks take the first satisfiable one;
   enumeration takes every model of each, excluding each support after use.
   Phase hints steer each query toward supports that settle many pending
   requirements at once, and the tracker re-signs each decoded region. Both
@@ -554,12 +555,14 @@ class _SatContext:
 
     def queries(
         self, atom: Atom, coverage: _Coverage
-    ) -> Iterator[tuple[tuple[int, int], dict[str, Interaction]]]:
+    ) -> Iterator[tuple[tuple[int, ...], dict[str, Interaction]]]:
         """The ways of settling ``atom``, in order, each as (assumptions, the
         signature entries they force): ``(a, -b)`` then ``(-a, b)`` for a
-        state pair, one partial interaction of the type per query for an
-        inhibition. Before each, it hints the solver toward settling what
-        ``coverage`` still has pending: 1, 0, 1, ... in position order
+        state pair; for an inhibition, one query per partial interaction p
+        of the type, with p's selector and the value p is undefined at, for
+        every state the event is pending at (if two or more) and then for
+        the atom's state. Before each, it hints the solver toward settling
+        what ``coverage`` still has pending: 1, 0, 1, ... in position order
         inside every pending block, or every state at which the event is
         pending to the value the tried interaction is undefined at."""
         problem = self.problem
@@ -575,13 +578,18 @@ class _SatContext:
                 yield lits, {}
             return
         event_pos = problem.event_pos[atom.event]
-        sup = sup_var[problem.state_pos[atom.state]]
-        for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
-            at = _UNDEFINED_AT.get(interaction)
-            if at is not None:
-                for pos in _positions(coverage.uncovered[event_pos], problem.n):
-                    set_phase(sup_var[pos], at == 1)
-                yield (sel, sup if at else -sup), {atom.event: interaction}
+        groups = [[sup_var[problem.state_pos[atom.state]]]]
+        pending = coverage.uncovered[event_pos]
+        if pending & (pending - 1):  # two or more pending states
+            groups.insert(0, [sup_var[p] for p in _positions(pending, problem.n)])
+        for sups in groups:
+            for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
+                at = _UNDEFINED_AT.get(interaction)
+                if at is not None:
+                    for pos in _positions(coverage.uncovered[event_pos], problem.n):
+                        set_phase(sup_var[pos], at == 1)
+                    lits = (sel, *(sup if at else -sup for sup in sups))
+                    yield lits, {atom.event: interaction}
 
     def block_support(self) -> None:
         """Exclude the support of the last model from future answers."""

@@ -132,7 +132,11 @@ class TestCheck:
         # part H0+G0+T0_1: it pins the pool, the record grouping and the
         # atom order. Re-recorded when the sat engine began to hint each
         # query toward the pending requirements and to re-sign decoded
-        # regions, which shrank this pool from 43 regions to 23.
+        # regions, which shrank this pool from 43 regions to 23. Re-recorded
+        # again when an inhibition of an event pending at two or more states
+        # began with one query for a region inhibiting all of them, which
+        # shrank the pool to 20 regions; the sha256 was
+        # 733830d9849701f818cf3f2c39b3523c4d274198ae76d4ebb68d9a4abf4780d7.
         union, _ = build_union(PHI_SAT, Family.FREE)
         part = TsUnion(
             tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
@@ -146,7 +150,7 @@ class TestCheck:
         )
         assert (code, out.strip()) == (0, "feasible: yes")
         assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == (
-            "733830d9849701f818cf3f2c39b3523c4d274198ae76d4ebb68d9a4abf4780d7"
+            "fd77314b3c8986d1093db1e248685c4f52f465517041bd4a30c692d7b3cc6255"
         )
 
     def test_bad_type_spec_is_a_usage_error(self, capsys, battery_files):

@@ -17,6 +17,7 @@ from boolsynth import (
     PHI_SAT,
     PHI_UNSAT,
     Family,
+    NetType,
     SatSolver,
     TsUnion,
     build_instance,
@@ -450,9 +451,11 @@ class TestClauseLoading:
         # rounds arrive above level 0. Clauses may name unknown variables,
         # also after a tautology (those stay uncreated), and literals true or
         # false at level 0. A third solver normalises every clause, so the
-        # clauses attached as they are must be attached as normalised.
+        # clauses attached as they are must be attached as normalised. Up
+        # to five literals, so clauses wider than three take the batch
+        # path too.
         rng = random.Random(seed)
-        nvars = rng.randint(2, 6)
+        nvars = rng.randint(2, 7)
         known = rng.randint(0, nvars)
         one, batch, slow = SatSolver(), SatSolver(), SatSolver()
         for solver in (one, batch, slow):
@@ -466,7 +469,7 @@ class TestClauseLoading:
                 )
                 lits = [
                     rng.randint(1, nvars) * rng.choice((1, -1))
-                    for _ in range(rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 5))
                 ]
                 if kind == "duplicate":
                     lits.insert(rng.randint(0, len(lits)), rng.choice(lits))
@@ -499,6 +502,37 @@ class TestClauseLoading:
             assert len(work) == 1
             if verdicts == {True}:
                 assert one.model() == batch.model() == slow.model()
+
+    @pytest.mark.parametrize(
+        "spec", ["nop,set,swap,used", "nop,set,res,swap,used,free"]
+    )
+    def test_consistency_cnf_of_a_wide_type_loads_as_normalised(self, spec):
+        # A type of four or more interactions has at-least-one clauses of
+        # four or more literals. The batch load of _SatContext must leave
+        # the state that add_clause and _add_normalised leave, clause by
+        # clause, with the same clauses written in DIMACS literals. The
+        # batch keeps each wide clause's own list: none was normalised.
+        union, _ = build_union(PHI_UNSAT, Family.USED)
+        problem = solving._Problem(union, NetType.from_spec(spec))
+        ctx = solving._SatContext(problem)
+        clauses = list(
+            solving._consistency_clauses(problem, ctx.sup_var, ctx.sel_var)
+        )
+        wide = [clause for clause in clauses if len(clause) >= 4]
+        assert len(wide) == len(problem.events)
+        one, slow, batch = SatSolver(), SatSolver(), SatSolver()
+        for solver in (one, slow, batch):
+            solver.ensure_vars(ctx.solver.num_vars)
+        for clause in clauses:
+            one.add_clause([v >> 1 if v & 1 == 0 else -(v >> 1) for v in clause])
+            slow._add_normalised(list(clause))
+        batch.add_clauses(clauses)
+        assert all(
+            any(watched is clause for watched in batch._watches[clause[0]])
+            for clause in wide
+        )
+        assert solver_state(ctx.solver) == solver_state(one) == solver_state(slow)
+        assert solver_state(batch) == solver_state(slow)
 
 
 class TestSearchIdentity:
@@ -542,6 +576,12 @@ class TestSearchIdentity:
         # Re-recorded when the sat engine began to hint each query toward
         # the pending requirements and to re-sign decoded regions: the pool
         # went from 43 regions to 23 and the work from (9, 896, 2985).
+        # Re-recorded again when an inhibition of an event pending at two
+        # or more states began with one query for a region inhibiting all
+        # of them: the pool went from 23 regions to 20 (the first ten
+        # unchanged; the old tail was e4442fc7824a7944, 15fd70d47ebf62b0,
+        # 4ccc461d55e437b1, b139faf7bd0ce875, 6c351b50bb6e3a2f, then the
+        # last eight digests kept here) and the work from (5, 485, 1593).
         union, _ = build_union(PHI_SAT, Family.FREE)
         part = TsUnion(
             tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
@@ -561,17 +601,16 @@ class TestSearchIdentity:
         (ctx,) = contexts
         solver = ctx.solver
         assert (solver.conflicts, solver.decisions, solver.propagations) == (
-            5, 485, 1593,
+            8, 372, 1547,
         )
 
 
 POOL_DIGESTS = [
     "56329a71fba9e413", "697b3588321a4267", "2b27c15f3de4f626", "b79948195615aa2f",
     "f87be6ff4c8e3921", "3ab52cdb71fa4fde", "d68e357ec8d9d888", "81c88465ed360108",
-    "2464de11978d362b", "625349bcdf04d0da", "e4442fc7824a7944", "15fd70d47ebf62b0",
-    "4ccc461d55e437b1", "b139faf7bd0ce875", "6c351b50bb6e3a2f", "5e5d35f755915775",
-    "dded6d976a41139f", "ec6fc777acb73271", "c489c3aee9ab9fb6", "cbe02d27626b371a",
-    "78c13d76583180d7", "a44d23e926d712b9", "a0e8fd09643d24c4",
+    "2464de11978d362b", "625349bcdf04d0da", "4ccc461d55e437b1", "7db540fda03ce75e",
+    "5e5d35f755915775", "dded6d976a41139f", "ec6fc777acb73271", "c489c3aee9ab9fb6",
+    "cbe02d27626b371a", "78c13d76583180d7", "a44d23e926d712b9", "a0e8fd09643d24c4",
 ]
 
 

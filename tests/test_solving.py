@@ -464,6 +464,118 @@ class TestConsistencyCnf:
         assert single == 8
 
 
+class TestInhibitionQueries:
+    """``_SatContext.queries`` for an inhibition (event, state): one query
+    per partial interaction p of the type, in canonical order, whose
+    assumptions are the selector of p for the event and the support value
+    p is undefined at; before those, when the event is pending at two or
+    more states, one batch query per p asking that value at all of them."""
+
+    def expected(self, ctx, event, states):
+        problem = ctx.problem
+        e = problem.event_pos[event]
+        sups = [ctx.sup_var[problem.state_pos[s]] for s in states]
+        queries = []
+        for sel, interaction in zip(ctx.sel_var[e], problem.tau_list):
+            if interaction.is_partial:
+                at = 0 if interaction.effect[0] is None else 1
+                lits = tuple(sup if at else -sup for sup in sups)
+                queries.append(((sel, *lits), {event: interaction}))
+        return queries
+
+    def test_one_pending_state_gives_the_one_atom_queries(self):
+        ts = distinct_event_chain()
+        problem = solving._Problem(ts, FULL)
+        ctx = solving._SatContext(problem)
+        for atom in essp_atoms(ts):
+            coverage = solving._Coverage.of_atom(problem, atom)
+            got = list(ctx.queries(atom, coverage))
+            assert len(got) == 4  # inp, out, used and free
+            assert got == self.expected(ctx, atom.event, [atom.state])
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_pending_states_first_get_batch_queries(self, k):
+        ts = distinct_event_chain()
+        problem = solving._Problem(ts, FULL)
+        ctx = solving._SatContext(problem)
+        coverage = solving._Coverage(problem, False, True)
+        # a2 occurs at s2 only; keep the first k of its six pending states.
+        pending = [s for s in problem.states if s != "s2"][:k]
+        coverage.uncovered[problem.event_pos["a2"]] = sum(
+            problem.state_bit(problem.state_pos[s]) for s in pending
+        )
+        atom = EventStateAtom("a2", pending[0])
+        got = list(ctx.queries(atom, coverage))
+        single = self.expected(ctx, "a2", [atom.state])
+        assert got[4:] == single
+        for (lits, forced), (want, want_forced) in zip(
+            got[:4], self.expected(ctx, "a2", pending), strict=True
+        ):
+            assert forced == want_forced
+            assert lits[0] == want[0]
+            assert sorted(lits[1:]) == sorted(want[1:])
+            assert len(lits) == 1 + k
+
+
+def distinct_event_chain() -> TransitionSystem:
+    """``s0 -a0-> s1 -a1-> ... -a5-> s6``: each event is pending at six of
+    the seven states."""
+    return TransitionSystem.build(
+        "s0", [(f"s{k}", f"a{k}", f"s{k + 1}") for k in range(6)]
+    )
+
+
+#: Every interaction of this type maps each value to the other one or is
+#: undefined there, so every arc joins states of opposite values.
+SEPARATING = NetType.from_spec("swap,inp,out")
+
+
+@pytest.fixture
+def batch_verdicts(monkeypatch):
+    """The verdicts of every batch query (more than two assumptions)."""
+    verdicts = []
+    solve = SatSolver.solve
+
+    def counting(self, assumptions=(), *args, **kwargs):
+        verdict = solve(self, assumptions, *args, **kwargs)
+        if len(assumptions) > 2:
+            verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(SatSolver, "solve", counting)
+    return verdicts
+
+
+class TestBatchFallback:
+    def test_one_atom_queries_settle_what_no_batch_query_can(self, batch_verdicts):
+        # b keeps s1 and s2 apart, so no region inhibits e at s1, s2 and s3
+        # at once, but one does at each state alone.
+        ts = TransitionSystem.build("s0", [("s0", "e", "s3"), ("s1", "b", "s2")])
+        result = check_essp(ts, SEPARATING, engine="sat")
+        assert batch_verdicts[:2] == [False, False]  # e under inp, then out
+        assert result.outcome == "yes"
+        assert check_essp(ts, SEPARATING, engine="exhaustive").outcome == "yes"
+        assert oracle_essp(ts, SEPARATING) is None
+        for region in result.regions:
+            assert validate_region(ts, SEPARATING, region)
+
+    def test_an_unsettleable_first_inhibition_is_the_counterexample(
+        self, batch_verdicts
+    ):
+        # c has a two-cycle, so it is swap in every region: it is pending
+        # at s0 and s3 and can be inhibited at neither.
+        ts = TransitionSystem.build(
+            "s0",
+            [("s1", "c", "s2"), ("s2", "c", "s1"), ("s0", "e", "s3")],
+        )
+        via_sat = check_essp(ts, SEPARATING, engine="sat")
+        exhaustive = check_essp(ts, SEPARATING, engine="exhaustive")
+        assert batch_verdicts == [False, False]
+        assert via_sat.outcome == exhaustive.outcome == "no"
+        assert via_sat.counterexample == exhaustive.counterexample
+        assert via_sat.counterexample == EventStateAtom("c", "s0")
+
+
 class TestBudgets:
     def test_zero_budget_check_is_inconclusive(self, battery):
         result = check_feasibility(
