@@ -111,12 +111,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if result.outcome == "yes":
         print(f"{args.property}: yes")
         return EXIT_HOLDS
+    return _report_unheld(args.property, result)
+
+
+def _report_unheld(property_name: str, result: CheckResult) -> int:
+    """Print a "no" verdict with its counterexample, or an "inconclusive"
+    one with its reason; returns the exit code."""
     if result.outcome == "no":
-        print(f"{args.property}: no")
+        print(f"{property_name}: no")
         assert result.counterexample is not None
         print(f"counterexample: {ff.format_atom(result.counterexample)}")
         return EXIT_FAILS
-    print(f"{args.property}: inconclusive ({result.reason})")
+    print(f"{property_name}: inconclusive ({result.reason})")
     return EXIT_INCONCLUSIVE
 
 
@@ -126,14 +132,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     result = check_feasibility(
         subject, tau, engine=args.engine, budget=args.budget
     )
-    if result.outcome == "inconclusive":
-        print(f"feasible: inconclusive ({result.reason})")
-        return EXIT_INCONCLUSIVE
-    if result.outcome == "no":
-        print("feasible: no")
-        assert result.counterexample is not None
-        print(f"counterexample: {ff.format_atom(result.counterexample)}")
-        return EXIT_FAILS
+    if result.outcome != "yes":
+        return _report_unheld("feasible", result)
     net = synthesize(subject, tau, result.regions)
     if is_isomorphic(reachability_graph(net), subject) is None:
         print(
@@ -171,14 +171,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     instance = build_instance(cnf, family)
     if args.union:
         # gadget parts plus the role block, so the file stays interpretable
-        text = ff.format_union(instance.union) + "\n".join(
-            line
-            for line in ff.format_instance(instance).splitlines()
-            if line.startswith("# role")
-        ) + "\n"
-        _write_out(text, args.output)
+        text = ff.format_union(instance.union) + ff.format_roles(instance)
     else:
-        _write_out(ff.format_instance(instance), args.output)
+        text = ff.format_instance(instance)
+    _write_out(text, args.output)
     return EXIT_HOLDS
 
 

@@ -387,7 +387,9 @@ def parse_cnf(text: str) -> CubicCnf:
 # ------------------------------------------------------------ instance text
 
 
-def _role_lines(instance: GadgetInstance) -> list[str]:
+def format_roles(instance: GadgetInstance) -> str:
+    """The ``# role`` block naming an instance's formula, family and
+    event roles."""
     roles = instance.roles
     pairs: list[tuple[str, str]] = [
         ("family", instance.family.value),
@@ -408,11 +410,11 @@ def _role_lines(instance: GadgetInstance) -> list[str]:
         (f"clause_{index}", " ".join(clause))
         for index, clause in enumerate(roles.clause_vars)
     )
-    return [f"# role {name} = {value}" for name, value in pairs]
+    return "".join(f"# role {name} = {value}\n" for name, value in pairs)
 
 
 def format_instance(instance: GadgetInstance) -> str:
-    return format_ts(instance.ts) + "\n".join(_role_lines(instance)) + "\n"
+    return format_ts(instance.ts) + format_roles(instance)
 
 
 def parse_instance(text: str) -> GadgetInstance:
@@ -471,6 +473,7 @@ __all__ = [
     "format_witnesses",
     "format_cnf",
     "format_instance",
+    "format_roles",
     "parse_ts",
     "parse_union",
     "parse_subject",

@@ -23,8 +23,8 @@ on the support value of a state the event must not fire in).
   before the one state. Checks take the first satisfiable one;
   enumeration takes every model of each, excluding each support after use.
   Phase hints steer each query toward supports that settle many pending
-  requirements at once, and the tracker re-signs each decoded region. Both
-  shape the region pool, never a verdict.
+  requirements at once; they shape the region pool, never a verdict. Only
+  the support of a model is read back.
 
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
@@ -32,8 +32,12 @@ are pending) and one uncovered-state mask per event for inhibition. It
 decides inhibition for both engines: ``resign`` gives each event with
 pending inhibitions the admissible partial interaction that inhibits the
 most of them, and ``settle`` credits a region with every requirement it
-settles. Each pooled region settles a requirement no earlier one settles,
-so no pool repeats a region, and verdicts stay cheap on large subjects.
+settles. Both engines sign a region by this one rule: a query's forced
+entry, then ``resign``'s picks, then each other event's first allowed
+interaction (``_Problem.region``). So a region depends only on its support
+and on what is still pending, whichever engine found the support. Each
+pooled region settles a requirement no earlier one settles, so no pool
+repeats a region, and verdicts stay cheap on large subjects.
 The counterexample is the tracker's first pending requirement, and
 ``assign_witnesses`` and ``first_unsettled`` replay a pool through the
 same tracker.
@@ -49,7 +53,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Container, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .interactions import (
     INTERACTION_ORDER,
@@ -206,9 +210,11 @@ class _Problem:
                 break
         return mask
 
-    def region_at(self, support_int: int, picks: dict[str, Interaction]) -> Region:
-        """Region with the given support; each event not in ``picks`` gets
-        its first allowed interaction in canonical order."""
+    def region(self, support_int: int, picks: Mapping[str, Interaction]) -> Region:
+        """The region of a support integer, re-validated: each event in
+        ``picks`` gets its pick, every other its first allowed interaction
+        in canonical order. An engine that builds an inadmissible region is
+        at fault."""
         signature: dict[str, Interaction] = {}
         for e, event in enumerate(self.events):
             interaction = picks.get(event)
@@ -216,11 +222,6 @@ class _Problem:
                 mask = self.allowed_mask(e, support_int)
                 interaction = INTERACTION_ORDER[(mask & -mask).bit_length() - 1]
             signature[event] = interaction
-        return self.region(support_int, signature)
-
-    def region(self, support_int: int, signature: dict[str, Interaction]) -> Region:
-        """The region of a support integer and a signature, re-validated:
-        an engine that builds an inadmissible region is at fault."""
         n1 = self.n - 1
         support = {s: support_int >> (n1 - p) & 1 for p, s in enumerate(self.states)}
         region = Region(support=support, signature=signature)
@@ -321,27 +322,23 @@ class _Coverage:
                     inhibited.append((e, newly))
         return halves, inhibited
 
-    def resign(
-        self, support: int, signature: dict[str, Interaction], keep: Container[str]
-    ) -> None:
-        """Upgrade a signature for the given support in place: every event
-        with pending inhibitions, except those in ``keep``, gets the
+    def resign(self, support: int, picks: dict[str, Interaction]) -> None:
+        """Pick in place, for the given support, the inhibiting interactions:
+        every event with pending inhibitions and no pick yet gets the
         admissible partial interaction that inhibits the most of its pending
-        states (canonically first among equals), unless its own, if any,
-        inhibits as many."""
+        states (canonically first among equals), if one inhibits any."""
         problem = self.problem
         for e, pending in enumerate(self.uncovered):
-            if not pending or problem.events[e] in keep:
-                continue
             event = problem.events[e]
+            if not pending or event in picks:
+                continue
             counts = ((pending & ~support).bit_count(), (pending & support).bit_count())
-            own = _UNDEFINED_AT.get(signature.get(event))
-            most = 0 if own is None else counts[own]
-            if max(counts) > most:
+            if max(counts):
+                most = 0
                 allowed = problem.allowed_mask(e, support)
                 for mask_bit, interaction, bit in _PARTIALS:
                     if allowed & mask_bit and counts[bit] > most:
-                        signature[event], most = interaction, counts[bit]
+                        picks[event], most = interaction, counts[bit]
 
     def first_pending(self) -> Optional[Atom]:
         """The canonically first pending requirement, state pairs first."""
@@ -394,7 +391,7 @@ class CheckResult:
 
 def _resolve_engine(engine: str, problem: _Problem) -> str:
     if engine == "auto":
-        return "exhaustive" if problem.n <= 16 else "sat"
+        return "exhaustive" if problem.n <= _WINDOW_BITS else "sat"
     if engine in ("exhaustive", "sat"):
         return engine
     raise ValueError(f"unknown engine {engine!r}")
@@ -402,7 +399,7 @@ def _resolve_engine(engine: str, problem: _Problem) -> str:
 
 # --------------------------------------------------------------- exhaustive
 
-#: Support bits decided together in one big-int window. It equals the
+#: Support bits decided together in one big-int window. It is also the
 #: ``auto`` cutoff, so every system ``auto`` sends here fits in one window.
 _WINDOW_BITS = 16
 
@@ -493,10 +490,10 @@ def _exhaustive_check(
     """Full-support-sweep decision: settles ``coverage`` as far as the
     admissible regions allow. Returns (pooled regions, completed).
 
-    At each support the tracker signs a region from an empty signature
-    (``resign``; every other event gets its first allowed interaction),
-    which is pooled and settled if the support splits a block (its first
-    region only) or ``resign`` picked an interaction. This repeats until a
+    At each support the region is signed by the one rule (``resign``'s
+    picks, then ``_Problem.region``'s first allowed interactions), and is
+    pooled and settled if the support splits a block (its first region
+    only) or ``resign`` picked an interaction. This repeats until a
     round settles nothing, so each pooled region settles something new and
     none repeats."""
     blocks = coverage.blocks
@@ -511,10 +508,10 @@ def _exhaustive_check(
             while True:
                 picks: dict[str, Interaction] = {}
                 if essp:
-                    coverage.resign(support, picks, ())
+                    coverage.resign(support, picks)
                 if not cut and not picks:
                     break
-                region = problem.region_at(support, picks)
+                region = problem.region(support, picks)
                 pool.append(region)
                 coverage.settle(support, region.signature)
                 cut = False
@@ -597,25 +594,24 @@ class _SatContext:
         self.solver.add_clause([-var if model(var) else var for var in self.sup_var])
 
     def decode(self, forced: dict[str, Interaction], coverage: _Coverage) -> Region:
-        """The region of the last model, with the ``forced`` signature
-        entries, re-signed by ``_Coverage.resign`` and credited to
-        ``coverage``. The region is validated once, after re-signing."""
+        """The region of the last model's support, signed as the exhaustive
+        engine signs it: the ``forced`` entries, then ``_Coverage.resign``'s
+        picks, then every other event's first allowed interaction. It is
+        validated once and credited to ``coverage``."""
         problem = self.problem
         model = self.solver.model_value
         support = 0
         for var in self.sup_var:
             support = support << 1 | model(var)
-        signature: dict[str, Interaction] = {}
+        picks = dict(forced)
+        coverage.resign(support, picks)
+        first = problem.tau_list[0]
         for event, sels in zip(problem.events, self.sel_var):
-            interaction = forced.get(event)
-            if interaction is None:
-                interaction = next(
-                    i for sel, i in zip(sels, problem.tau_list) if model(sel)
-                )
-            signature[event] = interaction
-        coverage.resign(support, signature, forced)
-        region = problem.region(support, signature)
-        coverage.settle(support, signature)
+            # A true first selector proves tau_list[0] allowed: the first one.
+            if event not in picks and model(sels[0]):
+                picks[event] = first
+        region = problem.region(support, picks)
+        coverage.settle(support, region.signature)
         return region
 
 
@@ -796,9 +792,9 @@ def enumerate_inhibiting_regions(
             if support is None:
                 raise ResourceExhausted("budget exhausted")
             picks: dict[str, Interaction] = {}
-            coverage.resign(support, picks, ())
+            coverage.resign(support, picks)
             if picks:
-                found.append(problem.region_at(support, picks))
+                found.append(problem.region(support, picks))
                 if len(found) == limit:
                     break
         return found

@@ -10,6 +10,7 @@ import pytest
 from boolsynth import (
     PHI_SAT,
     PHI_UNSAT,
+    CubicCnf,
     Family,
     TsUnion,
     build_instance,
@@ -137,6 +138,10 @@ class TestCheck:
         # began with one query for a region inhibiting all of them, which
         # shrank the pool to 20 regions; the sha256 was
         # 733830d9849701f818cf3f2c39b3523c4d274198ae76d4ebb68d9a4abf4780d7.
+        # Re-recorded when decode began to sign regions by the exhaustive
+        # engine's rule instead of taking the model's first true selector
+        # (same supports, other signatures); the sha256 was
+        # fd77314b3c8986d1093db1e248685c4f52f465517041bd4a30c692d7b3cc6255.
         union, _ = build_union(PHI_SAT, Family.FREE)
         part = TsUnion(
             tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
@@ -150,7 +155,7 @@ class TestCheck:
         )
         assert (code, out.strip()) == (0, "feasible: yes")
         assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == (
-            "fd77314b3c8986d1093db1e248685c4f52f465517041bd4a30c692d7b3cc6255"
+            "a01d64aba67b1cb5f7431a91fb73aace8f8701d0ffdfe03122f8bc58295bdfe7"
         )
 
     def test_bad_type_spec_is_a_usage_error(self, capsys, battery_files):
@@ -204,6 +209,15 @@ class TestSynthRgIso:
         assert code == 1
         assert "feasible: no" in out
         assert "counterexample: sp s1 s2" in out
+
+    def test_synth_reports_an_exhausted_budget(self, capsys, battery_files):
+        code, out, _ = run(
+            capsys, "synth", battery_files["a1"], "--type", TAU_SPEC,
+            "--engine", "sat", "--budget", "0",
+        )
+        assert (code, out) == (
+            3, "feasible: inconclusive (budget exhausted before a verdict)\n"
+        )
 
     def test_iso_negative(self, capsys, battery_files):
         code, out, _ = run(
@@ -274,6 +288,37 @@ class TestReduceSolveExtract:
         assert code == 0
         assert out.count("\nts ") + out.startswith("ts ") == 39
         assert "# role family = used" in out
+
+    @pytest.mark.parametrize(
+        "formula, family, digest, size",
+        [
+            ("sat", "used",
+             "8af6a080f117627a7450b9070e0081e2594382cd33758f37aedca5ba9c920fce",
+             11900),
+            ("unsat", "free",
+             "05441bdf7d8396408d5a911b0de2d8256a3fb8b5bb259b9f3c034228fcdaf6f5",
+             15594),
+        ],
+    )
+    def test_reduce_union_files_are_pinned(
+        self, capsys, cnf_files, tmp_path, formula, family, digest, size
+    ):
+        # The gadget members, then the instance's role block.
+        out_path = tmp_path / "union.ts"
+        code, _, _ = run(
+            capsys, "reduce", cnf_files[formula], "--family", family, "--union",
+            "-o", str(out_path),
+        )
+        assert code == 0
+        data = out_path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+    def test_reduce_asks_to_rename_a_clashing_variable(self, capsys, tmp_path):
+        path = tmp_path / "clash.cnf"
+        path.write_text(format_cnf(CubicCnf((("u_38", "b", "c"),) * 3)))
+        code, out, err = run(capsys, "reduce", str(path), "--family", "free")
+        assert (code, out) == (2, "")
+        assert "rename the variables" in err
 
     def test_reduce_requires_exactly_one_family_flag(self, capsys, cnf_files):
         code, _, _ = run(capsys, "reduce", cnf_files["sat"])

@@ -194,6 +194,23 @@ class TestOneInThreeSolver:
         assert all(PHI_SAT.is_model(m) for m in models)
 
 
+class TestVariableNameGuard:
+    """At m = 3 the union names its events k, m, z, q0-q3, v_0-v_11,
+    w_0-w_2, a_0-a_8, y_0-y_2, p_0-p_8, u_0-u_38, and seal_, step_, side_
+    and entry_ for each of its 39 members; a variable must not reuse one."""
+
+    @pytest.mark.parametrize("name", ["k", "v_0", "seal_0", "u_38"])
+    def test_a_generated_name_is_rejected(self, name):
+        cnf = CubicCnf(((name, "b", "c"),) * 3)
+        with pytest.raises(ValueError, match="rename the variables") as raised:
+            build_union(cnf, Family.FREE)
+        assert repr([name]) in str(raised.value)
+
+    def test_the_name_past_the_last_member_is_accepted(self):
+        union, _ = build_union(CubicCnf((("u_39", "b", "c"),) * 3), Family.FREE)
+        assert len(union.members) == 39
+
+
 class TestGadgetStructure:
     """Frozen shape facts for the three-clause satisfiable formula."""
 

@@ -545,8 +545,8 @@ class TestSearchIdentity:
     @pytest.mark.parametrize(
         "cnf, family, status, digest, work",
         [
-            (PHI_SAT, Family.FREE, "sat", "ef4134429e1e72f3", (7, 607, 1571)),
-            (PHI_SAT, Family.USED, "sat", "060c9de54fab2ddb", (17, 240, 1676)),
+            (PHI_SAT, Family.FREE, "sat", "f48c974db11a4f21", (7, 607, 1571)),
+            (PHI_SAT, Family.USED, "sat", "b61a06e277b35e66", (17, 240, 1676)),
             (PHI_UNSAT, Family.FREE, "unsat", None, (188, 3051, 12958)),
             (PHI_UNSAT, Family.USED, "unsat", None, (208, 2777, 17470)),
         ],
@@ -556,7 +556,12 @@ class TestSearchIdentity:
         # Re-recorded when the solver began to backtrack chronologically
         # over long backjumps; the regions are unchanged and the work went
         # from (7, 687, 1793), (17, 657, 6201), (178, 6644, 23898) and
-        # (214, 7448, 45443), in the order of the cases above.
+        # (214, 7448, 45443), in the order of the cases above. Re-recorded
+        # again when decode began to sign regions by the exhaustive
+        # engine's rule (first allowed interaction for every event the
+        # tracker leaves unpicked) instead of taking the model's first true
+        # selector: same supports and work, the digests were
+        # ef4134429e1e72f3 (sat-free) and 060c9de54fab2ddb (sat-used).
         instance = build_instance(cnf, family)
         problem = solving._Problem(instance.ts, family.base_type)
         ctx = solving._SatContext(problem)
@@ -582,6 +587,17 @@ class TestSearchIdentity:
         # unchanged; the old tail was e4442fc7824a7944, 15fd70d47ebf62b0,
         # 4ccc461d55e437b1, b139faf7bd0ce875, 6c351b50bb6e3a2f, then the
         # last eight digests kept here) and the work from (5, 485, 1593).
+        # Re-recorded again when decode began to sign regions by the
+        # exhaustive engine's rule (first allowed interaction for every
+        # event the tracker leaves unpicked) instead of taking the model's
+        # first true selector: the same 20 supports and the same work, new
+        # digests. The old ones were 56329a71fba9e413, 697b3588321a4267,
+        # 2b27c15f3de4f626, b79948195615aa2f, f87be6ff4c8e3921,
+        # 3ab52cdb71fa4fde, d68e357ec8d9d888, 81c88465ed360108,
+        # 2464de11978d362b, 625349bcdf04d0da, 4ccc461d55e437b1,
+        # 7db540fda03ce75e, 5e5d35f755915775, dded6d976a41139f,
+        # ec6fc777acb73271, c489c3aee9ab9fb6, cbe02d27626b371a,
+        # 78c13d76583180d7, a44d23e926d712b9 and a0e8fd09643d24c4.
         union, _ = build_union(PHI_SAT, Family.FREE)
         part = TsUnion(
             tuple(m for m in union.members if m.name in ("H0", "T0_1", "G0"))
@@ -606,13 +622,12 @@ class TestSearchIdentity:
 
 
 POOL_DIGESTS = [
-    "56329a71fba9e413", "697b3588321a4267", "2b27c15f3de4f626", "b79948195615aa2f",
-    "f87be6ff4c8e3921", "3ab52cdb71fa4fde", "d68e357ec8d9d888", "81c88465ed360108",
-    "2464de11978d362b", "625349bcdf04d0da", "4ccc461d55e437b1", "7db540fda03ce75e",
-    "5e5d35f755915775", "dded6d976a41139f", "ec6fc777acb73271", "c489c3aee9ab9fb6",
-    "cbe02d27626b371a", "78c13d76583180d7", "a44d23e926d712b9", "a0e8fd09643d24c4",
+    "61bb302304fdd7e0", "3fef26edde6eaf91", "4e31317fd5cd3430", "bfe3b8d9ead0c138",
+    "3de85b01f1de75ed", "25577c13771ef5b5", "4d796b20b26284ec", "6f710f412e9b097a",
+    "2f122a40d8af28ba", "54bcd6b59c395900", "906c78a15a8adbc6", "3e86bf01742818a8",
+    "88cbe8243a5f73c9", "36a67240b5bc7a0e", "4bec58919fd1d3e8", "de7170301acece8a",
+    "33f9830fe21d33a5", "c03e16aa92a41c25", "6cd7830f39294921", "bb254a72d6750f76",
 ]
-
 
 # ------------------------------------------------- chronological backtracking
 

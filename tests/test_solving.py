@@ -34,6 +34,7 @@ from boolsynth import (
     enumerate_inhibiting_regions,
     essp_atoms,
     family_types,
+    iter_type,
     reachability_graph,
     region_coherence_report,
     solve_atom,
@@ -821,19 +822,25 @@ class TestSingleQueryPins:
     """Golden regions of ``solve_atom`` on every requirement of seeded
     systems, and of ``enumerate_inhibiting_regions``, recorded while
     ``solve_atom`` still had a code path per engine, before it became a
-    check of one pending requirement."""
+    check of one pending requirement. The four sat digests of
+    ``test_solve_atom`` were re-recorded when decode began to sign regions
+    by the exhaustive engine's rule (first allowed interaction for every
+    event the tracker leaves unpicked) instead of taking the model's first
+    true selector; the solved and unsolved counts stayed, and the digests
+    were 893c811daa5ac14c, f2c1107f0b11a44b, ce68d11cf9bc0214 and
+    2a08796be08685dc for seeds None, 0, 1 and 6."""
 
     @pytest.mark.parametrize(
         "seed, engine, solved, unsolved, digest",
         [
             (None, "exhaustive", (6, 5), 3, "fd679477d17de192"),
-            (None, "sat", (6, 5), 3, "893c811daa5ac14c"),
+            (None, "sat", (6, 5), 3, "f3c51469f794f62f"),
             (0, "exhaustive", (19, 1), 14, "82e8c5e9ecc953b8"),
-            (0, "sat", (19, 1), 14, "f2c1107f0b11a44b"),
+            (0, "sat", (19, 1), 14, "a42fa965a65e2b11"),
             (1, "exhaustive", (6, 3), 4, "04fdd2084dd92947"),
-            (1, "sat", (6, 3), 4, "ce68d11cf9bc0214"),
+            (1, "sat", (6, 3), 4, "f2abf69538ebe4e3"),
             (6, "exhaustive", (10, 4), 3, "b25b735f951db5fa"),
-            (6, "sat", (10, 4), 3, "2a08796be08685dc"),
+            (6, "sat", (10, 4), 3, "4db6c450e6183003"),
         ],
     )
     def test_solve_atom(self, seed, engine, solved, unsolved, digest):
@@ -847,6 +854,20 @@ class TestSingleQueryPins:
         assert (kinds.count(StatePairAtom), kinds.count(EventStateAtom)) == solved
         assert regions.count(None) == unsolved
         assert combined_digest(regions) == digest
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 6])
+    def test_a_support_both_engines_find_is_signed_alike(self, seed):
+        # One signing rule: a region depends on its support and on what is
+        # still pending, not on the engine that found the support.
+        subject, tau = pinned_subject(seed)
+        shared = 0
+        for atom in [*ssp_atoms(subject), *essp_atoms(subject)]:
+            exhaustive = solve_atom(subject, tau, atom, engine="exhaustive")
+            via_sat = solve_atom(subject, tau, atom, engine="sat")
+            if exhaustive and via_sat and exhaustive.support == via_sat.support:
+                shared += 1
+                assert exhaustive == via_sat, atom
+        assert shared
 
     @pytest.mark.parametrize(
         "seed, event, state, count, digest, first_three",
@@ -891,52 +912,76 @@ class TestResign:
 
     SUPPORT = 0b0110
 
-    def resign(self, signature, keep=(), covered=()):
+    def resign(self, picks=None, covered=()):
         ts = resign_system()
         problem = solving._Problem(ts, FULL)
         coverage = solving._Coverage(problem, False, True)
         for event, states in covered:
             bits = sum(problem.state_bit(problem.state_pos[s]) for s in states)
             coverage.uncovered[problem.event_pos[event]] &= ~bits
-        signature = {event: Interaction(name) for event, name in signature.items()}
-        coverage.resign(self.SUPPORT, signature, keep)
-        support = dict(zip(problem.states, (0, 1, 1, 0)))
-        assert validate_region(ts, FULL, Region(support, signature))
-        return {event: interaction.value for event, interaction in signature.items()}
+        picks = {event: Interaction(name) for event, name in (picks or {}).items()}
+        coverage.resign(self.SUPPORT, picks)
+        problem.region(self.SUPPORT, picks)  # raises unless admissible
+        return {event: interaction.value for event, interaction in picks.items()}
 
     def test_events_get_the_partial_with_the_most_pending_states(self):
         # a is pending at s1, s2 (holding 1) and s3: out inhibits two of
         # them. z is pending at s1, s2 and s3 once s0 is covered: out and
         # free (undefined at 1) inhibit two, inp and used (at 0) one.
-        got = self.resign(
-            {"a": "set", "c": "swap", "z": "nop"}, covered=[("z", ["s0"])]
-        )
+        got = self.resign(covered=[("z", ["s0"])])
         assert got == {"a": "out", "c": "inp", "z": "out"}
 
     def test_ties_go_in_canonical_order(self):
         # z is pending everywhere: two states hold 0 and two hold 1, so
         # inp, out, used and free all inhibit two; inp comes first.
-        assert self.resign({"a": "set", "c": "swap", "z": "nop"})["z"] == "inp"
+        assert self.resign()["z"] == "inp"
 
-    def test_the_own_interaction_stays_unless_beaten(self):
-        # used inhibits as many of z's states as inp: no change. a's out
-        # would inhibit none of its pending states (s3 holds 0): no change.
-        got = self.resign(
-            {"a": "set", "c": "swap", "z": "used"},
-            covered=[("a", ["s1", "s2"])],
-        )
-        assert got == {"a": "set", "c": "inp", "z": "used"}
+    def test_an_event_without_an_inhibiting_partial_gets_no_pick(self):
+        # a's out would inhibit none of its pending states (s3 holds 0).
+        got = self.resign(covered=[("a", ["s1", "s2"])])
+        assert got == {"c": "inp", "z": "inp"}
 
     def test_the_forced_event_keeps_its_interaction(self):
-        got = self.resign({"a": "set", "c": "swap", "z": "nop"}, keep=["c"])
+        # A query's forced entry is a pick that resign leaves alone.
+        got = self.resign({"c": "swap"})
         assert got == {"a": "out", "c": "swap", "z": "inp"}
 
     def test_settled_events_are_left_alone(self):
         got = self.resign(
-            {"a": "set", "c": "swap", "z": "nop"},
-            covered=[("a", ["s1", "s2", "s3"]), ("c", ["s0", "s1", "s3"])],
+            covered=[("a", ["s1", "s2", "s3"]), ("c", ["s0", "s1", "s3"])]
         )
-        assert got == {"a": "set", "c": "swap", "z": "inp"}
+        assert got == {"z": "inp"}
+
+
+class TestDecode:
+    """``_SatContext.decode`` reads the model's support and signs it as the
+    exhaustive engine does: the forced entries, then ``resign``'s picks for
+    what was pending before the region, then first allowed interactions."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_decoded_region_is_signed_by_the_rule(self, monkeypatch, seed):
+        rng = random.Random(f"decode/{seed}")
+        tau = rng.choice(family_types())
+        graph = random_net_graph(rng, tau)
+        decode = solving._SatContext.decode
+        decoded = []
+
+        def by_the_rule(ctx, forced, coverage):
+            before = solving._Coverage(ctx.problem, False, False)
+            before.blocks = list(coverage.blocks)
+            before.uncovered = list(coverage.uncovered)
+            region = decode(ctx, forced, coverage)
+            support = ctx.problem.support_int_of(region)
+            picks = dict(forced)
+            before.resign(support, picks)
+            assert region == ctx.problem.region(support, picks)
+            decoded.append(region)
+            return region
+
+        monkeypatch.setattr(solving._SatContext, "decode", by_the_rule)
+        for net_type in [tau, *rng.sample(list(all_net_types()), 2)]:
+            check_feasibility(graph, net_type, engine="sat")
+        assert decoded
 
 
 def random_net_graph(rng: random.Random, tau: NetType) -> TransitionSystem:
@@ -959,10 +1004,12 @@ def random_net_graph(rng: random.Random, tau: NetType) -> TransitionSystem:
 
 
 class TestEngineAgreementAtScale:
-    """The sat engine steers its queries and re-signs its regions, so its
-    pools differ from the exhaustive engine's; outcomes and counterexamples
-    must not. Random systems (mostly infeasible) and net graphs (feasible
-    under their own type) of 12 to 16 states, each under sampled types."""
+    """The sat engine steers its queries, so its pools differ from the
+    exhaustive engine's; outcomes and counterexamples must not. Both sign
+    a region by one rule, so every event of a sat-pool region carries a
+    partial interaction or its first allowed one at the region's support.
+    Random systems (mostly infeasible) and net graphs (feasible under their
+    own type) of 12 to 16 states, each under sampled types."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_outcome_and_counterexample(self, seed):
@@ -980,3 +1027,21 @@ class TestEngineAgreementAtScale:
                 assert exhaustive.outcome == via_sat.outcome, net_type.spec()
                 assert exhaustive.counterexample == via_sat.counterexample
                 assert_distinct(via_sat.regions)
+                for region in via_sat.regions:
+                    assert_signed_by_the_rule(subject, net_type, region)
+
+
+def assert_signed_by_the_rule(subject, tau, region) -> None:
+    """Every event of ``region`` carries a partial interaction or the first
+    interaction of ``tau`` (canonical order) that all its arcs follow."""
+    support = region.support
+    for event, interaction in region.signature.items():
+        if interaction.is_partial:
+            continue
+        arcs = [(a.source, a.target) for a in subject.arcs if a.event == event]
+        first = next(
+            i
+            for i in iter_type(tau)
+            if all(i.apply(support[src]) == support[dst] for src, dst in arcs)
+        )
+        assert interaction == first, (event, interaction, first)
