@@ -21,38 +21,25 @@ instance            transition-system format plus ``# role`` metadata
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 from .interactions import NetType, parse_interaction
 from .nets import BooleanNet
 from .reduction import CubicCnf, GadgetInstance, build_instance
-from .regions import Family, Region, parse_family
+from .regions import Region, parse_family
 from .solving import Atom, EventStateAtom, StatePairAtom
-from .ts import TransitionSystem, TsUnion
-
-Subject = Union[TransitionSystem, TsUnion]
+from .ts import Subject, TransitionSystem, TsUnion
 
 
 class FormatError(ValueError):
     """Malformed input text; the message carries the line number."""
 
 
-def _content_lines(text: str, keep_roles: bool = False) -> list[tuple[int, str]]:
-    """(line number, stripped content) for every non-blank, non-comment line.
-
-    With ``keep_roles`` the machine-readable ``# role ...`` comments are kept
-    (with the marker stripped) and tagged by a leading ``role`` token.
-    """
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped content) for every non-blank, non-comment line."""
     out: list[tuple[int, str]] = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if keep_roles and body.startswith("role "):
-                out.append((number, body))
-            continue
-        if "#" in line:
-            line = line[: line.index("#")].strip()
+        line = raw.split("#", 1)[0].strip()
         if line:
             out.append((number, line))
     return out
@@ -77,47 +64,16 @@ def format_union(union: TsUnion) -> str:
     return "".join(format_ts(member) for member in union.members)
 
 
-def _split_ts_blocks(
-    lines: Sequence[tuple[int, str]]
-) -> list[list[tuple[int, str]]]:
-    blocks: list[list[tuple[int, str]]] = []
-    for number, line in lines:
-        if line.split()[0] == "ts":
-            blocks.append([])
-        elif not blocks:
-            raise _fail(number, f"expected a 'ts' header before {line!r}")
-        blocks[-1].append((number, line))
-    return blocks
-
-
-def _parse_one_ts(block: Sequence[tuple[int, str]]) -> TransitionSystem:
-    header_number, header = block[0]
-    tokens = header.split()
-    if len(tokens) > 2:
-        raise _fail(header_number, "'ts' takes at most a name")
-    name = tokens[1] if len(tokens) == 2 else ""
-    initial: Optional[str] = None
-    arcs: list[tuple[str, str, str]] = []
-    for number, line in block[1:]:
-        tokens = line.split()
-        if tokens[0] == "init":
-            if len(tokens) != 2:
-                raise _fail(number, "'init' takes exactly one state")
-            if initial is not None:
-                raise _fail(number, "duplicate 'init' line")
-            initial = tokens[1]
-        elif tokens[0] == "arc":
-            if len(tokens) != 4:
-                raise _fail(number, "'arc' takes source, event, target")
-            arcs.append((tokens[1], tokens[2], tokens[3]))
-        else:
-            raise _fail(number, f"unknown item {tokens[0]!r}")
+def _close_ts(
+    number: int, name: str, initial: Optional[str], arcs: list[tuple[str, str, str]]
+) -> TransitionSystem:
+    """The system of the block whose ``ts`` header is on line ``number``."""
     if initial is None:
-        raise _fail(header_number, "transition system lacks an 'init' line")
+        raise _fail(number, "transition system lacks an 'init' line")
     try:
         return TransitionSystem.build(initial=initial, arcs=arcs, name=name)
     except ValueError as exc:
-        raise _fail(header_number, str(exc)) from None
+        raise _fail(number, str(exc)) from None
 
 
 def parse_subject(text: str) -> Subject:
@@ -125,21 +81,45 @@ def parse_subject(text: str) -> Subject:
 
     Member state names are kept verbatim unless two members collide, in
     which case every state of every member is prefixed ``<memberIndex>:``.
+    A block is closed, and its errors raised, before the next header is
+    read.
     """
-    blocks = _split_ts_blocks(_content_lines(text))
-    if not blocks:
+    members: list[TransitionSystem] = []
+    header: Optional[int] = None  # line of the open block's header
+    name = ""
+    initial: Optional[str] = None
+    arcs: list[tuple[str, str, str]] = []
+    for number, line in _content_lines(text):
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "ts":
+            if header is not None:
+                members.append(_close_ts(header, name, initial, arcs))
+            if len(tokens) > 2:
+                raise _fail(number, "'ts' takes at most a name")
+            header, initial, arcs = number, None, []
+            name = tokens[1] if len(tokens) == 2 else ""
+        elif header is None:
+            raise _fail(number, f"expected a 'ts' header before {line!r}")
+        elif kind == "init":
+            if len(tokens) != 2:
+                raise _fail(number, "'init' takes exactly one state")
+            if initial is not None:
+                raise _fail(number, "duplicate 'init' line")
+            initial = tokens[1]
+        elif kind == "arc":
+            if len(tokens) != 4:
+                raise _fail(number, "'arc' takes source, event, target")
+            arcs.append((tokens[1], tokens[2], tokens[3]))
+        else:
+            raise _fail(number, f"unknown item {kind!r}")
+    if header is None:
         raise FormatError("no 'ts' block found")
-    members = [_parse_one_ts(block) for block in blocks]
+    members.append(_close_ts(header, name, initial, arcs))
     if len(members) == 1:
         return members[0]
-    seen: set[str] = set()
-    collision = False
-    for member in members:
-        for state in member.states:
-            if state in seen:
-                collision = True
-            seen.add(state)
-    if collision:
+    states = [state for member in members for state in member.states]
+    if len(set(states)) != len(states):
         members = [
             TransitionSystem.build(
                 initial=f"{idx}:{member.initial}",
@@ -425,10 +405,12 @@ def parse_instance(text: str) -> GadgetInstance:
     hand-edited file is rejected rather than trusted.
     """
     roles: dict[str, list[str]] = {}
-    for number, line in _content_lines(text, keep_roles=True):
-        if not line.startswith("role "):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        body = line.lstrip("#").strip()
+        if not (line.startswith("#") and body.startswith("role ")):
             continue
-        tokens = line.split()
+        tokens = body.split()
         if len(tokens) < 3 or tokens[2] != "=":
             raise _fail(number, "role lines read '# role <name> = <values>'")
         roles[tokens[1]] = tokens[3:]

@@ -226,12 +226,6 @@ def is_isomorphic(
         return None
     if set(a.events) != set(b.events):
         return None
-    out_a: Dict[str, Dict[str, str]] = {s: {} for s in a.states}
-    for arc in a.arcs:
-        out_a[arc.source][arc.event] = arc.target
-    out_b: Dict[str, Dict[str, str]] = {s: {} for s in b.states}
-    for arc in b.arcs:
-        out_b[arc.source][arc.event] = arc.target
     mapping: Dict[str, str] = {a.initial: b.initial}
     image = {b.initial}
     queue = [a.initial]
@@ -240,8 +234,8 @@ def is_isomorphic(
         state_a = queue[head]
         head += 1
         state_b = mapping[state_a]
-        succ_a = out_a[state_a]
-        succ_b = out_b[state_b]
+        succ_a = a.successors[state_a]
+        succ_b = b.successors[state_b]
         if succ_a.keys() != succ_b.keys():
             return None
         for event, target_a in succ_a.items():

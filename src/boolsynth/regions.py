@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .interactions import Interaction, NetType, iter_type
-from .ts import Report, Subject, TransitionSystem, TsUnion, Violation
+from .interactions import Interaction, NetType
+from .ts import Report, Subject, Violation
 
 
 class RegionDomainError(ValueError):
@@ -133,9 +133,7 @@ def derive_signature(
     arcs_by_event: dict[str, list] = {e: [] for e in subject.events}
     for arc in subject.arcs:
         arcs_by_event[arc.event].append(arc)
-    step: dict[tuple[str, str], str] = {
-        (a.source, a.event): a.target for a in subject.arcs
-    }
+    succ = subject.successors
 
     blank_bit = 0 if family is Family.FREE else 1
     signature: dict[str, Interaction] = {}
@@ -149,10 +147,10 @@ def derive_signature(
         lifted = False
         for arc in arcs:
             if sup[arc.source] == 0 and sup[arc.target] == 1:
-                third = step.get((arc.target, event))
+                third = succ[arc.target].get(event)
                 if (
                     third is not None
-                    and step.get((third, event)) == arc.target
+                    and succ[third].get(event) == arc.target
                     and sup[third] == 1
                 ):
                     lifted = True
@@ -231,9 +229,7 @@ def region_coherence_report(
     _check_domains(subject, tau, region)
     sup = region.support
     sig = region.signature
-    step: dict[tuple[str, str], str] = {
-        (a.source, a.event): a.target for a in subject.arcs
-    }
+    succ = subject.successors
     violations: list[Violation] = []
     for arc in subject.arcs:
         expected = sig[arc.event].apply(sup[arc.source])
@@ -247,7 +243,7 @@ def region_coherence_report(
                 )
             )
     for arc in subject.arcs:
-        back = step.get((arc.target, arc.event))
+        back = succ[arc.target].get(arc.event)
         if back != arc.source:
             continue
         differs = sup[arc.source] != sup[arc.target]
@@ -265,8 +261,8 @@ def region_coherence_report(
         if sig[arc.event] is not Interaction.SWAP:
             continue
         second = arc.target
-        third = step.get((second, arc.event))
-        if third is None or step.get((third, arc.event)) != second:
+        third = succ[second].get(arc.event)
+        if third is None or succ[third].get(arc.event) != second:
             continue
         first = arc.source
         if len({first, second, third}) != 3:

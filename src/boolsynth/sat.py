@@ -187,6 +187,8 @@ class SatSolver:
         """True = satisfiable, False = unsatisfiable (under assumptions), None =
         deadline passed (checked every 64 conflicts and 1,024 decisions); a
         later call resumes from the learnt clauses."""
+        if 0 in assumptions:
+            raise ValueError("literal 0 is not allowed")
         if not self._ok:
             return False
         if deadline is not None and time.monotonic() > deadline:

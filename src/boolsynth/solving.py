@@ -136,10 +136,10 @@ def ssp_atoms(subject: Subject) -> Iterator[StatePairAtom]:
 
 def essp_atoms(subject: Subject) -> Iterator[EventStateAtom]:
     """All event inhibition requirements of ``subject``, canonical order."""
-    enabled = {(arc.source, arc.event) for arc in subject.arcs}
+    successors = subject.successors
     for event in subject.events:
         for state in subject.states:
-            if (state, event) not in enabled:
+            if event not in successors[state]:
                 yield EventStateAtom(event, state)
 
 

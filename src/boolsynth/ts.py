@@ -9,29 +9,23 @@ reachability/occurrence conventions rather than refusing construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A labeled transition ``source --event--> target``."""
+class Arc(NamedTuple):
+    """A labeled transition ``source --event--> target``.
+
+    A named tuple, so it also equals the plain 3-tuple
+    ``(source, event, target)``.
+    """
 
     source: str
     event: str
     target: str
-
-    def __iter__(self):
-        return iter((self.source, self.event, self.target))
-
-
-def _as_arc(item: Arc | Sequence[str]) -> Arc:
-    if isinstance(item, Arc):
-        return item
-    source, event, target = item
-    return Arc(source, event, target)
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,11 @@ class TransitionSystem:
         name: str = "",
     ) -> "TransitionSystem":
         """Construct from an arc list, inferring state/event order if absent."""
-        arc_tuple = tuple(_as_arc(a) for a in arcs)
+        items = map(Arc._make, arcs)
+        try:
+            arc_tuple = tuple(items)
+        except TypeError as exc:  # an item of the wrong length, or not iterable
+            raise ValueError(f"an arc is source, event, target: {exc}") from None
         if states is None:
             ordered: dict[str, None] = {initial: None}
             for arc in arc_tuple:
@@ -116,34 +114,37 @@ class TransitionSystem:
         )
 
     def __post_init__(self) -> None:
-        states = set(self.states)
-        if self.initial not in states:
-            raise ValueError(f"initial state {self.initial!r} not among states")
-        events = set(self.events)
-        step: dict[tuple[str, str], str] = {}
-        for arc in self.arcs:
-            if arc.source not in states or arc.target not in states:
-                raise ValueError(f"arc {arc} uses an undeclared state")
-            if arc.event not in events:
-                raise ValueError(f"arc {arc} uses an undeclared event")
-            key = (arc.source, arc.event)
-            if key in step:
-                raise ValueError(
-                    f"nondeterministic: {arc.source!r} has two arcs for "
-                    f"event {arc.event!r}"
-                )
-            step[key] = arc.target
+        self.successors  # building the index checks every arc
 
     @cached_property
-    def step_map(self) -> dict[tuple[str, str], str]:
-        return {(a.source, a.event): a.target for a in self.arcs}
+    def successors(self) -> dict[str, dict[str, str]]:
+        """Per state, in state order, its outgoing arcs as ``{event: target}``;
+        building it checks the initial state, then each arc in turn."""
+        succ: dict[str, dict[str, str]] = {s: {} for s in self.states}
+        if self.initial not in succ:
+            raise ValueError(f"initial state {self.initial!r} not among states")
+        events = set(self.events)
+        for arc in self.arcs:
+            source, event, target = arc
+            if source not in succ or target not in succ:
+                raise ValueError(f"arc {arc} uses an undeclared state")
+            if event not in events:
+                raise ValueError(f"arc {arc} uses an undeclared event")
+            out = succ[source]
+            if event in out:
+                raise ValueError(
+                    f"nondeterministic: {source!r} has two arcs for "
+                    f"event {event!r}"
+                )
+            out[event] = target
+        return succ
 
     def step(self, state: str, event: str) -> Optional[str]:
         """The successor of ``state`` under ``event``, or None."""
-        return self.step_map.get((state, event))
+        return self.successors.get(state, {}).get(event)
 
     def enabled(self, state: str, event: str) -> bool:
-        return (state, event) in self.step_map
+        return event in self.successors.get(state, ())
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -157,12 +158,9 @@ class TransitionSystem:
         """States reachable from the initial state."""
         seen = {self.initial}
         frontier = [self.initial]
-        succ: dict[str, list[str]] = {}
-        for arc in self.arcs:
-            succ.setdefault(arc.source, []).append(arc.target)
         while frontier:
             state = frontier.pop()
-            for nxt in succ.get(state, ()):
+            for nxt in self.successors[state].values():
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -172,26 +170,15 @@ class TransitionSystem:
 def validate_ts(ts: TransitionSystem) -> Report:
     """Check the transition-system conventions; list every violation.
 
-    Determinism and declaredness are already enforced structurally at
-    construction; this re-checks them defensively and adds reachability and
-    event-occurrence checks.
+    Determinism and declaredness are enforced at construction; this adds
+    duplicate-name, event-occurrence and reachability checks.
     """
     violations: list[Violation] = []
-    states = set(ts.states)
-    if len(states) != len(ts.states):
+    if len(set(ts.states)) != len(ts.states):
         violations.append(Violation("duplicate-state", ts.name or "ts"))
     if len(set(ts.events)) != len(ts.events):
         violations.append(Violation("duplicate-event", ts.name or "ts"))
-    seen_step: set[tuple[str, str]] = set()
-    used_events: set[str] = set()
-    for arc in ts.arcs:
-        used_events.add(arc.event)
-        key = (arc.source, arc.event)
-        if key in seen_step:
-            violations.append(
-                Violation("nondeterministic", f"{arc.source}/{arc.event}")
-            )
-        seen_step.add(key)
+    used_events = {arc.event for arc in ts.arcs}
     for event in ts.events:
         if event not in used_events:
             violations.append(
@@ -210,14 +197,10 @@ def grade(subject: "TransitionSystem | TsUnion") -> int:
     """Max over states of max(in-degree, out-degree), arcs counted one by one."""
     if isinstance(subject, TsUnion):
         return max(grade(member) for member in subject.members)
-    in_deg: dict[str, int] = {}
-    out_deg: dict[str, int] = {}
-    for arc in subject.arcs:
-        out_deg[arc.source] = out_deg.get(arc.source, 0) + 1
-        in_deg[arc.target] = in_deg.get(arc.target, 0) + 1
+    in_deg = Counter(arc.target for arc in subject.arcs)
     best = 0
-    for state in subject.states:
-        best = max(best, in_deg.get(state, 0), out_deg.get(state, 0))
+    for state, out in subject.successors.items():
+        best = max(best, in_deg[state], len(out))
     return best
 
 
@@ -266,6 +249,14 @@ class TsUnion:
         return tuple(a for member in self.members for a in member.arcs)
 
     @cached_property
+    def successors(self) -> dict[str, dict[str, str]]:
+        """The members' successor indexes merged (their states are disjoint)."""
+        succ: dict[str, dict[str, str]] = {}
+        for member in self.members:
+            succ.update(member.successors)
+        return succ
+
+    @cached_property
     def member_of(self) -> dict[str, int]:
         return {
             state: idx
@@ -299,14 +290,9 @@ def check_join_preconditions(union: TsUnion) -> Report:
        the whole union (a private handle on the initial state).
     """
     violations: list[Violation] = []
-    all_states = union.states
-    enabled_somewhere: dict[str, set[str]] = {e: set() for e in union.events}
-    occurrence_count: dict[str, int] = {e: 0 for e in union.events}
-    for arc in union.arcs:
-        enabled_somewhere[arc.event].add(arc.source)
-        occurrence_count[arc.event] += 1
+    occurrence_count = Counter(arc.event for arc in union.arcs)
     for event in union.events:
-        if len(enabled_somewhere[event]) == len(all_states):
+        if all(event in out for out in union.successors.values()):
             violations.append(
                 Violation(
                     "event-misses-no-state",

@@ -97,6 +97,43 @@ class TestTransitionSystemText:
         with pytest.raises(FormatError, match="expected a 'ts' header"):
             parse_ts("init s0\nts\narc s0 a s1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nothing but a comment\n\n", "no 'ts' block found"),
+            ("init p\nts\narc p a q\n", "line 1: expected a 'ts' header before 'init p'"),
+            ("ts a b\ninit p\n", "line 1: 'ts' takes at most a name"),
+            ("ts\ninit p q\n", "line 2: 'init' takes exactly one state"),
+            ("ts\ninit p\ninit q\n", "line 3: duplicate 'init' line"),
+            ("ts\ninit p\narc p a\n", "line 3: 'arc' takes source, event, target"),
+            ("ts\ninit p\nedge p a q\n", "line 3: unknown item 'edge'"),
+            # the open block is closed before the next header is checked
+            (
+                "ts\narc p a q\nts x y z\n",
+                "line 1: transition system lacks an 'init' line",
+            ),
+            (
+                "ts\ninit p\narc p a q\nts\ninit r\narc r a s\narc r a t\n",
+                "line 4: nondeterministic: 'r' has two arcs for event 'a'",
+            ),
+        ],
+        ids=[
+            "empty",
+            "before-header",
+            "header-tokens",
+            "init-tokens",
+            "duplicate-init",
+            "arc-tokens",
+            "unknown-item",
+            "missing-init-wins",
+            "second-block",
+        ],
+    )
+    def test_malformed_text_gets_its_exact_message(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_subject(text)
+        assert str(caught.value) == message
+
 
 class TestUnionText:
     def test_two_blocks_parse_to_a_union(self):

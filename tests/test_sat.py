@@ -130,6 +130,19 @@ class TestAssumptions:
         assert solver.solve([-2]) is True
         assert solver.model_value(1) is True
 
+    def test_assumption_literal_zero_is_rejected_before_any_work(self):
+        solver = fresh(2, [[1, 2], [-1, 2]])
+        assert solver.solve([-2]) is False
+        assert solver.solve([1]) is True
+        model = solver.model()
+        work = (solver.conflicts, solver.decisions, solver.propagations)
+        for assumptions in ([0], [1, 0]):
+            with pytest.raises(ValueError, match="literal 0 is not allowed"):
+                solver.solve(assumptions)
+        assert solver.num_vars == 2 and solver.model() == model
+        assert (solver.conflicts, solver.decisions, solver.propagations) == work
+        assert solver.solve() is True
+
     def test_incremental_clause_addition(self):
         solver = fresh(2, [[1, 2]])
         assert solver.solve([-1]) is True

@@ -83,6 +83,51 @@ class TestConstruction:
         assert ts.state_index == {"p": 0, "q": 1}
         assert ts.event_index == {"a": 0, "b": 1}
 
+    def test_build_takes_arcs_tuples_and_lists_alike(self):
+        items = [("p", "a", "q"), ("q", "b", "p")]
+        systems = [
+            TransitionSystem.build("p", [Arc(*item) for item in items]),
+            TransitionSystem.build("p", items),
+            TransitionSystem.build("p", [list(item) for item in items]),
+        ]
+        assert systems[0] == systems[1] == systems[2]
+        assert all(type(arc) is Arc for ts in systems for arc in ts.arcs)
+
+    @pytest.mark.parametrize(
+        "item", [("p", "a"), ("p", "a", "q", "r")], ids=["two", "four"]
+    )
+    def test_an_arc_of_the_wrong_length_is_a_value_error(self, item):
+        with pytest.raises(ValueError):
+            TransitionSystem.build("p", [item])
+
+
+def successors_from_arcs(subject) -> dict[str, dict[str, str]]:
+    out: dict[str, dict[str, str]] = {state: {} for state in subject.states}
+    for source, event, target in subject.arcs:
+        out[source][event] = target
+    return out
+
+
+class TestSuccessors:
+    def test_a_system_indexes_its_arcs(self, battery):
+        for ts in battery.values():
+            assert ts.successors == successors_from_arcs(ts)
+            for state, out in ts.successors.items():
+                for event in ts.events:
+                    assert ts.step(state, event) == out.get(event)
+                    assert ts.enabled(state, event) == (event in out)
+
+    def test_a_union_merges_its_members(self, battery):
+        union = TsUnion.of(battery["a1"], two_cycle("u0", "u1", "e"))
+        assert union.successors == successors_from_arcs(union)
+        assert list(union.successors) == list(union.states)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_random_systems(self, seed):
+        ts = random_ts(random.Random(seed))
+        assert ts.successors == successors_from_arcs(ts)
+
 
 class TestValidation:
     def test_clean_system_passes(self, battery):
