@@ -13,6 +13,7 @@ Exit codes form a stable contract across all commands and engines:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -233,6 +234,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_HOLDS
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolsynth",

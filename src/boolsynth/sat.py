@@ -16,8 +16,15 @@ becomes false.
 
 As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
-and the decision heap holds no duplicate entries. ``conflicts``,
-``decisions`` and ``propagations`` count work over the solver's lifetime.
+and the decision heap holds no duplicate entries. A conflict clause with one
+literal at the conflict level is its own learnt clause: it is rewatched and
+becomes the reason, and no copy is attached. ``conflicts``, ``decisions``
+and ``propagations`` count work over the solver's lifetime.
+
+Decision variables (MiniSat's ``setDecisionVar``): with ``decision_vars=k``
+only variables 1..k get heap entries and are decided. ``solve`` answers sat
+once they are all assigned without a conflict, and the variables left open
+read false; the caller vouches that they can always complete a model.
 
 Chronological backtracking (Nadel & Ryvchin, SAT 2018; Mohle & Biere, SAT
 2019): a backjump over more than ``CHRONO_LEVELS`` levels backtracks one
@@ -31,6 +38,7 @@ fastest, and it leaves every search without longer backjumps as it was.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from typing import Iterable, Optional, Sequence
 
@@ -58,7 +66,10 @@ def _luby(i: int) -> int:
 class SatSolver:
     """Incremental CDCL solver over DIMACS-style integer literals."""
 
-    def __init__(self) -> None:
+    def __init__(self, decision_vars: Optional[int] = None) -> None:
+        # Only variables 1..decision_vars get a heap entry, so only they are
+        # decided; the others keep ``in_heap`` at 1 and are never pushed.
+        self._decision_limit = sys.maxsize if decision_vars is None else decision_vars
         self._nvars = 0
         self._val = bytearray((_UNDEF, _UNDEF))  # indexed by internal literal
         self._level: list[int] = [0]
@@ -90,7 +101,8 @@ class SatSolver:
         if added <= 0:
             return
         # (0.0, var) sorts above every entry already in the heap
-        self._heap += ((0.0, var) for var in range(self._nvars + 1, count + 1))
+        decided = min(count, self._decision_limit)
+        self._heap += ((0.0, var) for var in range(self._nvars + 1, decided + 1))
         self._nvars = count
         self._val += bytes((_UNDEF,)) * (2 * added)
         self._level += [0] * added
@@ -186,7 +198,8 @@ class SatSolver:
     ) -> Optional[bool]:
         """True = satisfiable, False = unsatisfiable (under assumptions), None =
         deadline passed (checked every 64 conflicts and 1,024 decisions); a
-        later call resumes from the learnt clauses."""
+        later call resumes from the learnt clauses. With ``decision_vars``,
+        variables above it may be left open in the model."""
         if 0 in assumptions:
             raise ValueError("literal 0 is not allowed")
         if not self._ok:
@@ -244,11 +257,11 @@ class SatSolver:
                 if value == _UNDEF:
                     self._enqueue(lit, lvl + 1, None)
                 continue
-            if len(trail) == self._nvars:
+            var = self._pick_branch_var()
+            if not var:
                 self._model = bytes(val)
                 return True
             # A decision keeps the saved phase, so the phase needs no update.
-            var = self._pick_branch_var()
             lit = var * 2 + (self._phase[var] ^ 1)
             trail_lim.append(len(trail))
             val[lit] = _TRUE
@@ -272,7 +285,8 @@ class SatSolver:
         self._phase[var] = 1 if value else 0
 
     def model_value(self, var: int) -> bool:
-        """Truth of ``var`` in the most recent satisfying assignment."""
+        """Truth of ``var`` in the most recent satisfying assignment; a
+        variable it left open (above ``decision_vars``) reads false."""
         return self._model[var * 2] == _TRUE
 
     def model(self) -> list[bool]:
@@ -372,7 +386,12 @@ class SatSolver:
             self._qhead = qhead
             self._n_propagations += qhead - start
 
-    def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int]:
+    def _analyze(self, conflict: Sequence[int]) -> tuple[Sequence[int], int]:
+        """First-UIP learning: (the learnt clause, attached unless a unit,
+        asserting literal first and a literal of the backjump level second;
+        the backjump level). A conflict clause with one literal at the
+        conflict level is its own learnt clause, less its level-0 literals:
+        it is rewatched and returned instead of a copy."""
         learnt: list[int] = [0]
         seen: set[int] = set()
         counter = 0
@@ -383,6 +402,7 @@ class SatSolver:
         skip: Optional[int] = None
         idx = len(trail) - 1
         bump = self._bump_activity
+        first_pass = True
         while True:
             for lit in reason:
                 if lit == skip:
@@ -411,6 +431,7 @@ class SatSolver:
                 break
             reason = self._reason[uip >> 1] or ()
             skip = uip
+            first_pass = False
         if len(learnt) == 1:
             return learnt, 0
         back = max(levels[lit >> 1] for lit in learnt[1:])
@@ -419,7 +440,29 @@ class SatSolver:
             if levels[learnt[k] >> 1] == back:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
+        if not first_pass:
+            self._attach(learnt)
+        elif len(conflict) > 2:  # a binary conflict sits in ``bins`` as it is
+            self._rewatch(conflict, learnt[0], learnt[1])
+            return conflict, back
         return learnt, back
+
+    def _rewatch(self, clause: list[int], first: int, second: int) -> None:
+        """Move a long clause's watches to ``first`` and ``second``, and put
+        those two literals in front."""
+        watches = self._watches
+        old = clause[:2]
+        for lit in old:
+            if lit != first and lit != second:
+                watch_list = watches[lit]
+                del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
+        for lit in (first, second):
+            if lit not in old:
+                watches[lit].append(clause)
+        k = clause.index(first)
+        clause[0], clause[k] = first, clause[0]
+        k = clause.index(second)
+        clause[1], clause[k] = second, clause[1]
 
     def _attach(self, clause: list[int]) -> None:
         """Watch a clause of two or more literals by its first two."""
@@ -431,9 +474,8 @@ class SatSolver:
             self._watches[clause[0]].append(clause)
             self._watches[clause[1]].append(clause)
 
-    def _record_learnt(self, learnt: list[int], level: int) -> None:
-        if len(learnt) > 1:
-            self._attach(learnt)
+    def _record_learnt(self, learnt: Sequence[int], level: int) -> None:
+        """Assert the first literal of a clause from ``_analyze``."""
         self._enqueue(learnt[0], level, learnt if len(learnt) > 1 else None)
 
     def _backtrack(self, target_level: int) -> None:
@@ -463,6 +505,8 @@ class SatSolver:
 
     def _bump_activity(self, var: int) -> None:
         self._activity[var] += self._var_inc
+        if var > self._decision_limit:
+            return
         undef = self._val[var * 2] == _UNDEF
         self._in_heap[var] = undef  # the old entry is stale now
         if undef:
@@ -472,19 +516,22 @@ class SatSolver:
         self._activity = [a * 1e-100 for a in self._activity]
         self._var_inc *= 1e-100
         self._heap = []
-        for var in range(1, self._nvars + 1):
+        for var in range(1, min(self._nvars, self._decision_limit) + 1):
             undef = self._val[var * 2] == _UNDEF
             self._in_heap[var] = undef
             if undef:
                 heapq.heappush(self._heap, (-self._activity[var], var))
 
     def _pick_branch_var(self) -> int:
+        """The unassigned decision variable of highest activity, or 0 when
+        every decision variable is assigned."""
         heap = self._heap
         activity = self._activity
         val = self._val
-        while True:  # every unassigned variable has a current entry
+        while heap:  # every unassigned decision variable has a current entry
             neg_act, var = heapq.heappop(heap)
             if -neg_act == activity[var]:
                 self._in_heap[var] = 0
                 if val[var * 2] == _UNDEF:
                     return var
+        return 0

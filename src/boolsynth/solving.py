@@ -24,7 +24,13 @@ on the support value of a state the event must not fire in).
   enumeration takes every model of each, excluding each support after use.
   Phase hints steer each query toward supports that settle many pending
   requirements at once; they shape the region pool, never a verdict. Only
-  the support of a model is read back.
+  the support of a model is read back. The solver decides support bits
+  only (``SatSolver(decision_vars=n)``). Once they are all set and
+  propagation ends without a conflict, each consistency clause is satisfied
+  or has forced its selector false, and each event's at-least-one clause
+  keeps a selector true or open. So setting every open selector true
+  completes a model; the learnt clauses follow from the CNF and hold in it
+  too.
 
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
@@ -532,7 +538,8 @@ class _SatContext:
         from .sat import SatSolver
 
         self.problem = problem
-        self.solver = SatSolver()
+        # Decisions on support bits only; see the module docstring.
+        self.solver = SatSolver(decision_vars=problem.n)
         sorted_states = sorted(range(problem.n), key=lambda p: problem.states[p])
         self.sup_var = [0] * problem.n
         for var_offset, pos in enumerate(sorted_states):
@@ -625,8 +632,12 @@ def _consistency_clauses(
 
     For every event at least one interaction is selected; a selected
     interaction constrains the support bits along each arc of the event:
-    if it is undefined on token b, the source cannot carry b; if it maps
-    b to v, a source carrying b forces the target to carry v.
+    if it is undefined on token b, the source cannot carry b. If its
+    defined images agree on v (all but nop and swap), the target carries v;
+    this one binary clause is the resolvent of the two per-bit clauses
+    below and subsumes both, so the models are the same. Otherwise (and on
+    a self-loop) a source carrying b forces the target to carry the image
+    of b.
     """
     # Per interaction tau_list[k] and source bit b, the negation bits of the
     # literals (source is not b) and (target is the image; None if undefined)
@@ -635,6 +646,17 @@ def _consistency_clauses(
         for k, interaction in enumerate(problem.tau_list)
         for b, image in enumerate(interaction.effect)
     ]
+    # The same for an arc between two states, except that an interaction
+    # whose defined images agree has one row (k, None, dst_neg): the target
+    # literal alone.
+    arc_rows = []
+    for k, interaction in enumerate(problem.tau_list):
+        images = {image for image in interaction.effect if image is not None}
+        for b, image in enumerate(interaction.effect):
+            if image is None or len(images) > 1:
+                arc_rows.append((k, b, None if image is None else 1 - image))
+            elif (k, None, 1 - image) not in arc_rows:
+                arc_rows.append((k, None, 1 - image))
     for sels in sel_var:
         yield [2 * sel for sel in sels]
     for sels, arcs in zip(sel_var, problem.arcs_by_event):
@@ -642,12 +664,17 @@ def _consistency_clauses(
         for src, dst in arcs:
             s = 2 * sup_var[src]
             d = 2 * sup_var[dst]
+            if s != d:
+                for k, src_neg, dst_neg in arc_rows:
+                    if dst_neg is None:
+                        yield [not_sel[k], s | src_neg]
+                    elif src_neg is None:
+                        yield [not_sel[k], d | dst_neg]
+                    else:
+                        yield [not_sel[k], s | src_neg, d | dst_neg]
+                continue
             for k, src_neg, dst_neg in rows:
-                if dst_neg is None:
-                    yield [not_sel[k], s | src_neg]
-                elif s != d:
-                    yield [not_sel[k], s | src_neg, d | dst_neg]
-                elif src_neg == dst_neg:
+                if dst_neg is None or src_neg == dst_neg:
                     yield [not_sel[k], s | src_neg]
                 # else a tautology: the same variable in both phases
 
