@@ -20,13 +20,11 @@ from .interactions import (
     UNDEFINED_AT,
     Interaction,
     NetType,
-    TypeIsomorphism,
     all_net_types,
     interactions_matching,
     iter_type,
     parse_interaction,
     require_usable,
-    type_isomorphism,
 )
 from .nets import (
     BooleanNet,
@@ -53,7 +51,6 @@ from .regions import (
     Family,
     Region,
     RegionDomainError,
-    derive_signature,
     family_types,
     parse_family,
     region_coherence_report,
@@ -87,7 +84,6 @@ from .ts import (
     grade,
     join,
     validate_ts,
-    validate_union,
 )
 
 __version__ = "1.0.0"
@@ -120,7 +116,6 @@ __all__ = [
     "SynthesisError",
     "TransitionSystem",
     "TsUnion",
-    "TypeIsomorphism",
     "UNDEFINED_AT",
     "Violation",
     "all_net_types",
@@ -131,7 +126,6 @@ __all__ = [
     "check_feasibility",
     "check_join_preconditions",
     "check_ssp",
-    "derive_signature",
     "enumerate_inhibiting_regions",
     "essp_atoms",
     "extract_model",
@@ -151,9 +145,7 @@ __all__ = [
     "solve_one_in_three",
     "ssp_atoms",
     "synthesize",
-    "type_isomorphism",
     "validate_region",
     "validate_ts",
-    "validate_union",
     "verify_inhibiting_region",
 ]

@@ -62,11 +62,11 @@ _EFFECT: dict[Interaction, tuple[Optional[int], Optional[int]]] = {
 #: Fixed enumeration order used everywhere a canonical order is needed.
 INTERACTION_ORDER: tuple[Interaction, ...] = tuple(Interaction)
 
-#: Interaction undefined at 0 / at 1 (used for inhibition queries).
-UNDEFINED_AT: tuple[frozenset[Interaction], frozenset[Interaction]] = (
-    frozenset(i for i in Interaction if _EFFECT[i][0] is None),
-    frozenset(i for i in Interaction if _EFFECT[i][1] is None),
-)
+#: The token value each partial interaction is undefined at, in canonical
+#: order; a total interaction is not a key.
+UNDEFINED_AT: dict[Interaction, int] = {
+    i: 0 if _EFFECT[i][0] is None else 1 for i in INTERACTION_ORDER if i.is_partial
+}
 
 #: The token-complement conjugation: renaming 0 <-> 1 turns each interaction
 #: into its mirror partner and fixes nop and swap.
@@ -145,46 +145,6 @@ def all_net_types(include_empty: bool = False) -> Iterator[NetType]:
     for bits in range(0 if include_empty else 1, 1 << n):
         members = [INTERACTION_ORDER[k] for k in range(n) if bits >> k & 1]
         yield NetType(frozenset(members))
-
-
-@dataclass(frozen=True)
-class TypeIsomorphism:
-    """A verdict-preserving correspondence between two net types.
-
-    ``token_map`` is the bijection on token counts (images of 0 and 1) and
-    ``interaction_map`` the induced bijection on interactions. Regions,
-    separation and inhibition transfer along it in both directions, so two
-    isomorphic types decide exactly the same synthesis questions.
-    """
-
-    token_map: tuple[int, int]
-    interaction_map: tuple[tuple[Interaction, Interaction], ...]
-
-    def map_interaction(self, interaction: Interaction) -> Interaction:
-        for src, dst in self.interaction_map:
-            if src is interaction:
-                return dst
-        raise KeyError(interaction)
-
-
-_IDENTITY_PAIRS = tuple((i, i) for i in INTERACTION_ORDER)
-_COMPLEMENT_PAIRS = tuple((i, COMPLEMENT_MAP[i]) for i in INTERACTION_ORDER)
-
-
-def type_isomorphism(tau: NetType, other: NetType) -> Optional[TypeIsomorphism]:
-    """Find a verdict-preserving isomorphism between two net types.
-
-    Only two candidate token maps exist (identity and complement); each
-    induces the interaction map that conjugation by it produces. The identity
-    candidate is preferred when both apply. Returns None if neither works.
-    """
-    if tau.interactions == other.interactions:
-        pairs = tuple(p for p in _IDENTITY_PAIRS if p[0] in tau)
-        return TypeIsomorphism(token_map=(0, 1), interaction_map=pairs)
-    if frozenset(COMPLEMENT_MAP[i] for i in tau.interactions) == other.interactions:
-        pairs = tuple(p for p in _COMPLEMENT_PAIRS if p[0] in tau)
-        return TypeIsomorphism(token_map=(1, 0), interaction_map=pairs)
-    return None
 
 
 def require_usable(tau: NetType) -> None:

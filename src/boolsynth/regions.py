@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .interactions import Interaction, NetType
 from .ts import Report, Subject, Violation
@@ -80,12 +80,6 @@ class Family(enum.Enum):
         )
         return tuple(NetType(base | extra) for extra in extras)
 
-    @property
-    def blank_signature(self) -> Interaction:
-        """Interaction assigned to events whose arcs never touch the support
-        (or that label no arc at all)."""
-        return Interaction.FREE if self is Family.FREE else Interaction.USED
-
 
 def family_types() -> tuple[NetType, ...]:
     """All five types covered by the two families, FREE first."""
@@ -97,72 +91,6 @@ def parse_family(token: str) -> Family:
         return Family(token.strip().lower())
     except ValueError:
         raise ValueError(f"unknown family {token!r}; expected free or used") from None
-
-
-def _support_map(
-    subject: Subject, support: Mapping[str, int] | AbstractSet[str] | Iterable[str]
-) -> dict[str, int]:
-    states = subject.states
-    if not isinstance(support, Mapping):
-        support = dict.fromkeys(states, 0) | dict.fromkeys(support, 1)
-    _check_support(states, support)
-    return {s: int(support[s]) for s in states}
-
-
-def derive_signature(
-    subject: Subject,
-    support: Mapping[str, int] | AbstractSet[str] | Iterable[str],
-    family: Family,
-) -> Region:
-    """Complete a support to a region candidate using the family's rules.
-
-    Per event, in order of precedence:
-
-    * the family's blank interaction (free resp. used) if every endpoint of
-      every arc of the event lies outside resp. inside the support (vacuously
-      for events with no arcs);
-    * ``set`` if some chain ``s -e-> s' <-e-> s''`` has support 0 at ``s``
-      and 1 at both ``s'`` and ``s''``;
-    * ``swap`` if some arc of the event flips the support bit;
-    * ``nop`` otherwise.
-
-    The result is *not* guaranteed to be a valid region; callers must check
-    with :func:`validate_region`.
-    """
-    sup = _support_map(subject, support)
-    arcs_by_event: dict[str, list] = {e: [] for e in subject.events}
-    for arc in subject.arcs:
-        arcs_by_event[arc.event].append(arc)
-    succ = subject.successors
-
-    blank_bit = 0 if family is Family.FREE else 1
-    signature: dict[str, Interaction] = {}
-    for event in subject.events:
-        arcs = arcs_by_event[event]
-        if all(
-            sup[a.source] == blank_bit and sup[a.target] == blank_bit for a in arcs
-        ):
-            signature[event] = family.blank_signature
-            continue
-        lifted = False
-        for arc in arcs:
-            if sup[arc.source] == 0 and sup[arc.target] == 1:
-                third = succ[arc.target].get(event)
-                if (
-                    third is not None
-                    and succ[third].get(event) == arc.target
-                    and sup[third] == 1
-                ):
-                    lifted = True
-                    break
-        if lifted:
-            signature[event] = Interaction.SET
-            continue
-        if any(sup[a.source] != sup[a.target] for a in arcs):
-            signature[event] = Interaction.SWAP
-            continue
-        signature[event] = Interaction.NOP
-    return Region(support=sup, signature=signature)
 
 
 def _check_keys(

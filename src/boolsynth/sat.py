@@ -92,10 +92,6 @@ class SatSolver:
 
     # ------------------------------------------------------------------ api
 
-    def new_var(self) -> int:
-        self.ensure_vars(self._nvars + 1)
-        return self._nvars
-
     def ensure_vars(self, count: int) -> None:
         added = count - self._nvars
         if added <= 0:

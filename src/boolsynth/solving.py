@@ -52,6 +52,11 @@ same tracker.
 For a fixed subject the two engines agree on all verdicts and report the
 same (canonically first) counterexample; only the shape of the witnessing
 regions may differ.
+
+State and event positions, each event's arcs and its enabled states come
+from the subject's one index (``subject.index``, ``ts.SubjectIndex``),
+built on a system's first check and shared by every later one; a
+``_Problem`` adds only the net type's data.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .interactions import (
     INTERACTION_ORDER,
+    UNDEFINED_AT,
     Interaction,
     NetType,
     interactions_matching,
@@ -114,14 +120,9 @@ _MATCH_MASK = tuple(
     for b in (0, 1)
 )
 
-#: The token value each partial interaction is undefined at, in canonical
-#: order; a total interaction is not a key.
-_UNDEFINED_AT = {
-    i: 0 if i.effect[0] is None else 1 for i in INTERACTION_ORDER if i.is_partial
-}
 #: Per partial interaction, in canonical order: (its bit in an allowed
 #: mask, the interaction, the token value it is undefined at).
-_PARTIALS = tuple((1 << _GLOBAL_INDEX[i], i, at) for i, at in _UNDEFINED_AT.items())
+_PARTIALS = tuple((1 << _GLOBAL_INDEX[i], i, at) for i, at in UNDEFINED_AT.items())
 
 
 def ssp_atoms(subject: Subject) -> Iterator[StatePairAtom]:
@@ -174,33 +175,21 @@ def _type_data(
 
 
 class _Problem:
-    """Indexed, bitmask-friendly view of a subject under a net type."""
+    """A subject's index (``SubjectIndex``) under a net type's data."""
 
     def __init__(self, subject: Subject, tau: NetType) -> None:
         self.subject = subject
         self.tau = tau
-        self.states: list[str] = list(subject.states)
-        self.events: list[str] = list(subject.events)
+        self.index = subject.index
+        self.states = subject.states
+        self.events = subject.events
         self.n = len(self.states)
         self.full = (1 << self.n) - 1
-        self.state_pos = {s: i for i, s in enumerate(self.states)}
-        self.event_pos = {e: i for i, e in enumerate(self.events)}
-        arcs_by_event: list[list[tuple[int, int]]] = [[] for _ in self.events]
-        enabled = [0] * len(self.events)
-        n1 = self.n - 1
-        state_pos = self.state_pos
-        for arc in subject.arcs:
-            e = self.event_pos[arc.event]
-            src = state_pos[arc.source]
-            arcs_by_event[e].append((src, state_pos[arc.target]))
-            enabled[e] |= 1 << (n1 - src)
-        self.arcs_by_event = arcs_by_event
-        self.enabled_mask = enabled
         self.tau_list, self.tau_mask, self.forbidden = _type_data(tau)
 
     def state_bit(self, pos: int) -> int:
-        """Bit of state ``pos`` in a support integer (state 0 is the MSB,
-        so ascending integers enumerate supports in lexicographic order)."""
+        """Bit of state ``pos`` in a support integer, as ``SubjectIndex``
+        lays supports out."""
         return 1 << (self.n - 1 - pos)
 
     def allowed_mask(self, event_idx: int, support_int: int) -> int:
@@ -208,7 +197,7 @@ class _Problem:
         with every arc of the event under the given support."""
         mask = self.tau_mask
         n1 = self.n - 1
-        for src, dst in self.arcs_by_event[event_idx]:
+        for src, dst in self.index.arcs_by_event[event_idx]:
             mask &= _MATCH_MASK[
                 (support_int >> (n1 - src) & 1) << 1 | support_int >> (n1 - dst) & 1
             ]
@@ -236,8 +225,16 @@ class _Problem:
         return region
 
     def support_int_of(self, region: Region) -> int:
+        """The support integer of a region, one bit per state position."""
         support = region.support
         return int("".join("1" if support[s] else "0" for s in self.states), 2)
+
+
+def _position(positions: Mapping[str, int], kind: str, name: str) -> int:
+    """The position of a state or event named in an atom."""
+    if name not in positions:
+        raise ValueError(f"no {kind} {name!r} in the subject")
+    return positions[name]
 
 
 class _Coverage:
@@ -266,22 +263,23 @@ class _Coverage:
                 if size > 1:
                     self.blocks.append(((1 << size) - 1) << (problem.n - end))
         full = problem.full if want_essp else 0
-        self.uncovered = [~mask & full for mask in problem.enabled_mask]
+        self.uncovered = [~mask & full for mask in problem.index.enabled_mask]
 
     @classmethod
     def of_atom(cls, problem: _Problem, atom: Atom) -> _Coverage:
         """A tracker whose one pending requirement is ``atom``."""
         coverage = cls(problem, False, False)
+        index = problem.index
         if isinstance(atom, StatePairAtom):
-            i = problem.state_pos[atom.first]
-            j = problem.state_pos[atom.second]
+            i = _position(index.state_pos, "state", atom.first)
+            j = _position(index.state_pos, "state", atom.second)
             if i == j:
                 raise ValueError("state pair requirement needs distinct states")
             coverage.blocks.append(problem.state_bit(i) | problem.state_bit(j))
             return coverage
-        event_pos = problem.event_pos[atom.event]
-        state_bit = problem.state_bit(problem.state_pos[atom.state])
-        if problem.enabled_mask[event_pos] & state_bit:
+        event_pos = _position(index.event_pos, "event", atom.event)
+        state_bit = problem.state_bit(_position(index.state_pos, "state", atom.state))
+        if index.enabled_mask[event_pos] & state_bit:
             raise ValueError(
                 f"event {atom.event!r} occurs at state {atom.state!r}; "
                 "nothing to inhibit"
@@ -321,7 +319,7 @@ class _Coverage:
         inhibited: list[tuple[int, int]] = []
         for e, pending in enumerate(self.uncovered):
             if pending:
-                bit = _UNDEFINED_AT.get(signature[problem.events[e]])
+                bit = UNDEFINED_AT.get(signature[problem.events[e]])
                 if bit is not None:
                     newly = pending & at[bit]
                     self.uncovered[e] ^= newly
@@ -381,18 +379,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def witness_for(self, atom: Atom) -> Optional[Region]:
-        """First pooled region settling the given requirement, if any."""
-        if isinstance(atom, StatePairAtom):
-            for region in self.regions:
-                if region.separates(atom.first, atom.second):
-                    return region
-            return None
-        for region in self.regions:
-            if region.inhibits(atom.event, atom.state):
-                return region
-        return None
 
 
 def _resolve_engine(engine: str, problem: _Problem) -> str:
@@ -455,7 +441,7 @@ def _admissible_supports(
                 for p in range(high_bits)
             ) + low_columns
         blocked = 0
-        for arcs in problem.arcs_by_event:
+        for arcs in problem.index.arcs_by_event:
             f00 = f01 = f10 = f11 = 0
             for src, dst in arcs:
                 src0, src1 = columns[src]
@@ -570,25 +556,26 @@ class _SatContext:
         inside every pending block, or every state at which the event is
         pending to the value the tried interaction is undefined at."""
         problem = self.problem
+        state_pos = problem.index.state_pos
         sup_var = self.sup_var
         set_phase = self.solver.set_phase
         if isinstance(atom, StatePairAtom):
-            a = sup_var[problem.state_pos[atom.first]]
-            b = sup_var[problem.state_pos[atom.second]]
+            a = sup_var[state_pos[atom.first]]
+            b = sup_var[state_pos[atom.second]]
             for lits in ((a, -b), (-a, b)):
                 for block in coverage.blocks:
                     for k, pos in enumerate(sorted(_positions(block, problem.n))):
                         set_phase(sup_var[pos], k % 2 == 0)
                 yield lits, {}
             return
-        event_pos = problem.event_pos[atom.event]
-        groups = [[sup_var[problem.state_pos[atom.state]]]]
+        event_pos = problem.index.event_pos[atom.event]
+        groups = [[sup_var[state_pos[atom.state]]]]
         pending = coverage.uncovered[event_pos]
         if pending & (pending - 1):  # two or more pending states
             groups.insert(0, [sup_var[p] for p in _positions(pending, problem.n)])
         for sups in groups:
             for sel, interaction in zip(self.sel_var[event_pos], problem.tau_list):
-                at = _UNDEFINED_AT.get(interaction)
+                at = UNDEFINED_AT.get(interaction)
                 if at is not None:
                     for pos in _positions(coverage.uncovered[event_pos], problem.n):
                         set_phase(sup_var[pos], at == 1)
@@ -659,7 +646,7 @@ def _consistency_clauses(
                 arc_rows.append((k, None, 1 - image))
     for sels in sel_var:
         yield [2 * sel for sel in sels]
-    for sels, arcs in zip(sel_var, problem.arcs_by_event):
+    for sels, arcs in zip(sel_var, problem.index.arcs_by_event):
         not_sel = [2 * sel + 1 for sel in sels]
         for src, dst in arcs:
             s = 2 * sup_var[src]

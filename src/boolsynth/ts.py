@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class Arc(NamedTuple):
@@ -58,6 +58,45 @@ class Report:
         if self.ok:
             return "ok"
         return "; ".join(str(v) for v in self.violations)
+
+
+class SubjectIndex(NamedTuple):
+    """Positions of a subject's states and events, and its arcs by event.
+
+    ``state_pos`` and ``event_pos`` give each state's position in
+    ``states`` and each event's in ``events``. Per event position,
+    ``arcs_by_event`` holds the (source, target) position pair of each of
+    its arcs, in ``arcs`` order, and ``enabled_mask`` the support integer
+    of the states it occurs at.
+
+    In a support integer of an n-state subject, the state at position p is
+    bit n - 1 - p, so ascending integers enumerate supports in
+    lexicographic order over ``states``.
+    """
+
+    state_pos: Mapping[str, int]
+    event_pos: Mapping[str, int]
+    arcs_by_event: tuple[tuple[tuple[int, int], ...], ...]
+    enabled_mask: tuple[int, ...]
+
+
+def _build_index(
+    states: Sequence[str], events: Sequence[str], arcs: Iterable[Arc]
+) -> SubjectIndex:
+    """The index of a subject with these states, events and arcs."""
+    state_pos = {s: p for p, s in enumerate(states)}
+    event_pos = {e: k for k, e in enumerate(events)}
+    arcs_by_event: list[list[tuple[int, int]]] = [[] for _ in events]
+    enabled = [0] * len(events)
+    n1 = len(states) - 1
+    for source, event, target in arcs:
+        k = event_pos[event]
+        src = state_pos[source]
+        arcs_by_event[k].append((src, state_pos[target]))
+        enabled[k] |= 1 << (n1 - src)
+    return SubjectIndex(
+        state_pos, event_pos, tuple(map(tuple, arcs_by_event)), tuple(enabled)
+    )
 
 
 @dataclass(frozen=True)
@@ -114,7 +153,7 @@ class TransitionSystem:
         )
 
     def __post_init__(self) -> None:
-        self.successors  # building the index checks every arc
+        self.successors  # building it checks every arc
 
     @cached_property
     def successors(self) -> dict[str, dict[str, str]]:
@@ -147,12 +186,9 @@ class TransitionSystem:
         return event in self.successors.get(state, ())
 
     @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {s: k for k, s in enumerate(self.states)}
-
-    @cached_property
-    def event_index(self) -> dict[str, int]:
-        return {e: k for k, e in enumerate(self.events)}
+    def index(self) -> SubjectIndex:
+        """Positions and arcs by event, built on first use."""
+        return _build_index(self.states, self.events, self.arcs)
 
     def reachable_states(self) -> set[str]:
         """States reachable from the initial state."""
@@ -257,27 +293,9 @@ class TsUnion:
         return succ
 
     @cached_property
-    def member_of(self) -> dict[str, int]:
-        return {
-            state: idx
-            for idx, member in enumerate(self.members)
-            for state in member.states
-        }
-
-
-def validate_union(union: TsUnion) -> Report:
-    """Member-wise validation (disjointness is enforced at construction)."""
-    violations: list[Violation] = []
-    for idx, member in enumerate(union.members):
-        for violation in validate_ts(member).violations:
-            violations.append(
-                Violation(
-                    violation.code,
-                    f"member {idx}: {violation.subject}",
-                    violation.detail,
-                )
-            )
-    return Report(tuple(violations))
+    def index(self) -> SubjectIndex:
+        """Positions and arcs by event over all members, built on first use."""
+        return _build_index(self.states, self.events, self.arcs)
 
 
 def check_join_preconditions(union: TsUnion) -> Report:

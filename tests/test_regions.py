@@ -16,7 +16,6 @@ from boolsynth import (
     Region,
     RegionDomainError,
     TransitionSystem,
-    derive_signature,
     family_types,
     parse_family,
     region_coherence_report,
@@ -167,57 +166,11 @@ class TestFamilies:
         assert types[1:] == Family.USED.types()
         assert len(set(types)) == 5
 
-    def test_blank_signatures(self):
-        assert Family.FREE.blank_signature is Interaction.FREE
-        assert Family.USED.blank_signature is Interaction.USED
-
     def test_parse_family(self):
         assert parse_family(" FREE ") is Family.FREE
         assert parse_family("used") is Family.USED
         with pytest.raises(ValueError, match="unknown family"):
             parse_family("loose")
-
-
-class TestDeriveSignature:
-    def test_recovers_the_three_canonical_regions(self, battery):
-        ts = battery["a1"]
-        for support, expected in TestCanonicalRegionsOfTheTwoCycleExample.CASES:
-            region = derive_signature(ts, support, Family.FREE)
-            assert region.signature["a"] is expected
-            assert validate_region(ts, TAU, region)
-
-    def test_blank_rule_under_used_family(self, battery):
-        ts = battery["a2"]
-        region = derive_signature(ts, {"s0", "s1", "s2"}, Family.USED)
-        # full support: every endpoint inside -> the family blank (used)
-        assert region.signature["a"] is Interaction.USED
-
-    def test_support_can_be_given_as_mapping(self, battery):
-        ts = battery["a1"]
-        region = derive_signature(ts, {"s0": 0, "s1": 1, "s2": 1}, Family.FREE)
-        assert region.signature["a"] is Interaction.SET
-
-    def test_unknown_support_state_raises(self, battery):
-        with pytest.raises(RegionDomainError):
-            derive_signature(battery["a1"], {"nope"}, Family.FREE)
-
-    def test_mapping_support_naming_unknown_state_raises(self, battery):
-        support = {"s0": 0, "s1": 1, "s2": 1, "ghost": 1}
-        with pytest.raises(
-            RegionDomainError, match=r"support names unknown states \['ghost'\]"
-        ):
-            derive_signature(battery["a1"], support, Family.FREE)
-
-    def test_mapping_support_with_non_bit_raises(self, battery):
-        support = {"s0": 0, "s1": 7, "s2": 1}
-        with pytest.raises(RegionDomainError, match="support of 's1' is not a bit"):
-            derive_signature(battery["a1"], support, Family.FREE)
-
-    def test_candidates_are_not_always_valid(self, battery):
-        # a partial support of the chain yields nop, which the arcs refute
-        ts = battery["a4"]
-        region = derive_signature(ts, {"s1", "s2"}, Family.FREE)
-        assert not validate_region(ts, TAU, region)
 
 
 class TestCoherenceReport:

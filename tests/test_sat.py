@@ -90,12 +90,6 @@ class TestBasics:
         solver = fresh(1, [[1, -1]])
         assert solver.solve() is True
 
-    def test_new_var_counts_from_one(self):
-        solver = SatSolver()
-        assert solver.new_var() == 1
-        assert solver.new_var() == 2
-        assert solver.num_vars == 2
-
     def test_model_and_verify(self):
         clauses = [[1, 2], [-1, 2], [1, -2]]
         solver = fresh(2, clauses)

@@ -71,6 +71,16 @@ def mixed_ts() -> TransitionSystem:
     return TransitionSystem.build("p", [("p", "a", "q"), ("q", "b", "p")])
 
 
+class TestSubjectIndex:
+    def test_checks_under_two_types_share_one_index(self, battery):
+        loop = TransitionSystem.build("u0", [("u0", "a", "u1"), ("u1", "a", "u0")])
+        union = TsUnion.of(battery["a1"], loop)
+        for subject in (battery["a1"], union):
+            first = solving._Problem(subject, TAU)
+            second = solving._Problem(subject, TAU_TILDE)
+            assert first.index is second.index is subject.index
+
+
 class TestAtomEnumeration:
     def test_ssp_atoms_of_a_chain(self, battery):
         atoms = list(ssp_atoms(battery["a4"]))
@@ -142,10 +152,7 @@ class TestBatteryVerdicts:
     def test_result_truthiness_and_witness_lookup(self, battery):
         result = check_feasibility(battery["a1"], TAU)
         assert bool(result) is True
-        atom = StatePairAtom("s0", "s1")
-        witness = result.witness_for(atom)
-        assert witness is not None and witness.separates("s0", "s1")
-        assert result.witness_for(StatePairAtom("s0", "s0")) is None
+        assert any(region.separates("s0", "s1") for region in result.regions)
 
 
 class TestUnionSemantics:
@@ -268,6 +275,25 @@ class TestSolveAtom:
     def test_enabled_event_rejected(self, battery):
         with pytest.raises(ValueError, match="occurs at"):
             solve_atom(battery["a1"], TAU, EventStateAtom("a", "s0"))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "atom, unknown",
+        [
+            (StatePairAtom("s0", "zz"), "state 'zz'"),
+            (EventStateAtom("zz", "s0"), "event 'zz'"),
+            (EventStateAtom("a", "zz"), "state 'zz'"),
+        ],
+        ids=["pair-state", "event", "inhibition-state"],
+    )
+    def test_unknown_name_is_a_value_error(self, battery, engine, atom, unknown):
+        with pytest.raises(ValueError, match=f"no {unknown} in the subject"):
+            solve_atom(battery["a1"], TAU, atom, engine=engine)
+        if isinstance(atom, EventStateAtom):
+            with pytest.raises(ValueError, match=f"no {unknown} in the subject"):
+                enumerate_inhibiting_regions(
+                    battery["a1"], TAU, atom.event, atom.state, limit=1, engine=engine
+                )
 
     def test_one_atom_tracker_pends_exactly_the_atom(self):
         # solve_atom is a check of a tracker whose one pending requirement
@@ -449,7 +475,7 @@ def per_bit_clauses(ctx, event_pos):
     problem = ctx.problem
     sels = ctx.sel_var[event_pos]
     clauses = [list(sels)]
-    for src, dst in problem.arcs_by_event[event_pos]:
+    for src, dst in problem.index.arcs_by_event[event_pos]:
         s, d = ctx.sup_var[src], ctx.sup_var[dst]
         for sel, interaction in zip(sels, problem.tau_list):
             for b, image in enumerate(interaction.effect):
@@ -483,7 +509,7 @@ class TestConsistencyCnf:
             reference.ensure_vars(ctx.solver.num_vars)
             for sels in ctx.sel_var:
                 reference.add_clause(list(sels))
-            for sels, arcs in zip(ctx.sel_var, problem.arcs_by_event):
+            for sels, arcs in zip(ctx.sel_var, problem.index.arcs_by_event):
                 for src, dst in arcs:
                     s, d = ctx.sup_var[src], ctx.sup_var[dst]
                     for sel, interaction in zip(sels, problem.tau_list):
@@ -598,8 +624,8 @@ class TestInhibitionQueries:
 
     def expected(self, ctx, event, states):
         problem = ctx.problem
-        e = problem.event_pos[event]
-        sups = [ctx.sup_var[problem.state_pos[s]] for s in states]
+        e = problem.index.event_pos[event]
+        sups = [ctx.sup_var[problem.index.state_pos[s]] for s in states]
         queries = []
         for sel, interaction in zip(ctx.sel_var[e], problem.tau_list):
             if interaction.is_partial:
@@ -626,8 +652,8 @@ class TestInhibitionQueries:
         coverage = solving._Coverage(problem, False, True)
         # a2 occurs at s2 only; keep the first k of its six pending states.
         pending = [s for s in problem.states if s != "s2"][:k]
-        coverage.uncovered[problem.event_pos["a2"]] = sum(
-            problem.state_bit(problem.state_pos[s]) for s in pending
+        coverage.uncovered[problem.index.event_pos["a2"]] = sum(
+            problem.state_bit(problem.index.state_pos[s]) for s in pending
         )
         atom = EventStateAtom("a2", pending[0])
         got = list(ctx.queries(atom, coverage))
@@ -1049,8 +1075,8 @@ class TestResign:
         problem = solving._Problem(ts, FULL)
         coverage = solving._Coverage(problem, False, True)
         for event, states in covered:
-            bits = sum(problem.state_bit(problem.state_pos[s]) for s in states)
-            coverage.uncovered[problem.event_pos[event]] &= ~bits
+            bits = sum(problem.state_bit(problem.index.state_pos[s]) for s in states)
+            coverage.uncovered[problem.index.event_pos[event]] &= ~bits
         picks = {event: Interaction(name) for event, name in (picks or {}).items()}
         coverage.resign(self.SUPPORT, picks)
         problem.region(self.SUPPORT, picks)  # raises unless admissible

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from boolsynth import (
     Arc,
+    NetType,
     TransitionSystem,
     TsUnion,
     check_join_preconditions,
+    check_ssp,
     grade,
     join,
     validate_ts,
-    validate_union,
 )
+from boolsynth.ts import _build_index
 from conftest import random_ts
 
 PROPERTY_SETTINGS = settings(
@@ -80,8 +82,8 @@ class TestConstruction:
         assert ts.step("p", "a") == "q"
         assert ts.step("q", "a") is None
         assert ts.enabled("q", "b") and not ts.enabled("p", "b")
-        assert ts.state_index == {"p": 0, "q": 1}
-        assert ts.event_index == {"a": 0, "b": 1}
+        assert ts.index.state_pos == {"p": 0, "q": 1}
+        assert ts.index.event_pos == {"a": 0, "b": 1}
 
     def test_build_takes_arcs_tuples_and_lists_alike(self):
         items = [("p", "a", "q"), ("q", "b", "p")]
@@ -127,6 +129,40 @@ class TestSuccessors:
     def test_random_systems(self, seed):
         ts = random_ts(random.Random(seed))
         assert ts.successors == successors_from_arcs(ts)
+
+
+class TestSubjectIndex:
+    def test_positions_follow_the_given_states_and_events(self):
+        ts = TransitionSystem.build(
+            "p",
+            [("p", "a", "q"), ("q", "b", "r"), ("r", "a", "p")],
+            states=["r", "p", "q"],
+            events=["b", "a"],
+        )
+        assert ts.index.state_pos == {"r": 0, "p": 1, "q": 2}
+        assert ts.index.event_pos == {"b": 0, "a": 1}
+        # bit n - 1 - p of a support integer is the state at position p
+        assert ts.index.enabled_mask == (0b001, 0b110)
+
+    def test_each_event_keeps_its_arcs_in_arc_order(self):
+        ts = TransitionSystem.build(
+            "s0", [("s2", "a", "s0"), ("s0", "b", "s1"), ("s0", "a", "s1")]
+        )
+        assert ts.states == ("s0", "s2", "s1")
+        assert ts.index.arcs_by_event == (((1, 0), (0, 2)), ((0, 2),))
+
+    def test_a_union_indexes_its_own_states_events_and_arcs(self, battery):
+        union = TsUnion.of(battery["a1"], two_cycle("u0", "u1", "a"))
+        assert union.index == _build_index(union.states, union.events, union.arcs)
+        assert union.index.state_pos["u0"] == len(battery["a1"].states)
+
+    def test_the_index_is_built_on_first_use(self):
+        ts = TransitionSystem.build("p", [("p", "a", "q"), ("q", "a", "p")])
+        union = TsUnion.of(two_cycle("u0", "u1", "a"))
+        for subject in (ts, union):
+            assert "index" not in vars(subject)
+            check_ssp(subject, NetType.from_spec("nop,swap"))
+            assert "index" in vars(subject)
 
 
 class TestValidation:
@@ -192,7 +228,6 @@ class TestUnion:
         assert union.states == ("i0", "x0", "i1", "x1")
         assert union.events == ("h0", "h1")
         assert len(union.arcs) == 4
-        assert union.member_of == {"i0": 0, "x0": 0, "i1": 1, "x1": 1}
 
     def test_events_shared_across_members_deduplicated(self):
         m0 = two_cycle("i0", "x0", "h")
@@ -203,14 +238,6 @@ class TestUnion:
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError, match="at least one member"):
             TsUnion(())
-
-    def test_validate_union_prefixes_member_index(self):
-        bad = TransitionSystem.build(
-            "i0", [("i0", "h0", "x0")], states=["i0", "x0", "lost"]
-        )
-        report = validate_union(TsUnion.of(bad))
-        assert not report.ok
-        assert report.violations[0].subject.startswith("member 0:")
 
 
 class TestJoinPreconditions:
