@@ -137,9 +137,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         return _report_unheld("feasible", result)
     net = synthesize(subject, tau, result.regions)
     if is_isomorphic(reachability_graph(net), subject) is None:
+        reachable = subject.reachable_states()
+        unreachable = next((s for s in subject.states if s not in reachable), None)
+        why = "" if unreachable is None else (
+            f": input state {unreachable!r} is unreachable from its initial state"
+        )
         print(
             "internal error: synthesized net's reachability graph is not "
-            "isomorphic to the input",
+            f"isomorphic to the input{why}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL

@@ -16,8 +16,8 @@ from typing import Dict, Iterable, Mapping, Optional
 
 from .interactions import Interaction, NetType, require_usable
 from .regions import Region, validate_region
-from .solving import Atom, first_unsettled
-from .ts import TransitionSystem
+from .solving import Atom, first_unsettled, irredundant
+from .ts import Arc, TransitionSystem
 
 
 class SynthesisError(ValueError):
@@ -136,34 +136,35 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
     the event set keeps only transitions that fire at least once."""
     width = len(net.places)
     bit_of = {p: 1 << (width - 1 - k) for k, p in enumerate(net.places)}
-    masks = {t: _FiringMasks(net, t, bit_of) for t in net.transitions}
+    columns = [(t, _FiringMasks(net, t, bit_of)) for t in net.transitions]
     start = 0
     for place, bit in net.initial_marking.items():
         if bit:
             start |= bit_of[place]
-    order: dict[int, None] = {start: None}
+    names = {start: _marking_name(start, width)}  # in BFS order
     queue = [start]
-    arcs: list[tuple[str, str, str]] = []
+    arcs: list[Arc] = []
     fired: dict[str, None] = {}
     head = 0
     while head < len(queue):
         marking = queue[head]
         head += 1
-        source = _marking_name(marking, width)
-        for transition in net.transitions:
-            successor = masks[transition].successor(marking)
+        source = names[marking]
+        for transition, column in columns:
+            successor = column.successor(marking)
             if successor is None:
                 continue
             fired.setdefault(transition, None)
-            if successor not in order:
-                order[successor] = None
+            target = names.get(successor)
+            if target is None:
+                target = names[successor] = _marking_name(successor, width)
                 queue.append(successor)
-            arcs.append((source, transition, _marking_name(successor, width)))
-    return TransitionSystem.build(
-        initial=_marking_name(start, width),
-        arcs=arcs,
-        states=(_marking_name(m, width) for m in order),
-        events=fired,
+            arcs.append(Arc(source, transition, target))
+    return TransitionSystem(
+        initial=names[start],
+        arcs=tuple(arcs),
+        states=tuple(names.values()),
+        events=tuple(fired),
         name=net.name,
     )
 
@@ -173,13 +174,16 @@ def synthesize(
     tau: NetType,
     witnesses: Iterable[Region],
 ) -> BooleanNet:
-    """Build a net from admissible regions: one place per distinct region,
-    flow = the region's signature, initial marking = the region's value at
-    the initial state.
+    """Build a net from admissible regions: one place per region of an
+    irredundant subset, flow = the region's signature, initial marking =
+    the region's value at the initial state.
 
     The witness set must jointly settle every state-separation and
     event-inhibition requirement of ``subject`` (raises
-    :class:`SynthesisError` naming the first unsolved one otherwise).
+    :class:`SynthesisError` naming the first unsolved one otherwise). The
+    distinct witnesses are then tried in sorted key order, and each one
+    whose requirements the others kept settle too is dropped
+    (:func:`~boolsynth.solving.irredundant`), so no place can be removed.
     """
     require_usable(tau)
     distinct: dict[tuple, Region] = {}
@@ -191,6 +195,7 @@ def synthesize(
     unsettled = first_unsettled(subject, tau, regions)
     if unsettled is not None:
         raise SynthesisError(unsettled)
+    regions = irredundant(subject, tau, regions)
     places = tuple(f"p{k}" for k in range(len(regions)))
     flow = {
         (place, event): region.signature[event]

@@ -49,6 +49,9 @@ The counterexample is the tracker's first pending requirement, and
 same tracker.
 ``solve_atom`` is a check whose tracker has one pending requirement
 (``_Coverage.of_atom``); it answers with the first pooled region.
+``irredundant`` thins a pool for synthesis, on ints over the same index: it
+drops, in order, each region whose state pairs and inhibitions the regions
+it keeps settle too.
 For a fixed subject the two engines agree on all verdicts and report the
 same (canonically first) counterexample; only the shape of the witnessing
 regions may differ.
@@ -360,6 +363,73 @@ class _Coverage:
                     problem.events[e], problem.states[problem.n - pending.bit_length()]
                 )
         return None
+
+
+def irredundant(
+    subject: Subject, tau: NetType, regions: Sequence[Region]
+) -> list[Region]:
+    """``regions`` in order, less each one whose requirements the others
+    kept settle too. What is kept settles every requirement ``regions``
+    settles, and no kept region can be dropped without leaving one unsettled.
+
+    Each state has a code whose bit j is its value in region j: region j
+    separates nothing the others do not iff clearing bit j leaves as many
+    distinct codes in each member. Each event has a bit-sliced count (plane
+    k holds bit k) per state of the regions inhibiting it there: region j
+    inhibits nothing the others do not iff every state it inhibits counts
+    two or more. Dropping a region clears its bit and subtracts it from the
+    counts, so two regions that are each redundant alone are never both
+    dropped."""
+    problem = _Problem(subject, tau)
+    n, full = problem.n, problem.full
+    enabled = problem.index.enabled_mask
+    supports = [problem.support_int_of(region) for region in regions]
+    # Column p of the supports' bit strings holds state p's value in each
+    # region; reversed, it reads as a code whose bit j is region j.
+    columns = zip(*(format(support, f"0{n}b") for support in supports))
+    codes = [int("".join(column)[::-1], 2) for column in columns] or [0] * n
+    planes: list[list[int]] = [[] for _ in problem.events]
+    # Per region, (event position, the states it inhibits the event at).
+    inhibits: list[list[tuple[int, int]]] = []
+    for region, support in zip(regions, supports):
+        at = (support ^ full, support)  # the states holding 0, 1
+        row = []
+        for e, event in enumerate(problem.events):
+            bit = UNDEFINED_AT.get(region.signature[event])
+            carry = 0 if bit is None else at[bit] & ~enabled[e]
+            if carry:
+                row.append((e, carry))
+                counts = planes[e]
+                for k, plane in enumerate(counts):
+                    counts[k], carry = plane ^ carry, plane & carry
+                if carry:
+                    counts.append(carry)
+        inhibits.append(row)
+    members = [
+        list(_positions(block, n)) for block in _Coverage(problem, True, False).blocks
+    ]
+    distinct = [len({codes[pos] for pos in member}) for member in members]
+    kept: list[Region] = []
+    for j, region in enumerate(regions):
+        clear = ~(1 << j)
+        # Kept if it inhibits a state counted once, or clearing its bit merges
+        # two codes of one member.
+        if any(
+            mask & ~functools.reduce(int.__or__, planes[e][1:], 0)
+            for e, mask in inhibits[j]
+        ) or any(
+            len({codes[pos] & clear for pos in member}) < count
+            for member, count in zip(members, distinct)
+        ):
+            kept.append(region)
+            continue
+        for pos in _positions(supports[j], n):
+            codes[pos] &= clear
+        for e, borrow in inhibits[j]:
+            counts = planes[e]
+            for k, plane in enumerate(counts):
+                counts[k], borrow = plane ^ borrow, ~plane & borrow
+    return kept
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,21 @@ class TestSynthRgIso:
             3, "feasible: inconclusive (budget exhausted before a verdict)\n"
         )
 
+    def test_synth_names_the_first_unreachable_state(self, capsys, tmp_path):
+        # Feasible under the full type, but s3 and s2 (states in that order)
+        # have no path from s0, so no net's reachability graph can match.
+        path = tmp_path / "islands.ts"
+        path.write_text("ts\ninit s0\narc s0 a s1\narc s3 b s0\narc s2 b s1\n")
+        code, out, err = run(
+            capsys, "synth", str(path), "--type", "nop,inp,out,set,res,swap,used,free"
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal error: synthesized net's reachability graph is not "
+            "isomorphic to the input: input state 's3' is unreachable from its "
+            "initial state\n"
+        )
+
     def test_iso_negative(self, capsys, battery_files):
         code, out, _ = run(
             capsys, "iso", battery_files["a1"], battery_files["a4"]

@@ -23,7 +23,9 @@ from boolsynth import (
     synthesize,
     validate_region,
 )
-from conftest import TAU, TAU_TILDE, random_ts
+from boolsynth.fileformats import format_ts
+from boolsynth.solving import first_unsettled, irredundant
+from conftest import TAU, TAU_TILDE, build_battery, random_ts
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -160,6 +162,35 @@ class TestReachabilityGraph:
             )
 
 
+    def test_ts_text_is_pinned_for_markings_reached_out_of_order(self):
+        # BFS from m00 reaches m10 before m01, and u fires before t.
+        net = BooleanNet(
+            FULL,
+            ("p", "q"),
+            ("t", "u"),
+            {
+                ("p", "t"): Interaction.INP,
+                ("q", "t"): Interaction.SET,
+                ("p", "u"): Interaction.SWAP,
+                ("q", "u"): Interaction.NOP,
+            },
+            {"p": 0, "q": 0},
+        )
+        graph = reachability_graph(net)
+        assert graph.states == ("m00", "m10", "m01", "m11")
+        assert graph.events == ("u", "t")
+        assert format_ts(graph) == (
+            "ts\n"
+            "init m00\n"
+            "arc m00 u m10\n"
+            "arc m10 t m01\n"
+            "arc m10 u m00\n"
+            "arc m01 u m11\n"
+            "arc m11 t m01\n"
+            "arc m11 u m01\n"
+        )
+
+
 class TestSynthesize:
     def a1_witnesses(self, battery):
         result = check_feasibility(battery["a1"], TAU)
@@ -239,6 +270,52 @@ class TestRoundTripUnderBothTwins:
         for region in result.regions:
             assert validate_region(ts, type_, region)
         assert is_isomorphic(reachability_graph(net), ts) is not None
+
+
+def assert_irredundant_places(ts, type_, witnesses):
+    """``synthesize`` builds one place per region ``irredundant`` keeps of the
+    distinct witnesses in key order; the kept regions settle everything,
+    none can go, and the net round-trips."""
+    distinct = {region.key(): region for region in witnesses}
+    kept = irredundant(ts, type_, [distinct[key] for key in sorted(distinct)])
+    keys = [region.key() for region in kept]
+    assert keys == sorted(set(keys)) and set(keys) <= set(distinct)
+    assert all(validate_region(ts, type_, region) for region in kept)
+    assert first_unsettled(ts, type_, kept) is None
+    for k in range(len(kept)):
+        assert first_unsettled(ts, type_, kept[:k] + kept[k + 1 :]) is not None
+    net = synthesize(ts, type_, witnesses)
+    assert len(net.places) == len(kept)
+    for place, region in zip(net.places, kept):
+        assert {t: net.flow[place, t] for t in net.transitions} == region.signature
+        assert net.initial_marking[place] == region.support[ts.initial]
+    assert is_isomorphic(reachability_graph(net), ts) is not None
+
+
+class TestIrredundantPlaces:
+    @pytest.mark.parametrize("name", sorted(build_battery()))
+    @pytest.mark.parametrize(
+        "type_", [TAU, TAU_TILDE, FULL], ids=["tau", "twin", "full"]
+    )
+    def test_battery(self, battery, name, type_):
+        ts = battery[name]
+        result = check_feasibility(ts, type_)
+        if result.holds:
+            assert_irredundant_places(ts, type_, result.regions)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_random_feasible_systems(self, seed):
+        rng = random.Random(seed)
+        ts = random_ts(rng, max_states=5, max_events=3)
+        type_ = rng.choice([TAU, TAU_TILDE, FULL])
+        result = check_feasibility(ts, type_, engine="exhaustive")
+        if result.holds:
+            # Both engines' pools together: each settles everything alone.
+            other = check_feasibility(ts, type_, engine="sat")
+            witnesses = [*result.regions, *other.regions]
+            rng.shuffle(witnesses)
+            assert_irredundant_places(ts, type_, witnesses)
 
 
 class TestIsomorphism:

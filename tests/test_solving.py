@@ -915,6 +915,92 @@ class TestCoverageReplay:
             assert raised.value.atom == expected
 
 
+class TestIrredundant:
+    """``solving.irredundant`` drops, in order, each region the kept others
+    make redundant, counting inhibitions and separating states on ints."""
+
+    def test_a_drop_is_subtracted_from_the_counts(self):
+        # Two regions inhibit a at q and nothing else: either can go, not both.
+        ts = mixed_ts()
+        inp_swap, inp_set, swap_out = (
+            Region({"p": 1, "q": 0}, {"a": a, "b": b})
+            for a, b in (
+                (Interaction.INP, Interaction.SWAP),
+                (Interaction.INP, Interaction.SET),
+                (Interaction.SWAP, Interaction.OUT),
+            )
+        )
+        pool = [inp_swap, inp_set, swap_out]
+        assert all(validate_region(ts, FULL, r) for r in pool)
+        for k in (0, 1):
+            assert solving.first_unsettled(ts, FULL, pool[:k] + pool[k + 1 :]) is None
+        assert solving.first_unsettled(ts, FULL, [swap_out]) == EventStateAtom("a", "q")
+        assert solving.irredundant(ts, FULL, pool) == [inp_set, swap_out]
+        assert solving.irredundant(ts, FULL, pool[::-1]) == [swap_out, inp_swap]
+
+    def test_a_drop_clears_its_bit_from_the_codes(self):
+        # Two regions separate s1 from s2 and nothing else alone: either can
+        # go, not both.
+        ts = TransitionSystem.build("s0", [("s0", "a", "s1"), ("s0", "b", "s2")])
+        set_b = Region(
+            {"s0": 0, "s1": 0, "s2": 1}, {"a": Interaction.NOP, "b": Interaction.SET}
+        )
+        res_b = Region(
+            {"s0": 1, "s1": 1, "s2": 0}, {"a": Interaction.NOP, "b": Interaction.RES}
+        )
+        inp = Region(
+            {"s0": 1, "s1": 0, "s2": 0}, {"a": Interaction.INP, "b": Interaction.INP}
+        )
+        pool = [set_b, res_b, inp]
+        assert all(validate_region(ts, FULL, r) for r in pool)
+        assert solving.first_unsettled(ts, FULL, pool[1:]) is None
+        assert solving.first_unsettled(ts, FULL, [inp]) == StatePairAtom("s1", "s2")
+        assert solving.irredundant(ts, FULL, pool) == [res_b, inp]
+
+    def test_union_state_pairs_count_inside_one_member(self):
+        # Without ``across``, x1 and y1 share a code, which a union allows.
+        union = TsUnion.of(
+            TransitionSystem.build("x0", [("x0", "a", "x1")]),
+            TransitionSystem.build("y0", [("y0", "b", "y1")]),
+        )
+        across = Region(
+            {"x0": 1, "x1": 1, "y0": 0, "y1": 0},
+            {"a": Interaction.NOP, "b": Interaction.NOP},
+        )
+        both = Region(
+            {"x0": 1, "x1": 0, "y0": 1, "y1": 0},
+            {"a": Interaction.INP, "b": Interaction.INP},
+        )
+        free_inp = Region(
+            {"x0": 0, "x1": 0, "y0": 1, "y1": 0},
+            {"a": Interaction.FREE, "b": Interaction.INP},
+        )
+        pool = [across, both, free_inp]
+        assert all(validate_region(union, FULL, r) for r in pool)
+        assert StatePairAtom("x1", "y1") not in set(ssp_atoms(union))
+        kept = solving.irredundant(union, FULL, pool)
+        assert kept == [both, free_inp]
+        assert solving.first_unsettled(union, FULL, kept) is None
+        # As one system, x1 and y1 are a pair that only ``across`` separates.
+        one_system = TransitionSystem.build(
+            "x0", [("x0", "a", "x1"), ("y0", "b", "y1")], states=union.states
+        )
+        assert solving.irredundant(one_system, FULL, pool) == pool
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kept_regions_settle_what_the_pool_settles(self, seed):
+        subject, tau, regions = sampled_pool(seed)
+
+        def settled(pool):
+            return {atom for atom, _ in assign_witnesses(subject, tau, pool)}
+
+        kept = solving.irredundant(subject, tau, regions)
+        assert [id(r) for r in kept] == [id(r) for r in regions if r in kept]
+        assert settled(kept) == settled(regions)
+        for k in range(len(kept)):
+            assert settled(kept[:k] + kept[k + 1 :]) < settled(kept)
+
+
 class TestExhaustivePoolPins:
     """Golden pools of the exhaustive engine on seeded systems where a
     support inhibits pending states. Re-recorded when the engine began to
