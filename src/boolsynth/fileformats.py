@@ -144,10 +144,7 @@ def parse_ts(text: str) -> TransitionSystem:
 
 
 def parse_union(text: str) -> TsUnion:
-    subject = parse_subject(text)
-    if isinstance(subject, TsUnion):
-        return subject
-    return TsUnion((subject,))
+    return TsUnion(parse_subject(text).members)
 
 
 # ----------------------------------------------------------------- net text

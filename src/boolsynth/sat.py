@@ -134,7 +134,8 @@ class SatSolver:
         """Add clauses of internal literals, with the effect of ``add_clause``
         on each in turn; the solver keeps the lists and may reorder them.
         While nothing is assigned, two or more distinct known variables
-        need no normalising."""
+        need no normalising, nor does a ternary clause whose last two
+        literals are equal (attached as binary) or complementary (dropped)."""
         bins = self._bins
         watches = self._watches
         trail = self._trail
@@ -148,6 +149,11 @@ class SatSolver:
                         if a >> 1 != b >> 1 != c >> 1 != a >> 1:
                             watches[a].append(clause)
                             watches[b].append(clause)
+                            continue
+                        if b >> 1 == c >> 1 != a >> 1:  # b repeated, or b and not b
+                            if b == c:
+                                bins[a].append(b)
+                                bins[b].append(a)
                             continue
                 elif len(clause) > 3 and 1 < min(clause) and max(clause) < known:
                     if len({lit >> 1 for lit in clause}) == len(clause):

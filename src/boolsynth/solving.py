@@ -6,16 +6,27 @@ separation requirement (distinct states told apart by some region's support)
 and every event inhibition requirement (a region whose signature is undefined
 on the support value of a state the event must not fire in).
 
+One admissibility table, ``_type_data``, states the rule both engines rest
+on: a region's signature follows every arc, sigma(e)(sup(s)) = sup(s').
+Per interaction of the type it lists the arc patterns (source value, target
+value) the interaction cannot follow; from that list come the masks of the
+interactions that follow each pattern (``_Problem.allowed_mask``, which
+signs regions), the sweep's forbidden pattern sets and each clause of the
+consistency CNF (``_consistency_clauses``). A ``_Problem`` pairs the table
+with the subject's one index (``subject.index``, ``ts.SubjectIndex``: state
+and event positions, arcs and enabled states by event), built on a
+system's first check and shared by every later one.
+
 * The exhaustive engine sweeps every support in ascending order
   (lexicographic over the subject's state list). It filters admissibility
   bit-parallel, a window of up to 2^16 supports per Python big int: each
   state's value is a bitset over the window, each event's arcs give the
-  bitset of supports showing each (source, target) value pattern, and a
-  support survives iff every event keeps an interaction of the type that
-  follows all patterns shown there. At each surviving support the tracker
-  signs regions, as long as each settles something new.
-* The propositional engine encodes region admissibility as CNF over support
-  bits and signature selectors and answers individual requirements through
+  bitset of supports showing each pattern, and a support survives iff every
+  event keeps an interaction of the type that follows all patterns shown
+  there. At each surviving support the tracker signs regions, as long as
+  each settles something new.
+* The propositional engine encodes admissibility as CNF over support bits
+  and signature selectors and answers individual requirements through
   assumption-based incremental SAT queries. One table,
   ``_SatContext.queries``, lists the queries that settle a requirement:
   the two orientations of a state pair, or one partial interaction of the
@@ -32,6 +43,12 @@ on the support value of a state the event must not fire in).
   completes a model; the learnt clauses follow from the CNF and hold in it
   too.
 
+A spent budget has one signal, ``ResourceExhausted``, raised by the sweep
+and by ``_SatContext.solve`` when the solver stops at its deadline. Both
+engines append to a pool their caller owns, so ``_run_check``, the one
+place that catches it, answers "inconclusive" with the regions pooled so
+far; every other caller lets it propagate.
+
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
 are pending) and one uncovered-state mask per event for inhibition. It
@@ -43,23 +60,15 @@ entry, then ``resign``'s picks, then each other event's first allowed
 interaction (``_Problem.region``). So a region depends only on its support
 and on what is still pending, whichever engine found the support. Each
 pooled region settles a requirement no earlier one settles, so no pool
-repeats a region, and verdicts stay cheap on large subjects.
-The counterexample is the tracker's first pending requirement, and
-``assign_witnesses`` and ``first_unsettled`` replay a pool through the
-same tracker.
-``solve_atom`` is a check whose tracker has one pending requirement
-(``_Coverage.of_atom``); it answers with the first pooled region.
-``irredundant`` thins a pool for synthesis, on ints over the same index: it
-drops, in order, each region whose state pairs and inhibitions the regions
-it keeps settle too.
+repeats a region. The counterexample is the tracker's first pending
+requirement; ``assign_witnesses`` and ``first_unsettled`` replay a pool
+through the same tracker, and ``solve_atom`` is a check whose tracker has
+one pending requirement (``_Coverage.of_atom``). ``irredundant`` thins a
+pool for synthesis, on ints over the same index: it drops, in order, each
+region whose state pairs and inhibitions the regions it keeps settle too.
 For a fixed subject the two engines agree on all verdicts and report the
-same (canonically first) counterexample; only the shape of the witnessing
-regions may differ.
-
-State and event positions, each event's arcs and its enabled states come
-from the subject's one index (``subject.index``, ``ts.SubjectIndex``),
-built on a system's first check and shared by every later one; a
-``_Problem`` adds only the net type's data.
+same (canonically first) counterexample; only the witnessing regions may
+differ.
 """
 
 from __future__ import annotations
@@ -74,12 +83,11 @@ from .interactions import (
     UNDEFINED_AT,
     Interaction,
     NetType,
-    interactions_matching,
     iter_type,
     require_usable,
 )
 from .regions import Region, validate_region
-from .ts import Subject, TransitionSystem, TsUnion
+from .ts import Subject
 
 
 class ResourceExhausted(RuntimeError):
@@ -115,13 +123,6 @@ class EventStateAtom:
 Atom = Union[StatePairAtom, EventStateAtom]
 
 _GLOBAL_INDEX = {i: idx for idx, i in enumerate(INTERACTION_ORDER)}
-#: Per arc pattern ``2*a + b`` (source holds a, target holds b), the mask
-#: of the interactions that follow it.
-_MATCH_MASK = tuple(
-    sum(1 << _GLOBAL_INDEX[i] for i in interactions_matching(a, b))
-    for a in (0, 1)
-    for b in (0, 1)
-)
 
 #: Per partial interaction, in canonical order: (its bit in an allowed
 #: mask, the interaction, the token value it is undefined at).
@@ -133,11 +134,7 @@ def ssp_atoms(subject: Subject) -> Iterator[StatePairAtom]:
 
     For a union only same-member pairs are requirements.
     """
-    if isinstance(subject, TsUnion):
-        members: Sequence[TransitionSystem] = subject.members
-    else:
-        members = (subject,)
-    for member in members:
+    for member in subject.members:
         states = member.states
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
@@ -154,27 +151,38 @@ def essp_atoms(subject: Subject) -> Iterator[EventStateAtom]:
 
 
 def _deadline_from_budget(budget: Optional[float]) -> Optional[float]:
+    """When a budget of seconds ends; NaN, which never would, is rejected."""
     if budget is None:
         return None
+    if budget != budget:
+        raise ValueError("the budget is not a number")
     return time.monotonic() + budget
 
 
 @functools.cache
 def _type_data(
     tau: NetType,
-) -> tuple[tuple[Interaction, ...], int, tuple[tuple[int, ...], ...]]:
-    """The interactions of ``tau`` in canonical order, their mask, and per
-    interaction the arc patterns ``2*a + b`` (source holds a, target holds
-    b) it cannot follow, supersets dropped (they are never the last left).
-    Rejects the empty type."""
+) -> tuple[tuple[Interaction, ...], int, tuple, tuple, tuple]:
+    """The admissibility table of ``tau``: an interaction i follows the arc
+    pattern ``2*a + b`` (source holds a, target holds b) iff i(a) = b.
+
+    Returns the interactions of ``tau`` in canonical order and their mask;
+    per interaction, the patterns it cannot follow, ascending; per pattern,
+    the mask of the interactions that follow it; and the sweep's forbidden
+    sets: the distinct sets of patterns ruled out, supersets dropped (they
+    are never the last left). Rejects the empty type."""
     require_usable(tau)
     tau_list = iter_type(tau)
-    sets = {
-        frozenset(2 * a + b for a in (0, 1) for b in (0, 1) if i.effect[a] != b)
-        for i in tau_list
-    }
+    bits = [1 << _GLOBAL_INDEX[i] for i in tau_list]
+    ruled_out = tuple(
+        tuple(p for p in range(4) if i.effect[p >> 1] != p & 1) for i in tau_list
+    )
+    follows = tuple(
+        sum(bit for bit, out in zip(bits, ruled_out) if p not in out) for p in range(4)
+    )
+    sets = {frozenset(out) for out in ruled_out}
     forbidden = tuple(tuple(s) for s in sets if not any(t < s for t in sets))
-    return tau_list, sum(1 << _GLOBAL_INDEX[i] for i in tau_list), forbidden
+    return tau_list, sum(bits), ruled_out, follows, forbidden
 
 
 class _Problem:
@@ -188,7 +196,9 @@ class _Problem:
         self.events = subject.events
         self.n = len(self.states)
         self.full = (1 << self.n) - 1
-        self.tau_list, self.tau_mask, self.forbidden = _type_data(tau)
+        self.tau_list, self.tau_mask, self.ruled_out, self.follows, self.forbidden = (
+            _type_data(tau)
+        )
 
     def state_bit(self, pos: int) -> int:
         """Bit of state ``pos`` in a support integer, as ``SubjectIndex``
@@ -197,11 +207,13 @@ class _Problem:
 
     def allowed_mask(self, event_idx: int, support_int: int) -> int:
         """Interactions (as a bitmask over the canonical order) consistent
-        with every arc of the event under the given support."""
+        with every arc of the event under the given support; an event
+        without arcs may take any interaction of the type."""
         mask = self.tau_mask
+        follows = self.follows
         n1 = self.n - 1
         for src, dst in self.index.arcs_by_event[event_idx]:
-            mask &= _MATCH_MASK[
+            mask &= follows[
                 (support_int >> (n1 - src) & 1) << 1 | support_int >> (n1 - dst) & 1
             ]
             if not mask:
@@ -257,10 +269,8 @@ class _Coverage:
         if want_ssp:
             # A union lists its states member by member, so each member's
             # states are one run of adjacent bits.
-            subject = problem.subject
-            members = subject.members if isinstance(subject, TsUnion) else (subject,)
             end = 0
-            for member in members:
+            for member in problem.subject.members:
                 size = len(member.states)
                 end += size
                 if size > 1:
@@ -483,9 +493,9 @@ def _column_table(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def _admissible_supports(
     problem: _Problem, deadline: Optional[float]
-) -> Iterator[Optional[int]]:
-    """Every admissible support of ``problem`` in ascending order, or
-    ``None`` once the deadline has passed, after which nothing follows.
+) -> Iterator[int]:
+    """Every admissible support of ``problem`` in ascending order; raises
+    ``ResourceExhausted`` once the deadline has passed.
 
     Supports are decided a window of ``2**w`` at a time: the low ``w``
     support bits vary inside the window and the window index fixes the
@@ -502,8 +512,7 @@ def _admissible_supports(
     emitted = 0
     for high in range(1 << high_bits):
         if deadline is not None and time.monotonic() > deadline:
-            yield None
-            return
+            raise ResourceExhausted("budget exhausted")
         columns = low_columns
         if high_bits:
             columns = tuple(
@@ -542,15 +551,17 @@ def _admissible_supports(
             emitted += 1
             if deadline is not None and not emitted % 1024:
                 if time.monotonic() > deadline:
-                    yield None
-                    return
+                    raise ResourceExhausted("budget exhausted")
 
 
 def _exhaustive_check(
-    problem: _Problem, coverage: _Coverage, deadline: Optional[float]
-) -> tuple[tuple[Region, ...], bool]:
+    problem: _Problem,
+    coverage: _Coverage,
+    deadline: Optional[float],
+    pool: list[Region],
+) -> None:
     """Full-support-sweep decision: settles ``coverage`` as far as the
-    admissible regions allow. Returns (pooled regions, completed).
+    admissible regions allow, appending each region it pools to ``pool``.
 
     At each support the region is signed by the one rule (``resign``'s
     picks, then ``_Problem.region``'s first allowed interactions), and is
@@ -561,11 +572,8 @@ def _exhaustive_check(
     blocks = coverage.blocks
     uncovered = coverage.uncovered
     essp = any(uncovered)
-    pool: list[Region] = []
     if blocks or essp:
         for support in _admissible_supports(problem, deadline):
-            if support is None:
-                return tuple(pool), False
             cut = blocks and coverage.split(support)
             while True:
                 picks: dict[str, Interaction] = {}
@@ -579,7 +587,6 @@ def _exhaustive_check(
                 cut = False
             if not blocks and not any(uncovered):
                 break
-    return tuple(pool), True
 
 
 # ------------------------------------------------------------ propositional
@@ -652,6 +659,14 @@ class _SatContext:
                     lits = (sel, *(sup if at else -sup for sup in sups))
                     yield lits, {atom.event: interaction}
 
+    def solve(self, lits: tuple[int, ...], deadline: Optional[float]) -> bool:
+        """Whether a model satisfies the assumptions ``lits``; raises
+        ``ResourceExhausted`` once the deadline has passed."""
+        verdict = self.solver.solve(lits, deadline=deadline)
+        if verdict is None:
+            raise ResourceExhausted("budget exhausted")
+        return verdict
+
     def block_support(self) -> None:
         """Exclude the support of the last model from future answers."""
         model = self.solver.model_value
@@ -687,33 +702,27 @@ def _consistency_clauses(
     """CNF for 'the chosen signature is consistent with every arc', in the
     solver's internal literals (``2v`` for v, ``2v + 1`` for not v).
 
-    For every event at least one interaction is selected; a selected
-    interaction constrains the support bits along each arc of the event:
-    if it is undefined on token b, the source cannot carry b. If its
-    defined images agree on v (all but nop and swap), the target carries v;
-    this one binary clause is the resolvent of the two per-bit clauses
-    below and subsumes both, so the models are the same. Otherwise (and on
-    a self-loop) a source carrying b forces the target to carry the image
-    of b.
+    For every event at least one interaction is selected. Per arc of the
+    event, each arc pattern (a, b) the type's table rules out for a selected
+    interaction is excluded: the interaction is not selected, or the source
+    does not hold a, or the target does not hold b. The clause keeps only
+    its source side when (a, not b) is ruled out too, and only its target
+    side when (not a, b) is: the resolvent of the two patterns' clauses,
+    which subsumes both. Each interaction's patterns are taken in ascending
+    order, repeats dropped.
+    On a self-loop the solver drops a tautology and merges a repeated
+    literal.
     """
-    # Per interaction tau_list[k] and source bit b, the negation bits of the
-    # literals (source is not b) and (target is the image; None if undefined)
-    rows = [
-        (k, b, None if image is None else 1 - image)
-        for k, interaction in enumerate(problem.tau_list)
-        for b, image in enumerate(interaction.effect)
-    ]
-    # The same for an arc between two states, except that an interaction
-    # whose defined images agree has one row (k, None, dst_neg): the target
-    # literal alone.
-    arc_rows = []
-    for k, interaction in enumerate(problem.tau_list):
-        images = {image for image in interaction.effect if image is not None}
-        for b, image in enumerate(interaction.effect):
-            if image is None or len(images) > 1:
-                arc_rows.append((k, b, None if image is None else 1 - image))
-            elif (k, None, 1 - image) not in arc_rows:
-                arc_rows.append((k, None, 1 - image))
+    # Per interaction tau_list[k] and pattern (a, b) it rules out, the
+    # negation bits of the clause's literals (source is not a, target is
+    # not b), None for a side the rule above drops.
+    rows: list[tuple[int, Optional[int], Optional[int]]] = []
+    for k, patterns in enumerate(problem.ruled_out):
+        for p in patterns:
+            b = None if p ^ 1 in patterns else p & 1
+            a = None if b is not None and p ^ 2 in patterns else p >> 1
+            if (k, a, b) not in rows:
+                rows.append((k, a, b))
     for sels in sel_var:
         yield [2 * sel for sel in sels]
     for sels, arcs in zip(sel_var, problem.index.arcs_by_event):
@@ -721,55 +730,42 @@ def _consistency_clauses(
         for src, dst in arcs:
             s = 2 * sup_var[src]
             d = 2 * sup_var[dst]
-            if s != d:
-                for k, src_neg, dst_neg in arc_rows:
-                    if dst_neg is None:
-                        yield [not_sel[k], s | src_neg]
-                    elif src_neg is None:
-                        yield [not_sel[k], d | dst_neg]
-                    else:
-                        yield [not_sel[k], s | src_neg, d | dst_neg]
-                continue
-            for k, src_neg, dst_neg in rows:
-                if dst_neg is None or src_neg == dst_neg:
-                    yield [not_sel[k], s | src_neg]
-                # else a tautology: the same variable in both phases
+            for k, a, b in rows:
+                if b is None:
+                    yield [not_sel[k], s | a]
+                elif a is None:
+                    yield [not_sel[k], d | b]
+                else:
+                    yield [not_sel[k], s | a, d | b]
 
 
 def _sat_check(
-    problem: _Problem, coverage: _Coverage, deadline: Optional[float]
-) -> tuple[tuple[Region, ...], bool]:
+    problem: _Problem,
+    coverage: _Coverage,
+    deadline: Optional[float],
+    pool: list[Region],
+) -> None:
     """Query-driven decision via incremental SAT: asks for a region settling
-    the first pending requirement until none is left or one is unsettleable;
-    each query is steered toward settling the other pending ones as well."""
+    the first pending requirement until none is left or one is unsettleable,
+    appending each to ``pool``; each query is steered toward settling the
+    other pending ones as well. Each region settles a requirement that no
+    earlier one settles, so no region is pooled twice."""
     ctx = _SatContext(problem)
-    # Each region settles a requirement that no earlier one settles, so no
-    # region is pooled twice.
-    pool: list[Region] = []
     while (atom := coverage.first_pending()) is not None:
         for lits, forced in ctx.queries(atom, coverage):
-            verdict = ctx.solver.solve(lits, deadline=deadline)
-            if verdict is None:
-                return tuple(pool), False
-            if verdict:
+            if ctx.solve(lits, deadline):
                 pool.append(ctx.decode(forced, coverage))
                 break
         else:
             break  # no region settles ``atom``: it is the counterexample
-    return tuple(pool), True
+
+
+#: The engines by name. Each settles a coverage as far as it can before a
+#: deadline, appending the regions it pools to a list its caller owns.
+_ENGINES = {"exhaustive": _exhaustive_check, "sat": _sat_check}
 
 
 # ------------------------------------------------------------------- public
-
-
-def _decide(
-    problem: _Problem, coverage: _Coverage, engine: str, budget: Optional[float]
-) -> tuple[str, tuple[Region, ...], bool]:
-    """Settle ``coverage`` with the engine under the budget. Returns (the
-    engine that ran, pooled regions, completed)."""
-    engine_name = _resolve_engine(engine, problem)
-    decide = _exhaustive_check if engine_name == "exhaustive" else _sat_check
-    return (engine_name, *decide(problem, coverage, _deadline_from_budget(budget)))
 
 
 def _run_check(
@@ -779,20 +775,24 @@ def _run_check(
     engine: str,
     budget: Optional[float],
 ) -> CheckResult:
+    """The one place a spent budget ends in a verdict: "inconclusive", with
+    the regions pooled so far."""
     problem = _Problem(subject, tau)
     want_ssp = property_name in ("ssp", "feasible")
     want_essp = property_name in ("essp", "feasible")
     coverage = _Coverage(problem, want_ssp, want_essp)
-    engine_name, regions, completed = _decide(problem, coverage, engine, budget)
-    counterexample = coverage.first_pending() if completed else None
-    outcome = "yes" if counterexample is None else "no"
+    engine_name = _resolve_engine(engine, problem)
+    pool: list[Region] = []
+    try:
+        _ENGINES[engine_name](problem, coverage, _deadline_from_budget(budget), pool)
+    except ResourceExhausted:
+        outcome, counterexample = "inconclusive", None
+        reason = "budget exhausted before a verdict"
+    else:
+        counterexample = coverage.first_pending()
+        outcome, reason = "yes" if counterexample is None else "no", ""
     return CheckResult(
-        property_name=property_name,
-        outcome=outcome if completed else "inconclusive",
-        engine=engine_name,
-        counterexample=counterexample,
-        regions=regions,
-        reason="" if completed else "budget exhausted before a verdict",
+        property_name, outcome, engine_name, counterexample, tuple(pool), reason
     )
 
 
@@ -841,10 +841,10 @@ def solve_atom(
     if no such region exists. Raises ResourceExhausted on budget expiry."""
     problem = _Problem(subject, tau)
     coverage = _Coverage.of_atom(problem, atom)
-    _, regions, completed = _decide(problem, coverage, engine, budget)
-    if not completed:
-        raise ResourceExhausted("budget exhausted")
-    return regions[0] if regions else None
+    engine_name = _resolve_engine(engine, problem)
+    pool: list[Region] = []
+    _ENGINES[engine_name](problem, coverage, _deadline_from_budget(budget), pool)
+    return pool[0] if pool else None
 
 
 def enumerate_inhibiting_regions(
@@ -873,8 +873,6 @@ def enumerate_inhibiting_regions(
     found: list[Region] = []
     if engine_name == "exhaustive":
         for support in _admissible_supports(problem, deadline):
-            if support is None:
-                raise ResourceExhausted("budget exhausted")
             picks: dict[str, Interaction] = {}
             coverage.resign(support, picks)
             if picks:
@@ -888,12 +886,7 @@ def enumerate_inhibiting_regions(
         )
     ctx = _SatContext(problem)
     for lits, forced in ctx.queries(atom, coverage):
-        while len(found) < limit:
-            verdict = ctx.solver.solve(lits, deadline=deadline)
-            if verdict is None:
-                raise ResourceExhausted("budget exhausted")
-            if not verdict:
-                break
+        while len(found) < limit and ctx.solve(lits, deadline):
             found.append(ctx.decode(forced, coverage))
             ctx.block_support()
         if len(found) >= limit:

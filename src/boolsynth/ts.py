@@ -185,6 +185,11 @@ class TransitionSystem:
     def enabled(self, state: str, event: str) -> bool:
         return event in self.successors.get(state, ())
 
+    @property
+    def members(self) -> tuple[TransitionSystem]:
+        """The system itself, as the one member of a subject."""
+        return (self,)
+
     @cached_property
     def index(self) -> SubjectIndex:
         """Positions and arcs by event, built on first use."""
@@ -229,10 +234,8 @@ def validate_ts(ts: TransitionSystem) -> Report:
     return Report(tuple(violations))
 
 
-def grade(subject: "TransitionSystem | TsUnion") -> int:
+def grade(subject: "Subject") -> int:
     """Max over states of max(in-degree, out-degree), arcs counted one by one."""
-    if isinstance(subject, TsUnion):
-        return max(grade(member) for member in subject.members)
     in_deg = Counter(arc.target for arc in subject.arcs)
     best = 0
     for state, out in subject.successors.items():

@@ -96,6 +96,15 @@ class TestCheck:
         assert code == 3
         assert "inconclusive" in out
 
+    def test_nan_budget_is_a_usage_error(self, capsys, battery_files):
+        code, out, err = run(
+            capsys, "check", "feasible", battery_files["a1"],
+            "--type", TAU_SPEC, "--budget", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_exhaustive_budget_bounds_a_forty_state_sweep(self, capsys, tmp_path):
         path = tmp_path / "line.ts"
         path.write_text(format_ts(line_ts(40)))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -497,14 +498,16 @@ class TestConsistencyCnf:
         for tau in all_net_types():
             problem = solving._Problem(ts, tau)
             ctx = solving._SatContext(problem)
-            # The docstring's rule in DIMACS literals, unsimplified: at least
-            # one interaction per event; per arc and interaction, the
-            # interaction is not selected, or the source is not a value it is
-            # undefined at; and the interaction is not selected, or (on an
-            # arc between two states, for an interaction whose defined images
-            # agree) the target carries that image, once, or else, per
-            # source bit b it is defined at, the source is not b or the
-            # target carries the image of b.
+            # The docstring's table rule in DIMACS literals: at least one
+            # interaction per event; per arc and interaction, per pattern
+            # (a, b) in ascending order that the interaction cannot follow
+            # (its image of a is not b), the interaction is not selected, or
+            # the source is not a, or the target is not b. The clause keeps
+            # only its source side if (a, not b) is ruled out too, and only
+            # its target side if (not a, b) is; repeats are dropped. On a
+            # self-loop the solver's normaliser drops a tautology and merges
+            # a repeated literal, so used and free may load one binary
+            # clause twice there.
             reference = SatSolver(decision_vars=problem.n)
             reference.ensure_vars(ctx.solver.num_vars)
             for sels in ctx.sel_var:
@@ -513,17 +516,28 @@ class TestConsistencyCnf:
                 for src, dst in arcs:
                     s, d = ctx.sup_var[src], ctx.sup_var[dst]
                     for sel, interaction in zip(sels, problem.tau_list):
-                        images = set(interaction.effect) - {None}
-                        clauses = []
-                        for b, image in enumerate(interaction.effect):
-                            clause = [-sel, -s if b else s]
-                            if image is not None and s != d and len(images) == 1:
-                                clause = [-sel, d if image else -d]
-                            elif image is not None:
-                                clause.append(d if image else -d)
-                            if clause not in clauses:
-                                clauses.append(clause)
-                        for clause in clauses:
+                        out = [
+                            (a, b)
+                            for a in (0, 1)
+                            for b in (0, 1)
+                            if interaction.effect[a] != b
+                        ]
+                        sides = []  # (a or None, b or None) per clause
+                        for a, b in out:
+                            if (a, 1 - b) in out:
+                                side = (a, None)
+                            elif (1 - a, b) in out:
+                                side = (None, b)
+                            else:
+                                side = (a, b)
+                            if side not in sides:
+                                sides.append(side)
+                        for a, b in sides:
+                            clause = [-sel]
+                            if a is not None:
+                                clause.append(-s if a else s)
+                            if b is not None:
+                                clause.append(-d if b else d)
                             reference.add_clause(clause)
             assert solver_state(ctx.solver) == solver_state(reference), tau.spec()
             single += len(problem.tau_list) == 1
@@ -785,6 +799,46 @@ class TestBudgets:
         assert "budget" in result.reason
         assert result.regions == full.regions[:4]
         assert len(full.regions) > 4
+
+    def test_deadline_inside_the_sweep_keeps_the_pool(self, monkeypatch):
+        # All 2^13 supports of this chain are admissible under FULL, and a
+        # full run pools its regions from the first 2,049 of them. The
+        # deadline passes at the sweep's first every-1,024-supports check:
+        # the check keeps the regions of the first 1,024 supports, the same
+        # as a full run's.
+        chain = TransitionSystem.build(
+            "s0", [(f"s{k}", f"a{k}", f"s{k + 1}") for k in range(12)]
+        )
+        full = check_feasibility(chain, FULL, engine="exhaustive")
+        readings = []
+
+        def clock():
+            # The budget is read, then the window opens; every later reading
+            # is past the deadline.
+            readings.append(len(readings) < 2)
+            return 0.0 if readings[-1] else 2.0
+
+        monkeypatch.setattr(solving, "time", SimpleNamespace(monotonic=clock))
+        result = check_feasibility(chain, FULL, engine="exhaustive", budget=1.0)
+        assert readings == [True, True, False]
+        assert full.outcome == "yes"
+        assert result.outcome == "inconclusive"
+        assert "budget" in result.reason
+        assert 0 < len(result.regions) < len(full.regions)
+        assert result.regions == full.regions[: len(result.regions)]
+
+    def test_nan_budget_is_rejected(self, battery):
+        # No clock reading is ever past a NaN deadline, so it would never
+        # run out.
+        for engine in ("exhaustive", "sat"):
+            with pytest.raises(ValueError, match="budget"):
+                check_ssp(battery["a1"], TAU, engine=engine, budget=float("nan"))
+
+    def test_infinite_and_negative_budgets_keep_their_meaning(self, battery):
+        never = check_feasibility(battery["a1"], TAU, budget=float("inf"))
+        assert never.outcome == "yes"
+        spent = check_feasibility(battery["a1"], TAU, budget=-1.0)
+        assert spent.outcome == "inconclusive"
 
     def test_zero_budget_sat_enumeration_raises(self, battery):
         with pytest.raises(ResourceExhausted):

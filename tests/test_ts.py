@@ -215,6 +215,24 @@ class TestGrade:
         )
         assert grade(TsUnion.of(chain, battery["a1"])) == 2
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_union_grade_is_the_max_over_random_members(self, seed):
+        # grade reads a union's merged arcs and successors as it reads one
+        # system's: each state keeps the degrees it has in its own member.
+        rng = random.Random(seed)
+        members = []
+        for k in range(rng.randint(1, 4)):
+            ts = random_ts(rng, max_states=5, max_events=3)
+            members.append(
+                TransitionSystem.build(
+                    f"m{k}:{ts.initial}",
+                    [(f"m{k}:{s}", e, f"m{k}:{t}") for s, e, t in ts.arcs],
+                    states=[f"m{k}:{s}" for s in ts.states],
+                )
+            )
+        union = TsUnion(tuple(members))
+        assert grade(union) == max(grade(member) for member in members)
+
 
 class TestUnion:
     def test_members_must_be_state_disjoint(self, battery):
@@ -234,6 +252,11 @@ class TestUnion:
         m1 = two_cycle("i1", "x1", "h")
         union = TsUnion.of(m0, m1)
         assert union.events == ("h",)
+
+    def test_a_system_is_the_one_member_of_itself(self, battery):
+        ts = battery["a1"]
+        assert ts.members == (ts,)
+        assert ts.members[0] is ts
 
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError, match="at least one member"):
