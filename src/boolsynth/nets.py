@@ -12,7 +12,7 @@ mask operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from .interactions import Interaction, NetType, require_usable
 from .regions import Region, validate_region
@@ -169,6 +169,30 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
     )
 
 
+#: Per interaction, its rank in the order of the ``value`` strings, which
+#: ``Region.key`` compares.
+_VALUE_RANK = {
+    i: rank for rank, i in enumerate(sorted(Interaction, key=lambda i: i.value))
+}
+
+
+def _region_order(subject: TransitionSystem) -> Callable[[Region], bytes]:
+    """A key for the regions of ``subject`` that orders and identifies them
+    as ``Region.key()`` does: the support bits in sorted state order, then
+    the rank of each interaction's value in sorted event order, one byte
+    each. Every region must map exactly the subject's states and events."""
+    states = sorted(subject.states)
+    events = sorted(subject.events)
+
+    def key(region: Region) -> bytes:
+        sig = map(region.signature.__getitem__, events)
+        return bytes(map(region.support.__getitem__, states)) + bytes(
+            map(_VALUE_RANK.__getitem__, sig)
+        )
+
+    return key
+
+
 def synthesize(
     subject: TransitionSystem,
     tau: NetType,
@@ -181,16 +205,18 @@ def synthesize(
     The witness set must jointly settle every state-separation and
     event-inhibition requirement of ``subject`` (raises
     :class:`SynthesisError` naming the first unsolved one otherwise). The
-    distinct witnesses are then tried in sorted key order, and each one
-    whose requirements the others kept settle too is dropped
-    (:func:`~boolsynth.solving.irredundant`), so no place can be removed.
+    distinct witnesses are then tried in sorted key order
+    (:func:`_region_order`), and each one whose requirements the others kept
+    settle too is dropped (:func:`~boolsynth.solving.irredundant`), so no
+    place can be removed.
     """
     require_usable(tau)
-    distinct: dict[tuple, Region] = {}
+    key = _region_order(subject)
+    distinct: dict[bytes, Region] = {}
     for region in witnesses:
         if not validate_region(subject, tau, region):
             raise ValueError("witness is not an admissible region of the input")
-        distinct.setdefault(region.key(), region)
+        distinct.setdefault(key(region), region)
     regions = [distinct[key] for key in sorted(distinct)]
     unsettled = first_unsettled(subject, tau, regions)
     if unsettled is not None:

@@ -126,18 +126,51 @@ def _check_domains(subject: Subject, tau: NetType, region: Region) -> None:
         )
 
 
+#: Per interaction, the codes of its images of 0 and 1: the image itself,
+#: or 2 where it is undefined.
+_IMAGE_CODES = {
+    i: tuple(2 if image is None else image for image in i.effect) for i in Interaction
+}
+
+
 def validate_region(subject: Subject, tau: NetType, region: Region) -> bool:
     """True iff the region is valid on every arc of the subject.
 
     Domain mismatches (missing/extra states or events, signature values not
     in ``tau``) raise :class:`RegionDomainError` instead of returning False.
+
+    The support is read once in state order and gathered per arc
+    (``SubjectIndex.arc_values``). From its ``effect``, each interaction of
+    the signature marks the arcs whose target contradicts it, and the
+    region is valid iff no event has an arc marked by its interaction.
     """
-    _check_domains(subject, tau, region)
-    sup = region.support
-    # (image of 0, image of 1) per event, looked up once instead of per arc
-    effect = {event: i.effect for event, i in region.signature.items()}
-    for arc in subject.arcs:
-        if effect[arc.event][sup[arc.source]] != sup[arc.target]:
+    index = subject.index
+    support, signature = region.support, region.signature
+    try:
+        bits = bytes(map(support.__getitem__, subject.states))
+        sig = list(map(signature.__getitem__, subject.events))
+        if (
+            len(support) != len(index.state_pos)
+            or len(signature) != len(index.event_pos)
+            or bits.translate(None, b"\0\1")
+            or not tau.interactions.issuperset(sig)
+        ):
+            raise ValueError("the region's domains do not match")
+    except (KeyError, TypeError, ValueError):
+        _check_domains(subject, tau, region)  # raises with the details
+        raise
+    src, dst = index.arc_values(bits)
+    full = (1 << index.arc_count) - 1
+    zeros = full ^ src
+    # Per image code, the arcs whose target contradicts that image.
+    wrong = (dst, full ^ dst, full)
+    marked: dict[Interaction, int] = {}  # per interaction, the arcs it cannot follow
+    for slot, interaction in zip(index.arc_slots, sig):
+        bad = marked.get(interaction)
+        if bad is None:
+            on0, on1 = _IMAGE_CODES[interaction]
+            bad = marked[interaction] = zeros & wrong[on0] | src & wrong[on1]
+        if slot & bad:
             return False
     return True
 

@@ -286,6 +286,12 @@ class SatSolver:
             self.ensure_vars(var)
         self._phase[var] = 1 if value else 0
 
+    @property
+    def model_values(self) -> bytes:
+        """The most recent satisfying assignment by internal literal: byte
+        ``2v`` is 1 where v is true, 0 where false, 2 where left open."""
+        return self._model
+
     def model_value(self, var: int) -> bool:
         """Truth of ``var`` in the most recent satisfying assignment; a
         variable it left open (above ``decision_vars``) reads false."""

@@ -9,13 +9,24 @@ on the support value of a state the event must not fire in).
 One admissibility table, ``_type_data``, states the rule both engines rest
 on: a region's signature follows every arc, sigma(e)(sup(s)) = sup(s').
 Per interaction of the type it lists the arc patterns (source value, target
-value) the interaction cannot follow; from that list come the masks of the
-interactions that follow each pattern (``_Problem.allowed_mask``, which
-signs regions), the sweep's forbidden pattern sets and each clause of the
-consistency CNF (``_consistency_clauses``). A ``_Problem`` pairs the table
-with the subject's one index (``subject.index``, ``ts.SubjectIndex``: state
-and event positions, arcs and enabled states by event), built on a
-system's first check and shared by every later one.
+value) the interaction cannot follow; from that list come the sweep's
+forbidden pattern sets, each clause of the consistency CNF
+(``_consistency_clauses``) and, per 4-bit code of the patterns an event's
+arcs show under a support, the mask of the interactions that follow them
+all, from which regions are signed. A ``_Problem`` pairs the table with the
+subject's one index (``subject.index``, ``ts.SubjectIndex``: state and event
+positions, arcs and enabled states by event, and one gather of a support at
+every arc), built on a system's first check and shared by every later one.
+
+A region stays ints until it is signed: a support integer, and its allowed
+masks per event read from the event's code, never from a loop over its
+arcs. The sat engine reads a model's support bits in one gather and each
+event's code from its slot in the gathered ints (``_Problem.allowed_at``);
+the exhaustive engine reads the code from the sweep's pattern sets of the
+support's window (``_Problem.allowed_in_window``). Every region either
+engine builds passes ``regions.validate_region``, which reads it back from
+its mappings and checks it against ``Interaction.effect``, independent of
+this table and of the CNF.
 
 * The exhaustive engine sweeps every support in ascending order
   (lexicographic over the subject's state list). It filters admissibility
@@ -23,8 +34,10 @@ system's first check and shared by every later one.
   state's value is a bitset over the window, each event's arcs give the
   bitset of supports showing each pattern, and a support survives iff every
   event keeps an interaction of the type that follows all patterns shown
-  there. At each surviving support the tracker signs regions, as long as
-  each settles something new.
+  there. A subject of one window keeps those bitsets in its index for its
+  later checks. At each surviving support the tracker signs regions, as
+  long as each settles something new. Without a budget it refuses subjects
+  above ``_EXHAUSTIVE_MAX_STATES`` states.
 * The propositional engine encodes admissibility as CNF over support bits
   and signature selectors and answers individual requirements through
   assumption-based incremental SAT queries. One table,
@@ -76,7 +89,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .interactions import (
     INTERACTION_ORDER,
@@ -87,7 +100,7 @@ from .interactions import (
     require_usable,
 )
 from .regions import Region, validate_region
-from .ts import Subject
+from .ts import BIT_DIGITS, Subject, tuple_getter
 
 
 class ResourceExhausted(RuntimeError):
@@ -128,6 +141,9 @@ _GLOBAL_INDEX = {i: idx for idx, i in enumerate(INTERACTION_ORDER)}
 #: mask, the interaction, the token value it is undefined at).
 _PARTIALS = tuple((1 << _GLOBAL_INDEX[i], i, at) for i, at in UNDEFINED_AT.items())
 
+#: Per mask over the canonical order, its first interaction.
+_FIRST_OF = tuple(INTERACTION_ORDER[(m & -m).bit_length() - 1] for m in range(256))
+
 
 def ssp_atoms(subject: Subject) -> Iterator[StatePairAtom]:
     """All state separation requirements of ``subject``, canonical order.
@@ -161,28 +177,36 @@ def _deadline_from_budget(budget: Optional[float]) -> Optional[float]:
 
 @functools.cache
 def _type_data(
-    tau: NetType,
-) -> tuple[tuple[Interaction, ...], int, tuple, tuple, tuple]:
-    """The admissibility table of ``tau``: an interaction i follows the arc
-    pattern ``2*a + b`` (source holds a, target holds b) iff i(a) = b.
+    interactions: frozenset[Interaction],
+) -> tuple[tuple[Interaction, ...], tuple, tuple[int, ...], tuple]:
+    """The admissibility table of a type with these ``interactions`` (a
+    frozenset hashes in C, a ``NetType`` in Python): an interaction i
+    follows the arc pattern ``2*a + b`` (source holds a, target holds b)
+    iff i(a) = b.
 
-    Returns the interactions of ``tau`` in canonical order and their mask;
-    per interaction, the patterns it cannot follow, ascending; per pattern,
-    the mask of the interactions that follow it; and the sweep's forbidden
-    sets: the distinct sets of patterns ruled out, supersets dropped (they
-    are never the last left). Rejects the empty type."""
-    require_usable(tau)
-    tau_list = iter_type(tau)
+    Returns the type's interactions in canonical order; per interaction,
+    the patterns it cannot follow, ascending; per code of the patterns an
+    event's arcs show (bit p set iff some arc shows pattern p), the mask of
+    the interactions that follow them all (code 0, no arc: the whole type);
+    and the sweep's forbidden sets: the distinct sets of patterns ruled
+    out, supersets dropped (they are never the last left)."""
+    tau_list = iter_type(interactions)
     bits = [1 << _GLOBAL_INDEX[i] for i in tau_list]
     ruled_out = tuple(
         tuple(p for p in range(4) if i.effect[p >> 1] != p & 1) for i in tau_list
     )
-    follows = tuple(
+    follows = [
         sum(bit for bit, out in zip(bits, ruled_out) if p not in out) for p in range(4)
-    )
+    ]
+    allowed_by_code = [sum(bits)]
+    for code in range(1, 16):
+        # What follows the code's other patterns and its lowest one.
+        low = code & -code
+        rest = allowed_by_code[code ^ low]
+        allowed_by_code.append(rest & follows[low.bit_length() - 1])
     sets = {frozenset(out) for out in ruled_out}
     forbidden = tuple(tuple(s) for s in sets if not any(t < s for t in sets))
-    return tau_list, sum(bits), ruled_out, follows, forbidden
+    return tau_list, ruled_out, tuple(allowed_by_code), forbidden
 
 
 class _Problem:
@@ -196,8 +220,9 @@ class _Problem:
         self.events = subject.events
         self.n = len(self.states)
         self.full = (1 << self.n) - 1
-        self.tau_list, self.tau_mask, self.ruled_out, self.follows, self.forbidden = (
-            _type_data(tau)
+        require_usable(tau)
+        self.tau_list, self.ruled_out, self.allowed_by_code, self.forbidden = (
+            _type_data(tau.interactions)
         )
 
     def state_bit(self, pos: int) -> int:
@@ -205,44 +230,78 @@ class _Problem:
         lays supports out."""
         return 1 << (self.n - 1 - pos)
 
-    def allowed_mask(self, event_idx: int, support_int: int) -> int:
-        """Interactions (as a bitmask over the canonical order) consistent
-        with every arc of the event under the given support; an event
-        without arcs may take any interaction of the type."""
-        mask = self.tau_mask
-        follows = self.follows
-        n1 = self.n - 1
-        for src, dst in self.index.arcs_by_event[event_idx]:
-            mask &= follows[
-                (support_int >> (n1 - src) & 1) << 1 | support_int >> (n1 - dst) & 1
+    def allowed_at(self, bits: bytes) -> list[int]:
+        """Per event, the mask of the interactions (over the canonical
+        order) that follow every arc of the event under a support given as
+        one 0/1 byte per state in position order; an event without arcs
+        may take any interaction of the type. One gather reads the support
+        at every arc (``SubjectIndex.arc_values``); an event's code of the
+        patterns shown is then four tests on its slot."""
+        index = self.index
+        src, dst = index.arc_values(bits)
+        zeros = ((1 << index.arc_count) - 1) ^ src
+        a01 = zeros & dst
+        a11 = src & dst
+        a00 = zeros ^ a01
+        a10 = src ^ a11
+        by_code = self.allowed_by_code
+        return [
+            by_code[
+                (a00 & slot and 1)
+                | (a01 & slot and 2)
+                | (a10 & slot and 4)
+                | (a11 & slot and 8)
             ]
-            if not mask:
-                break
-        return mask
+            for slot in index.arc_slots
+        ]
 
-    def region(self, support_int: int, picks: Mapping[str, Interaction]) -> Region:
+    def allowed_in_window(self, shown: Sequence[tuple], support: int) -> list[int]:
+        """``allowed_at`` for a support of the sweep's current window, read
+        from each event's sets of the window's supports showing each pattern
+        (``_admissible_supports``); the support's low ``_WINDOW_BITS`` bits
+        are its offset in the window."""
+        by_code = self.allowed_by_code
+        bit = 1 << (support & ~(-1 << _WINDOW_BITS))
+        return [
+            by_code[
+                (f00 & bit and 1)
+                | (f01 & bit and 2)
+                | (f10 & bit and 4)
+                | (f11 & bit and 8)
+            ]
+            for f00, f01, f10, f11 in shown
+        ]
+
+    def region(
+        self,
+        support_int: int,
+        picks: Mapping[str, Interaction],
+        allowed: Sequence[int],
+        bits: Optional[bytes] = None,
+    ) -> Region:
         """The region of a support integer, re-validated: each event in
-        ``picks`` gets its pick, every other its first allowed interaction
-        in canonical order. An engine that builds an inadmissible region is
-        at fault."""
-        signature: dict[str, Interaction] = {}
-        for e, event in enumerate(self.events):
-            interaction = picks.get(event)
-            if interaction is None:
-                mask = self.allowed_mask(e, support_int)
-                interaction = INTERACTION_ORDER[(mask & -mask).bit_length() - 1]
-            signature[event] = interaction
-        n1 = self.n - 1
-        support = {s: support_int >> (n1 - p) & 1 for p, s in enumerate(self.states)}
-        region = Region(support=support, signature=signature)
+        ``picks`` gets its pick, every other the first interaction of its
+        ``allowed`` mask in canonical order. ``bits`` is the support as one
+        0/1 byte per state, where the caller has it. An engine that builds
+        an inadmissible region is at fault."""
+        signature = dict(zip(self.events, map(_FIRST_OF.__getitem__, allowed)))
+        if picks:
+            signature.update(picks)
+        if bits is None:
+            n1 = self.n - 1
+            states = enumerate(self.states)
+            support = {s: support_int >> (n1 - p) & 1 for p, s in states}
+        else:
+            support = dict(zip(self.states, bits))
+        region = Region(support, signature)
         if not validate_region(self.subject, self.tau, region):
             raise EngineError("engine produced an inadmissible region")
         return region
 
     def support_int_of(self, region: Region) -> int:
         """The support integer of a region, one bit per state position."""
-        support = region.support
-        return int("".join("1" if support[s] else "0" for s in self.states), 2)
+        bits = bytes(map(region.support.__getitem__, self.states))
+        return int(bits.translate(BIT_DIGITS), 2)
 
 
 def _position(positions: Mapping[str, int], kind: str, name: str) -> int:
@@ -303,6 +362,12 @@ class _Coverage:
     def split(self, support: int) -> list[tuple[int, int]]:
         """Split every block the support cuts; returns the (ones, zeros)
         halves of each cut block, whose cross pairs are now settled."""
+        for block in self.blocks:
+            ones = block & support
+            if ones and ones != block:
+                break
+        else:
+            return []  # the support cuts no block
         halves: list[tuple[int, int]] = []
         kept: list[int] = []
         for block in self.blocks:
@@ -339,23 +404,24 @@ class _Coverage:
                     inhibited.append((e, newly))
         return halves, inhibited
 
-    def resign(self, support: int, picks: dict[str, Interaction]) -> None:
-        """Pick in place, for the given support, the inhibiting interactions:
-        every event with pending inhibitions and no pick yet gets the
-        admissible partial interaction that inhibits the most of its pending
-        states (canonically first among equals), if one inhibits any."""
-        problem = self.problem
+    def resign(
+        self, support: int, picks: dict[str, Interaction], allowed: Sequence[int]
+    ) -> None:
+        """Pick in place, for the given support and its ``allowed`` masks
+        per event, the inhibiting interactions: every event with pending
+        inhibitions and no pick yet gets the admissible partial interaction
+        that inhibits the most of its pending states (canonically first
+        among equals), if one is admissible."""
+        events = self.problem.events
         for e, pending in enumerate(self.uncovered):
-            event = problem.events[e]
+            event = events[e]
             if not pending or event in picks:
                 continue
             counts = ((pending & ~support).bit_count(), (pending & support).bit_count())
-            if max(counts):
-                most = 0
-                allowed = problem.allowed_mask(e, support)
-                for mask_bit, interaction, bit in _PARTIALS:
-                    if allowed & mask_bit and counts[bit] > most:
-                        picks[event], most = interaction, counts[bit]
+            most = 0
+            for mask_bit, interaction, bit in _PARTIALS:
+                if allowed[e] & mask_bit and counts[bit] > most:
+                    picks[event], most = interaction, counts[bit]
 
     def first_pending(self) -> Optional[Atom]:
         """The canonically first pending requirement, state pairs first."""
@@ -461,9 +527,21 @@ class CheckResult:
         return self.holds
 
 
-def _resolve_engine(engine: str, problem: _Problem) -> str:
+def _resolve_engine(engine: str, problem: _Problem, budget: Optional[float]) -> str:
+    """The engine a check runs: ``auto`` sends subjects of up to
+    ``_WINDOW_BITS`` states to the exhaustive engine, the others to the sat
+    engine. Without a budget the exhaustive engine is refused above
+    ``_EXHAUSTIVE_MAX_STATES``, where its sweep of all supports would not
+    end in useful time."""
     if engine == "auto":
         return "exhaustive" if problem.n <= _WINDOW_BITS else "sat"
+    too_large = problem.n > _EXHAUSTIVE_MAX_STATES
+    if engine == "exhaustive" and budget is None and too_large:
+        raise ValueError(
+            f"the exhaustive engine would sweep all 2^{problem.n} supports; "
+            f"without a budget it takes at most {_EXHAUSTIVE_MAX_STATES} states "
+            "(use the sat engine or give a budget)"
+        )
     if engine in ("exhaustive", "sat"):
         return engine
     raise ValueError(f"unknown engine {engine!r}")
@@ -474,6 +552,12 @@ def _resolve_engine(engine: str, problem: _Problem) -> str:
 #: Support bits decided together in one big-int window. It is also the
 #: ``auto`` cutoff, so every system ``auto`` sends here fits in one window.
 _WINDOW_BITS = 16
+
+#: The most states the exhaustive engine takes without a budget. Its sweep
+#: doubles with each state: a "no" essp check on random three-event
+#: systems took 0.04 s at 24 states, 0.2 s at 26 and 1.0 s at 28 (2-core
+#: Intel Xeon, Python 3.11.7), so about 20 s at 32.
+_EXHAUSTIVE_MAX_STATES = 32
 
 
 @functools.cache
@@ -491,18 +575,45 @@ def _column_table(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return all_ones, tuple(columns)
 
 
+def _window_sets(
+    problem: _Problem, columns: Sequence[tuple[int, int]]
+) -> list[tuple[int, int, int, int]]:
+    """Per event, the sets of a window's supports at which some arc of the
+    event shows the pattern 00, 01, 10 and 11; ``columns`` gives each
+    state's pair (supports where it holds 0, where it holds 1)."""
+    sets = []
+    for arcs in problem.index.arcs_by_event:
+        f00 = f01 = f10 = f11 = 0
+        for src, dst in arcs:
+            src0, src1 = columns[src]
+            dst0, dst1 = columns[dst]
+            f00 |= src0 & dst0
+            f01 |= src0 & dst1
+            f10 |= src1 & dst0
+            f11 |= src1 & dst1
+        sets.append((f00, f01, f10, f11))
+    return sets
+
+
 def _admissible_supports(
-    problem: _Problem, deadline: Optional[float]
+    problem: _Problem,
+    deadline: Optional[float],
+    shown: Optional[list[tuple[int, int, int, int]]] = None,
 ) -> Iterator[int]:
     """Every admissible support of ``problem`` in ascending order; raises
-    ``ResourceExhausted`` once the deadline has passed.
+    ``ResourceExhausted`` once the deadline has passed. A list ``shown``
+    holds, while a window's supports are yielded, its ``_window_sets``,
+    from which ``_Problem.allowed_in_window`` reads a support's allowed
+    masks.
 
     Supports are decided a window of ``2**w`` at a time: the low ``w``
     support bits vary inside the window and the window index fixes the
     rest. Each state's value becomes a set over the window; per event the
     arcs give the set of supports showing each (source, target) value
     pattern, and a support is admissible iff for every event some
-    interaction of the type follows every pattern shown there.
+    interaction of the type follows every pattern shown there. A subject
+    of one window shows the same sets under every type, so they are kept
+    in its index (``SubjectIndex.sweep_sets``).
     """
     n = problem.n
     width = min(n, _WINDOW_BITS)
@@ -513,28 +624,27 @@ def _admissible_supports(
     for high in range(1 << high_bits):
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceExhausted("budget exhausted")
-        columns = low_columns
         if high_bits:
-            columns = tuple(
+            high_columns = tuple(
                 (0, all_ones) if high >> (high_bits - 1 - p) & 1 else (all_ones, 0)
                 for p in range(high_bits)
-            ) + low_columns
+            )
+            sets = _window_sets(problem, high_columns + low_columns)
+        else:
+            sets = problem.index.sweep_sets.get(width)
+            if sets is None:
+                sets = problem.index.sweep_sets[width] = _window_sets(
+                    problem, low_columns
+                )
+        if shown is not None:
+            shown[:] = sets
         blocked = 0
-        for arcs in problem.index.arcs_by_event:
-            f00 = f01 = f10 = f11 = 0
-            for src, dst in arcs:
-                src0, src1 = columns[src]
-                dst0, dst1 = columns[dst]
-                f00 |= src0 & dst0
-                f01 |= src0 & dst1
-                f10 |= src1 & dst0
-                f11 |= src1 & dst1
-            shown = (f00, f01, f10, f11)
+        for pattern_sets in sets:
             stuck = all_ones
             for patterns in forbidden:
                 hit = 0
                 for pattern in patterns:
-                    hit |= shown[pattern]
+                    hit |= pattern_sets[pattern]
                 stuck &= hit
             blocked |= stuck
             if blocked == all_ones:
@@ -548,9 +658,9 @@ def _admissible_supports(
             if at < 0:
                 break
             yield base | (top - at)
-            emitted += 1
-            if deadline is not None and not emitted % 1024:
-                if time.monotonic() > deadline:
+            if deadline is not None:
+                emitted += 1
+                if not emitted % 1024 and time.monotonic() > deadline:
                     raise ResourceExhausted("budget exhausted")
 
 
@@ -568,24 +678,30 @@ def _exhaustive_check(
     pooled and settled if the support splits a block (its first region
     only) or ``resign`` picked an interaction. This repeats until a
     round settles nothing, so each pooled region settles something new and
-    none repeats."""
+    none repeats. The allowed masks are read from the sweep's window only
+    at a support that splits a block or while inhibitions are pending."""
     blocks = coverage.blocks
     uncovered = coverage.uncovered
     essp = any(uncovered)
     if blocks or essp:
-        for support in _admissible_supports(problem, deadline):
+        shown: list[tuple[int, int, int, int]] = []
+        for support in _admissible_supports(problem, deadline, shown):
             cut = blocks and coverage.split(support)
+            if not cut and not essp:
+                continue
+            allowed = problem.allowed_in_window(shown, support)
             while True:
                 picks: dict[str, Interaction] = {}
                 if essp:
-                    coverage.resign(support, picks)
+                    coverage.resign(support, picks, allowed)
                 if not cut and not picks:
                     break
-                region = problem.region(support, picks)
+                region = problem.region(support, picks, allowed)
                 pool.append(region)
                 coverage.settle(support, region.signature)
                 cut = False
-            if not blocks and not any(uncovered):
+                essp = essp and any(uncovered)
+            if not blocks and not essp:
                 break
 
 
@@ -659,6 +775,12 @@ class _SatContext:
                     lits = (sel, *(sup if at else -sup for sup in sups))
                     yield lits, {atom.event: interaction}
 
+    @functools.cached_property
+    def read_support(self) -> Callable[[bytes], tuple[int, ...]]:
+        """The support bits of a model (``SatSolver.model_values``), in
+        state position order."""
+        return tuple_getter([2 * var for var in self.sup_var])
+
     def solve(self, lits: tuple[int, ...], deadline: Optional[float]) -> bool:
         """Whether a model satisfies the assumptions ``lits``; raises
         ``ResourceExhausted`` once the deadline has passed."""
@@ -678,18 +800,12 @@ class _SatContext:
         picks, then every other event's first allowed interaction. It is
         validated once and credited to ``coverage``."""
         problem = self.problem
-        model = self.solver.model_value
-        support = 0
-        for var in self.sup_var:
-            support = support << 1 | model(var)
+        bits = bytes(self.read_support(self.solver.model_values))
+        support = int(bits.translate(BIT_DIGITS), 2)
+        allowed = problem.allowed_at(bits)
         picks = dict(forced)
-        coverage.resign(support, picks)
-        first = problem.tau_list[0]
-        for event, sels in zip(problem.events, self.sel_var):
-            # A true first selector proves tau_list[0] allowed: the first one.
-            if event not in picks and model(sels[0]):
-                picks[event] = first
-        region = problem.region(support, picks)
+        coverage.resign(support, picks, allowed)
+        region = problem.region(support, picks, allowed, bits)
         coverage.settle(support, region.signature)
         return region
 
@@ -709,20 +825,14 @@ def _consistency_clauses(
     its source side when (a, not b) is ruled out too, and only its target
     side when (not a, b) is: the resolvent of the two patterns' clauses,
     which subsumes both. Each interaction's patterns are taken in ascending
-    order, repeats dropped.
-    On a self-loop the solver drops a tautology and merges a repeated
-    literal.
+    order, repeats dropped. On a self-loop source and target are one bit, so
+    a source-side and a target-side clause on the same value are one
+    clause, loaded once; the solver drops a tautology and merges a repeated
+    literal. (Arcs of an event that share a state repeat one-sided clauses
+    too, but dropping those costs more than their repeats in the solver's
+    binary lists, which change no search.)
     """
-    # Per interaction tau_list[k] and pattern (a, b) it rules out, the
-    # negation bits of the clause's literals (source is not a, target is
-    # not b), None for a side the rule above drops.
-    rows: list[tuple[int, Optional[int], Optional[int]]] = []
-    for k, patterns in enumerate(problem.ruled_out):
-        for p in patterns:
-            b = None if p ^ 1 in patterns else p & 1
-            a = None if b is not None and p ^ 2 in patterns else p >> 1
-            if (k, a, b) not in rows:
-                rows.append((k, a, b))
+    rows, loop_rows = _clause_rows(problem.ruled_out)
     for sels in sel_var:
         yield [2 * sel for sel in sels]
     for sels, arcs in zip(sel_var, problem.index.arcs_by_event):
@@ -730,13 +840,35 @@ def _consistency_clauses(
         for src, dst in arcs:
             s = 2 * sup_var[src]
             d = 2 * sup_var[dst]
-            for k, a, b in rows:
+            for k, a, b in rows if src != dst else loop_rows:
                 if b is None:
                     yield [not_sel[k], s | a]
                 elif a is None:
                     yield [not_sel[k], d | b]
                 else:
                     yield [not_sel[k], s | a, d | b]
+
+
+@functools.cache
+def _clause_rows(ruled_out: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """The consistency clauses of one arc, per the rule above, as rows
+    ``(k, a, b)``: interaction ``tau_list[k]`` is not selected, or the
+    source is not a, or the target is not b, with None for a side the rule
+    drops. Returns the rows of an arc and those of a self-loop, where a
+    one-sided row is its one literal and is kept once."""
+    rows: list[tuple[int, Optional[int], Optional[int]]] = []
+    for k, patterns in enumerate(ruled_out):
+        for p in patterns:
+            b = None if p ^ 1 in patterns else p & 1
+            a = None if b is not None and p ^ 2 in patterns else p >> 1
+            if (k, a, b) not in rows:
+                rows.append((k, a, b))
+    loop_rows: dict[tuple, tuple[int, Optional[int], Optional[int]]] = {}
+    for k, a, b in rows:
+        one_sided = a is None or b is None
+        key = (k, b if a is None else a) if one_sided else (k, a, b)
+        loop_rows.setdefault(key, (k, a, b))
+    return tuple(rows), tuple(loop_rows.values())
 
 
 def _sat_check(
@@ -781,7 +913,7 @@ def _run_check(
     want_ssp = property_name in ("ssp", "feasible")
     want_essp = property_name in ("essp", "feasible")
     coverage = _Coverage(problem, want_ssp, want_essp)
-    engine_name = _resolve_engine(engine, problem)
+    engine_name = _resolve_engine(engine, problem, budget)
     pool: list[Region] = []
     try:
         _ENGINES[engine_name](problem, coverage, _deadline_from_budget(budget), pool)
@@ -841,7 +973,7 @@ def solve_atom(
     if no such region exists. Raises ResourceExhausted on budget expiry."""
     problem = _Problem(subject, tau)
     coverage = _Coverage.of_atom(problem, atom)
-    engine_name = _resolve_engine(engine, problem)
+    engine_name = _resolve_engine(engine, problem, budget)
     pool: list[Region] = []
     _ENGINES[engine_name](problem, coverage, _deadline_from_budget(budget), pool)
     return pool[0] if pool else None
@@ -864,7 +996,7 @@ def enumerate_inhibiting_regions(
     blocking clauses). The propositional engine requires ``limit``.
     """
     problem = _Problem(subject, tau)
-    engine_name = _resolve_engine(engine, problem)
+    engine_name = _resolve_engine(engine, problem, budget)
     deadline = _deadline_from_budget(budget)
     atom = EventStateAtom(event, state)
     coverage = _Coverage.of_atom(problem, atom)
@@ -872,11 +1004,13 @@ def enumerate_inhibiting_regions(
         return []
     found: list[Region] = []
     if engine_name == "exhaustive":
-        for support in _admissible_supports(problem, deadline):
+        shown: list[tuple[int, int, int, int]] = []
+        for support in _admissible_supports(problem, deadline, shown):
+            allowed = problem.allowed_in_window(shown, support)
             picks: dict[str, Interaction] = {}
-            coverage.resign(support, picks)
+            coverage.resign(support, picks, allowed)
             if picks:
-                found.append(problem.region(support, picks))
+                found.append(problem.region(support, picks, allowed))
                 if len(found) == limit:
                     break
         return found

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class Arc(NamedTuple):
@@ -60,7 +61,8 @@ class Report:
         return "; ".join(str(v) for v in self.violations)
 
 
-class SubjectIndex(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class SubjectIndex:
     """Positions of a subject's states and events, and its arcs by event.
 
     ``state_pos`` and ``event_pos`` give each state's position in
@@ -72,12 +74,47 @@ class SubjectIndex(NamedTuple):
     In a support integer of an n-state subject, the state at position p is
     bit n - 1 - p, so ascending integers enumerate supports in
     lexicographic order over ``states``.
+
+    ``arc_values`` reads a support per arc in one C-level gather. It takes
+    the m arcs event by event in ``events`` order, each event's in
+    ``arcs_by_event`` order, and returns the values at their sources and at
+    their targets as two m-bit integers, the first arc most significant;
+    event k's arcs are the bits of ``arc_slots[k]``.
     """
 
     state_pos: Mapping[str, int]
     event_pos: Mapping[str, int]
     arcs_by_event: tuple[tuple[tuple[int, int], ...], ...]
     enabled_mask: tuple[int, ...]
+    arc_slots: tuple[int, ...]
+    arc_count: int
+    # The arcs' source positions, then their target positions, in slot order.
+    arc_ends: Callable[[bytes], tuple[int, ...]] = field(compare=False, repr=False)
+    # Per window width, the support sweep's pattern sets of a subject that
+    # fits in one window, kept from its first check (``solving``).
+    sweep_sets: dict[int, list] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def arc_values(self, support: bytes) -> tuple[int, int]:
+        """The support's values at the arcs' sources and at their targets,
+        given one byte per state in position order (nonzero reads as 1)."""
+        m = self.arc_count
+        ends = int(bytes(self.arc_ends(support)).translate(BIT_DIGITS) or b"0", 2)
+        return ends >> m, ends & ((1 << m) - 1)
+
+
+#: A ``bytes.translate`` table to the digits of a binary number: byte 0 to
+#: "0", any other byte to "1".
+BIT_DIGITS = b"0" + b"1" * 255
+
+
+def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*positions)``, but returning a tuple however few
+    positions there are (``itemgetter`` returns a single item bare)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda values: tuple(values[p] for p in positions)
 
 
 def _build_index(
@@ -94,8 +131,20 @@ def _build_index(
         src = state_pos[source]
         arcs_by_event[k].append((src, state_pos[target]))
         enabled[k] |= 1 << (n1 - src)
+    grouped = [pair for pairs in arcs_by_event for pair in pairs]
+    slots = []
+    left = len(grouped)  # arcs of the later events
+    for pairs in arcs_by_event:
+        left -= len(pairs)
+        slots.append(((1 << len(pairs)) - 1) << left)
     return SubjectIndex(
-        state_pos, event_pos, tuple(map(tuple, arcs_by_event)), tuple(enabled)
+        state_pos,
+        event_pos,
+        tuple(map(tuple, arcs_by_event)),
+        tuple(enabled),
+        tuple(slots),
+        len(grouped),
+        tuple_getter([src for src, _ in grouped] + [dst for _, dst in grouped]),
     )
 
 

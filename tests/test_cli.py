@@ -309,6 +309,26 @@ class TestReduceSolveExtract:
         assert code == 1
         assert out.splitlines() == ["feasible: no", "counterexample: essp k h_0_2"]
 
+    def test_unbudgeted_exhaustive_engine_refuses_the_largest_union(
+        self, capsys, cnf_files, tmp_path
+    ):
+        # Sweeping 2^397 supports would never end: without a budget the
+        # exhaustive engine is a usage error, with one it is inconclusive.
+        union_path = tmp_path / "phi4_free.ts"
+        run(
+            capsys, "reduce", cnf_files["unsat"], "--family", "free", "--union",
+            "-o", str(union_path),
+        )
+        argv = ("check", "ssp", str(union_path), "--type",
+                "nop,set,res,swap,used,free", "--engine", "exhaustive")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "2^397 supports" in err and "at most 32 states" in err
+        code, out, _ = run(capsys, *argv, "--budget", "0.2")
+        assert code == 3
+        assert out == "ssp: inconclusive (budget exhausted before a verdict)\n"
+
     def test_reduce_union_lists_every_member(self, capsys, cnf_files):
         code, out, _ = run(
             capsys, "reduce", cnf_files["sat"], "--family", "used", "--union"

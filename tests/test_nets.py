@@ -24,6 +24,7 @@ from boolsynth import (
     validate_region,
 )
 from boolsynth.fileformats import format_ts
+from boolsynth.nets import _region_order
 from boolsynth.solving import first_unsettled, irredundant
 from conftest import TAU, TAU_TILDE, build_battery, random_ts
 
@@ -247,6 +248,33 @@ class TestSynthesize:
             assert any(
                 all(row[e] == r.signature[e] for e in row) for r in by_key.values()
             )
+
+
+class TestRegionOrder:
+    """``synthesize`` deduplicates and sorts its witnesses by a bytes key
+    that must order and identify them exactly as ``Region.key()``."""
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_orders_any_pool_as_region_key(self, seed):
+        rng = random.Random(seed)
+        ts = random_ts(rng, max_states=6, max_events=4)
+        distinct = []
+        for _ in range(rng.randint(1, 8)):
+            # Keys inserted in a random order: the key must not depend on it.
+            states = rng.sample(ts.states, len(ts.states))
+            events = rng.sample(ts.events, len(ts.events))
+            support = {s: rng.randint(0, 1) for s in states}
+            signature = {e: rng.choice(list(Interaction)) for e in events}
+            distinct.append(Region(support, signature))
+        pool = [rng.choice(distinct) for _ in range(rng.randint(1, 12))]
+        key = _region_order(ts)
+        assert [r.key() for r in sorted(pool, key=key)] == [
+            r.key() for r in sorted(pool, key=Region.key)
+        ]
+        for first in pool:
+            for second in pool:
+                assert (key(first) == key(second)) == (first.key() == second.key())
 
 
 class TestRoundTripUnderBothTwins:

@@ -16,6 +16,7 @@ from boolsynth import (
     Region,
     RegionDomainError,
     TransitionSystem,
+    TsUnion,
     family_types,
     parse_family,
     region_coherence_report,
@@ -143,6 +144,121 @@ class TestValidateRegion:
             for a in ts.arcs
         )
         assert validate_region(ts, tau, region) == expected
+
+
+@st.composite
+def small_systems(draw, prefix: str = "s") -> TransitionSystem:
+    """A deterministic system of one to five states over one to three
+    events, any of which may label no arc or one arc; arcs may be
+    self-loops and states may be unreachable."""
+    states = [f"{prefix}{k}" for k in range(draw(st.integers(1, 5)))]
+    events = [f"e{k}" for k in range(draw(st.integers(1, 3)))]
+    arcs = [
+        (source, event, draw(st.sampled_from(states)))
+        for source in states
+        for event in events
+        if draw(st.booleans())
+    ]
+    return TransitionSystem.build(states[0], arcs, states=states, events=events)
+
+
+@st.composite
+def subjects(draw):
+    """A system, or a union of one to three systems sharing event names."""
+    if draw(st.booleans()):
+        return draw(small_systems())
+    count = draw(st.integers(1, 3))
+    return TsUnion(tuple(draw(small_systems(f"m{k}_")) for k in range(count)))
+
+
+def arc_by_arc(subject, region) -> bool:
+    """The region definition applied to each arc in turn."""
+    return all(
+        region.signature[arc.event].apply(region.support[arc.source])
+        == region.support[arc.target]
+        for arc in subject.arcs
+    )
+
+
+class TestValidateRegionAgainstArcs:
+    """``validate_region`` reads a region per arc in one gather; it must
+    answer as the definition applied arc by arc, and raise the same domain
+    errors as before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_applying_each_arc(self, data):
+        subject = data.draw(subjects())
+        members = st.sets(st.sampled_from(list(Interaction)), min_size=1)
+        tau = NetType(frozenset(data.draw(members)))
+        support = {s: data.draw(st.integers(0, 1)) for s in subject.states}
+        signature = {}
+        for event in subject.events:
+            # Often an interaction that follows every arc of the event, so
+            # that valid regions are drawn too.
+            arcs = [a for a in subject.arcs if a.event == event]
+            following = [
+                i for i in tau
+                if all(i.apply(support[a.source]) == support[a.target] for a in arcs)
+            ]
+            if following and data.draw(st.booleans()):
+                signature[event] = data.draw(st.sampled_from(following))
+            else:
+                signature[event] = data.draw(st.sampled_from(list(tau)))
+        region = Region(support, signature)
+        assert validate_region(subject, tau, region) == arc_by_arc(subject, region)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_domain_errors_keep_their_messages(self, data):
+        subject = data.draw(subjects())
+        states, events = list(subject.states), list(subject.events)
+        support = {s: 0 for s in states}
+        signature = {e: Interaction.NOP for e in events}
+        kind = data.draw(st.sampled_from(
+            ["missing state", "extra state", "not a bit", "missing event",
+             "extra event", "outside the type"]
+        ))
+        tau = NetType.of(Interaction.NOP)
+        if kind == "missing state":
+            gone = data.draw(st.sampled_from(states))
+            del support[gone]
+            message = f"support misses states {[gone]}"
+        elif kind == "extra state":
+            support["zz"] = 0
+            message = "support names unknown states ['zz']"
+        elif kind == "not a bit":
+            state = data.draw(st.sampled_from(states))
+            support[state] = data.draw(st.sampled_from([2, -1, 255, 256]))
+            message = f"support of {state!r} is not a bit"
+        elif kind == "missing event":
+            gone = data.draw(st.sampled_from(events))
+            del signature[gone]
+            message = f"signature misses events {[gone]}"
+        elif kind == "extra event":
+            signature["zz"] = Interaction.NOP
+            message = "signature names unknown events ['zz']"
+        else:
+            event = data.draw(st.sampled_from(events))
+            signature[event] = Interaction.SWAP
+            message = f"signature uses interactions outside the net type on {[event]}"
+        with pytest.raises(RegionDomainError) as raised:
+            validate_region(subject, tau, Region(support, signature))
+        assert str(raised.value) == message
+
+    def test_one_event_with_one_arc(self):
+        # A one-item gather must still read as a sequence.
+        ts = TransitionSystem.build("p", [("p", "a", "q")])
+        region = Region({"p": 0, "q": 1}, {"a": Interaction.SET})
+        assert validate_region(ts, TAU, region)
+        assert not validate_region(
+            ts, TAU, Region({"p": 1, "q": 0}, {"a": Interaction.SET})
+        )
+
+    def test_a_system_without_arcs(self):
+        ts = TransitionSystem.build("p", [], states=["p"], events=["a"])
+        for interaction in TAU:
+            assert validate_region(ts, TAU, Region({"p": 1}, {"a": interaction}))
 
 
 class TestFamilies:

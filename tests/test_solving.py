@@ -409,13 +409,18 @@ def net_graph_18() -> TransitionSystem:
     return reachability_graph(net)
 
 
+def support_bits(problem, support: int) -> bytes:
+    """A support integer as one 0/1 byte per state, in position order."""
+    return bytes(support >> (problem.n - 1 - p) & 1 for p in range(problem.n))
+
+
 def naive_supports(problem) -> list[int]:
     """Reference scan: one support at a time, kept iff every event keeps
     some interaction of the type."""
     return [
         support
         for support in range(1 << problem.n)
-        if all(problem.allowed_mask(e, support) for e in range(len(problem.events)))
+        if all(problem.allowed_at(support_bits(problem, support)))
     ]
 
 
@@ -505,9 +510,9 @@ class TestConsistencyCnf:
             # the source is not a, or the target is not b. The clause keeps
             # only its source side if (a, not b) is ruled out too, and only
             # its target side if (not a, b) is; repeats are dropped. On a
-            # self-loop the solver's normaliser drops a tautology and merges
-            # a repeated literal, so used and free may load one binary
-            # clause twice there.
+            # self-loop a clause equal to one loaded before for the arc is
+            # dropped too, and the solver's normaliser drops a tautology and
+            # merges a repeated literal.
             reference = SatSolver(decision_vars=problem.n)
             reference.ensure_vars(ctx.solver.num_vars)
             for sels in ctx.sel_var:
@@ -532,16 +537,31 @@ class TestConsistencyCnf:
                                 side = (a, b)
                             if side not in sides:
                                 sides.append(side)
+                        loaded = []
                         for a, b in sides:
                             clause = [-sel]
                             if a is not None:
                                 clause.append(-s if a else s)
                             if b is not None:
                                 clause.append(-d if b else d)
-                            reference.add_clause(clause)
+                            if set(clause) not in loaded:
+                                loaded.append(set(clause))
+                                reference.add_clause(clause)
             assert solver_state(ctx.solver) == solver_state(reference), tau.spec()
             single += len(problem.tau_list) == 1
         assert single == 8
+
+    def test_a_self_loop_loads_no_binary_clause_twice(self):
+        # The self-loop event a has one arc, so the binary lists of its
+        # selectors' negations hold only that arc's clauses: none twice.
+        # (Arcs of one event sharing a state, as b's two-cycle and c's two
+        # arcs into r, still repeat one-sided clauses.)
+        ts = three_kinds_of_arc()
+        for tau in all_net_types():
+            ctx = solving._SatContext(solving._Problem(ts, tau))
+            for sel in ctx.sel_var[ctx.problem.index.event_pos["a"]]:
+                partners = ctx.solver._bins[2 * sel + 1]
+                assert len(partners) == len(set(partners)), tau.spec()
 
     @staticmethod
     def assert_same_models_as_the_per_bit_rule(ts, tau):
@@ -777,6 +797,25 @@ class TestBudgets:
             enumerate_inhibiting_regions(
                 battery["a2"], TAU, "a", "s2", engine="exhaustive", budget=0.0
             )
+
+    def test_unbudgeted_exhaustive_engine_refuses_a_large_subject(self):
+        # 33 states: a sweep of 2^33 supports would not end in useful time.
+        line = line_ts(solving._EXHAUSTIVE_MAX_STATES + 1)
+        calls = (
+            lambda: check_ssp(line, TAU, engine="exhaustive"),
+            lambda: solve_atom(
+                line, TAU, StatePairAtom("s1", "s2"), engine="exhaustive"
+            ),
+            lambda: enumerate_inhibiting_regions(
+                line, TAU, "a", "s32", engine="exhaustive"
+            ),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"2\^33 supports"):
+                call()
+        assert check_ssp(line, TAU, engine="exhaustive", budget=0.0).outcome == (
+            "inconclusive"
+        )
 
     def test_deadline_inside_a_sat_query_keeps_the_pool(self, monkeypatch):
         # The deadline passes during the fifth query: the check keeps the
@@ -1218,8 +1257,9 @@ class TestResign:
             bits = sum(problem.state_bit(problem.index.state_pos[s]) for s in states)
             coverage.uncovered[problem.index.event_pos[event]] &= ~bits
         picks = {event: Interaction(name) for event, name in (picks or {}).items()}
-        coverage.resign(self.SUPPORT, picks)
-        problem.region(self.SUPPORT, picks)  # raises unless admissible
+        allowed = problem.allowed_at(support_bits(problem, self.SUPPORT))
+        coverage.resign(self.SUPPORT, picks, allowed)
+        problem.region(self.SUPPORT, picks, allowed)  # raises unless admissible
         return {event: interaction.value for event, interaction in picks.items()}
 
     def test_events_get_the_partial_with_the_most_pending_states(self):
@@ -1271,8 +1311,9 @@ class TestDecode:
             region = decode(ctx, forced, coverage)
             support = ctx.problem.support_int_of(region)
             picks = dict(forced)
-            before.resign(support, picks)
-            assert region == ctx.problem.region(support, picks)
+            allowed = ctx.problem.allowed_at(support_bits(ctx.problem, support))
+            before.resign(support, picks, allowed)
+            assert region == ctx.problem.region(support, picks, allowed)
             decoded.append(region)
             return region
 

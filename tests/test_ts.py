@@ -151,6 +151,23 @@ class TestSubjectIndex:
         assert ts.states == ("s0", "s2", "s1")
         assert ts.index.arcs_by_event == (((1, 0), (0, 2)), ((0, 2),))
 
+    def test_arc_values_gather_a_support_event_by_event(self):
+        # Arcs in slot order: s2 -a-> s0, s0 -a-> s1, then s0 -b-> s1.
+        ts = TransitionSystem.build(
+            "s0", [("s2", "a", "s0"), ("s0", "b", "s1"), ("s0", "a", "s1")]
+        )
+        assert ts.index.arc_count == 3
+        assert ts.index.arc_slots == (0b110, 0b001)
+        # s0, s2, s1 hold 1, 0, 1 (any nonzero byte reads as 1)
+        assert ts.index.arc_values(bytes((1, 0, 7))) == (0b011, 0b111)
+
+    def test_arc_values_of_one_arc_and_of_none(self):
+        one = TransitionSystem.build("p", [("p", "a", "q")])
+        assert one.index.arc_values(bytes((1, 0))) == (1, 0)
+        none = TransitionSystem.build("p", [], states=["p"], events=["a"])
+        assert none.index.arc_slots == (0,)
+        assert none.index.arc_values(bytes((1,))) == (0, 0)
+
     def test_a_union_indexes_its_own_states_events_and_arcs(self, battery):
         union = TsUnion.of(battery["a1"], two_cycle("u0", "u1", "a"))
         assert union.index == _build_index(union.states, union.events, union.arcs)
