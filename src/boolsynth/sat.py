@@ -8,11 +8,11 @@ and Luby restarts. No randomness anywhere, so runs are reproducible.
 
 Literal convention: DIMACS-style nonzero ints at the API boundary
 (``v``/``-v``), mapped internally to ``2v`` (positive) / ``2v + 1``
-(negative); ``add_clauses`` loads a batch already in internal literals,
-and ``add_clause`` converts one DIMACS clause and loads it. ``watches[lit]``
-holds the long clauses currently watching ``lit``; ``bins[lit]`` holds the
-partner literals of binary clauses containing ``lit``. Both fire when ``lit``
-becomes false.
+(negative); ``add_clause`` converts and normalises one DIMACS clause,
+``add_clauses`` normalises a batch in internal literals, and ``attach``
+appends a trusted CNF straight into ``watches[lit]``, the long clauses
+watching ``lit``, and ``bins[lit]``, the partner literals of binary
+clauses containing ``lit``. Both fire when ``lit`` becomes false.
 
 As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import sys
 import time
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 _FALSE = 0
@@ -85,9 +86,7 @@ class SatSolver:
         self._heap: list[tuple[float, int]] = []
         self._var_inc = 1.0
         self._ok = True
-        self._n_conflicts = 0
-        self._n_decisions = 0
-        self._n_propagations = 0
+        self.conflicts = self.decisions = self.propagations = 0
         self._model = b""
 
     # ------------------------------------------------------------------ api
@@ -98,7 +97,7 @@ class SatSolver:
             return
         # (0.0, var) sorts above every entry already in the heap
         decided = min(count, self._decision_limit)
-        self._heap += ((0.0, var) for var in range(self._nvars + 1, decided + 1))
+        self._heap += [(0.0, var) for var in range(self._nvars + 1, decided + 1)]
         self._nvars = count
         self._val += bytes((_UNDEF,)) * (2 * added)
         self._level += [0] * added
@@ -106,69 +105,40 @@ class SatSolver:
         self._activity += [0.0] * added
         self._phase += bytes(added)
         self._in_heap += b"\1" * added
-        self._watches += ([] for _ in range(2 * added))
-        self._bins += ([] for _ in range(2 * added))
+        self._watches += [[] for _ in repeat(None, 2 * added)]
+        self._bins += [[] for _ in repeat(None, 2 * added)]
 
     @property
     def num_vars(self) -> int:
         return self._nvars
 
-    @property
-    def conflicts(self) -> int:
-        return self._n_conflicts
-
-    @property
-    def decisions(self) -> int:
-        return self._n_decisions
-
-    @property
-    def propagations(self) -> int:
-        return self._n_propagations
-
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause of DIMACS literals (the solver first backtracks to
         level 0, so adding clauses between ``solve`` calls is safe)."""
-        self.add_clauses(([lit * 2 if lit > 0 else 1 - lit * 2 for lit in lits],))
+        self._add_normalised([lit * 2 if lit > 0 else 1 - lit * 2 for lit in lits])
 
     def add_clauses(self, clauses: Iterable[list[int]]) -> None:
         """Add clauses of internal literals, with the effect of ``add_clause``
-        on each in turn; the solver keeps the lists and may reorder them.
-        While nothing is assigned, two or more distinct known variables
-        need no normalising, nor does a ternary clause whose last two
-        literals are equal (attached as binary) or complementary (dropped)."""
+        on each in turn."""
+        for clause in clauses:
+            self._add_normalised(clause)
+
+    def attach(self, pairs: Sequence[int], clauses: Iterable[list[int]]) -> None:
+        """``add_clauses`` on binary clauses (a flat list of literal pairs)
+        and then on longer ones, minus its checks, while nothing is assigned
+        (MiniSat's ``attachClause``): each clause names distinct known
+        variables. The solver keeps and reorders the long clauses' lists."""
+        if self._trail:
+            raise ValueError("clauses are attached only while nothing is assigned")
         bins = self._bins
         watches = self._watches
-        trail = self._trail
-        fast = self._ok and not trail and not self._trail_lim
-        known = len(self._val)
+        it = iter(pairs)
+        for a, b in zip(it, it):
+            bins[a].append(b)
+            bins[b].append(a)
         for clause in clauses:
-            if fast:
-                if len(clause) == 3:
-                    a, b, c = clause
-                    if 1 < a < known and 1 < b < known and 1 < c < known:
-                        if a >> 1 != b >> 1 != c >> 1 != a >> 1:
-                            watches[a].append(clause)
-                            watches[b].append(clause)
-                            continue
-                        if b >> 1 == c >> 1 != a >> 1:  # b repeated, or b and not b
-                            if b == c:
-                                bins[a].append(b)
-                                bins[b].append(a)
-                            continue
-                elif len(clause) > 3 and 1 < min(clause) and max(clause) < known:
-                    if len({lit >> 1 for lit in clause}) == len(clause):
-                        watches[clause[0]].append(clause)
-                        watches[clause[1]].append(clause)
-                        continue
-                elif len(clause) == 2:
-                    a, b = clause
-                    if 1 < a < known and 1 < b < known and a >> 1 != b >> 1:
-                        bins[a].append(b)
-                        bins[b].append(a)
-                        continue
-            self._add_normalised(clause)
-            fast = self._ok and not trail
-            known = len(self._val)
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
 
     def _add_normalised(self, clause: list[int]) -> None:
         # Literals are taken in order: a tautology or a literal true at level
@@ -226,7 +196,7 @@ class SatSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self._n_conflicts += 1
+                self.conflicts += 1
                 conflicts_here += 1
                 conflict_level = max(self._level[lit >> 1] for lit in conflict)
                 if not conflict_level:
@@ -240,7 +210,7 @@ class SatSolver:
                 self._var_inc /= 0.95
                 if self._var_inc > 1e100:
                     self._rescale_activity()
-                if deadline is not None and self._n_conflicts % 64 == 0:
+                if deadline is not None and self.conflicts % 64 == 0:
                     if time.monotonic() > deadline:
                         return None
                 if conflicts_here >= limit:
@@ -271,8 +241,8 @@ class SatSolver:
             self._level[var] = lvl + 1
             self._reason[var] = None
             trail.append(lit)
-            self._n_decisions += 1
-            if deadline is not None and not self._n_decisions % 1024:
+            self.decisions += 1
+            if deadline is not None and not self.decisions % 1024:
                 if time.monotonic() > deadline:
                     return None
 
@@ -303,14 +273,10 @@ class SatSolver:
     def verify_model(self, clauses: Iterable[Sequence[int]]) -> bool:
         """Check the last model against an iterable of DIMACS clauses."""
         model = self._model
-        for clause in clauses:
-            for lit in clause:
-                ilit = abs(lit) * 2 + (0 if lit > 0 else 1)
-                if model[ilit] == _TRUE:
-                    break
-            else:
-                return False
-        return True
+        return all(
+            any(model[abs(lit) * 2 + (lit < 0)] == _TRUE for lit in clause)
+            for clause in clauses
+        )
 
     # ------------------------------------------------------------ internals
 
@@ -365,7 +331,13 @@ class SatSolver:
                         watch_list[write] = clause
                         write += 1
                         continue
-                    for k in range(2, len(clause)):
+                    lk = clause[2]  # most clauses are ternary: no range
+                    if val[lk] != _FALSE:
+                        clause[1] = lk
+                        clause[2] = falsified
+                        watches[lk].append(clause)
+                        continue
+                    for k in range(3, len(clause)):
                         lk = clause[k]
                         if val[lk] != _FALSE:
                             clause[1] = lk
@@ -392,7 +364,7 @@ class SatSolver:
             return None
         finally:
             self._qhead = qhead
-            self._n_propagations += qhead - start
+            self.propagations += qhead - start
 
     def _analyze(self, conflict: Sequence[int]) -> tuple[Sequence[int], int]:
         """First-UIP learning: (the learnt clause, attached unless a unit,

@@ -39,8 +39,8 @@ this table and of the CNF.
   long as each settles something new. Without a budget it refuses subjects
   above ``_EXHAUSTIVE_MAX_STATES`` states.
 * The propositional engine encodes admissibility as CNF over support bits
-  and signature selectors and answers individual requirements through
-  assumption-based incremental SAT queries. One table,
+  and signature selectors, attached to the solver in one pass, and answers
+  requirements through assumption-based incremental SAT queries. One table,
   ``_SatContext.queries``, lists the queries that settle a requirement:
   the two orientations of a state pair, or one partial interaction of the
   type per query for an inhibition, at all of the event's pending states
@@ -508,7 +508,7 @@ def irredundant(
     return kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckResult:
     """Outcome of a separation check, with the witnessing region pool."""
 
@@ -518,6 +518,15 @@ class CheckResult:
     counterexample: Optional[Atom]
     regions: tuple[Region, ...]
     reason: str = ""
+
+    def __init__(
+        self, property_name, outcome, engine, counterexample, regions, reason=""
+    ) -> None:
+        # One dict update, not a frozen dataclass's setattr per field.
+        self.__dict__.update(
+            property_name=property_name, outcome=outcome, engine=engine,
+            counterexample=counterexample, regions=regions, reason=reason,
+        )
 
     @property
     def holds(self) -> bool:
@@ -717,24 +726,25 @@ class _SatContext:
         from .sat import SatSolver
 
         self.problem = problem
+        n, events = problem.n, problem.events
         # Decisions on support bits only; see the module docstring.
-        self.solver = SatSolver(decision_vars=problem.n)
-        sorted_states = sorted(range(problem.n), key=lambda p: problem.states[p])
-        self.sup_var = [0] * problem.n
-        for var_offset, pos in enumerate(sorted_states):
-            self.sup_var[pos] = var_offset + 1
-        base = problem.n
+        self.solver = SatSolver(decision_vars=n)
+        self.sup_var = [0] * n
+        for var, pos in enumerate(sorted(range(n), key=problem.states.__getitem__), 1):
+            self.sup_var[pos] = var
         width = len(problem.tau_list)
         # sel_var[event_pos][k] selects interaction tau_list[k] for the event
-        self.sel_var: list[list[int]] = [[] for _ in problem.events]
-        for event_pos in sorted(
-            range(len(problem.events)), key=lambda p: problem.events[p]
-        ):
+        self.sel_var: list[list[int]] = [[] for _ in events]
+        base = n
+        for event_pos in sorted(range(len(events)), key=events.__getitem__):
             self.sel_var[event_pos] = list(range(base + 1, base + width + 1))
             base += width
         self.solver.ensure_vars(base)
-        clauses = _consistency_clauses(problem, self.sup_var, self.sel_var)
-        self.solver.add_clauses(clauses)
+        pairs, clauses = _consistency_clauses(problem, self.sup_var, self.sel_var)
+        if width == 1:  # unit at-least-one clauses: the normalising path
+            self.solver.add_clauses(clauses)
+        else:
+            self.solver.attach(pairs, clauses)
 
     def queries(
         self, atom: Atom, coverage: _Coverage
@@ -814,9 +824,11 @@ def _consistency_clauses(
     problem: _Problem,
     sup_var: Sequence[int],
     sel_var: Sequence[Sequence[int]],
-) -> Iterator[list[int]]:
+) -> tuple[list[int], list[list[int]]]:
     """CNF for 'the chosen signature is consistent with every arc', in the
-    solver's internal literals (``2v`` for v, ``2v + 1`` for not v).
+    solver's internal literals (``2v`` for v, ``2v + 1`` for not v), as
+    ``SatSolver.attach`` takes it: the binary clauses' literal pairs in one
+    flat list, and the longer clauses, each in load order.
 
     For every event at least one interaction is selected. Per arc of the
     event, each arc pattern (a, b) the type's table rules out for a selected
@@ -826,49 +838,65 @@ def _consistency_clauses(
     side when (not a, b) is: the resolvent of the two patterns' clauses,
     which subsumes both. Each interaction's patterns are taken in ascending
     order, repeats dropped. On a self-loop source and target are one bit, so
-    a source-side and a target-side clause on the same value are one
-    clause, loaded once; the solver drops a tautology and merges a repeated
-    literal. (Arcs of an event that share a state repeat one-sided clauses
-    too, but dropping those costs more than their repeats in the solver's
-    binary lists, which change no search.)
+    a tautology, a repeated literal and a repeated clause are dropped. (Arcs
+    of an event that share a state repeat one-sided clauses too, but
+    dropping those costs more than their repeats in the solver's binary
+    lists, which change no search.) Under a type of one interaction each
+    at-least-one clause is a unit, which the solver must normalise every
+    later clause against: then the second list holds every clause in load
+    order, and the first is empty.
     """
-    rows, loop_rows = _clause_rows(problem.ruled_out)
-    for sels in sel_var:
-        yield [2 * sel for sel in sels]
+    pick_pairs, pick_loop_pairs, pick_triples = _clause_rows(problem.ruled_out)
+    width = len(problem.tau_list)
+    at_least_one = [[2 * sel for sel in sels] for sels in sel_var]
+    pairs = [lit for clause in at_least_one for lit in clause] if width == 2 else []
+    clauses = [] if width == 2 else at_least_one
+    flat = pairs if width == 1 else []  # ternaries flat; for one interaction, in pairs
+    sup = [(2 * var, 2 * var + 1) for var in sup_var]
     for sels, arcs in zip(sel_var, problem.index.arcs_by_event):
-        not_sel = [2 * sel + 1 for sel in sels]
+        not_sel = tuple([2 * sel + 1 for sel in sels])
         for src, dst in arcs:
-            s = 2 * sup_var[src]
-            d = 2 * sup_var[dst]
-            for k, a, b in rows if src != dst else loop_rows:
-                if b is None:
-                    yield [not_sel[k], s | a]
-                elif a is None:
-                    yield [not_sel[k], d | b]
-                else:
-                    yield [not_sel[k], s | a, d | b]
+            lits = sup[src] + sup[dst] + not_sel
+            if src == dst:
+                pairs += pick_loop_pairs(lits)
+            else:
+                pairs += pick_pairs(lits)
+                flat += pick_triples(lits)
+    if width > 1:
+        it = iter(flat)
+        clauses += map(list, zip(it, it, it))
+        return pairs, clauses
+    # Each arc clause starts at its selector, numbered after the support bits.
+    for lit in flat:
+        if lit > 2 * len(sup_var) + 1:
+            clauses.append([lit])
+        else:
+            clauses[-1].append(lit)
+    return [], clauses
 
 
 @functools.cache
-def _clause_rows(ruled_out: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
-    """The consistency clauses of one arc, per the rule above, as rows
-    ``(k, a, b)``: interaction ``tau_list[k]`` is not selected, or the
-    source is not a, or the target is not b, with None for a side the rule
-    drops. Returns the rows of an arc and those of a self-loop, where a
-    one-sided row is its one literal and is kept once."""
-    rows: list[tuple[int, Optional[int], Optional[int]]] = []
+def _clause_rows(ruled_out: tuple[tuple[int, ...], ...]) -> tuple[Callable, ...]:
+    """What picks, per the rule above, the binary clauses of an arc, those
+    of a self-loop and the ternary clauses of an arc, each flat, from its
+    literals ``(s, not s, d, not d, not selector 0, not selector 1, ...)``,
+    s and d being its source's and target's support literals."""
+    rows: list[tuple[int, ...]] = []  # each clause as positions in those
+    loop_rows: list[tuple[int, ...]] = []  # the rows whose sides read one bit
     for k, patterns in enumerate(ruled_out):
         for p in patterns:
             b = None if p ^ 1 in patterns else p & 1
             a = None if b is not None and p ^ 2 in patterns else p >> 1
-            if (k, a, b) not in rows:
-                rows.append((k, a, b))
-    loop_rows: dict[tuple, tuple[int, Optional[int], Optional[int]]] = {}
-    for k, a, b in rows:
-        one_sided = a is None or b is None
-        key = (k, b if a is None else a) if one_sided else (k, a, b)
-        loop_rows.setdefault(key, (k, a, b))
-    return tuple(rows), tuple(loop_rows.values())
+            sides = (a,) if b is None else (2 + b,) if a is None else (a, 2 + b)
+            bits = {side & 1 for side in sides}
+            if len(bits) == 1 and (4 + k, *bits) not in loop_rows:
+                loop_rows.append((4 + k, *bits))
+            if (4 + k, *sides) not in rows:
+                rows.append((4 + k, *sides))
+    pairs = [pos for row in rows if len(row) == 2 for pos in row]
+    loop_pairs = [pos for row in loop_rows for pos in row]
+    triples = [pos for row in rows if len(row) == 3 for pos in row]
+    return tuple_getter(pairs), tuple_getter(loop_pairs), tuple_getter(triples)
 
 
 def _sat_check(

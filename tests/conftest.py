@@ -10,6 +10,7 @@ from typing import Iterable, Optional
 import pytest
 
 from boolsynth import Interaction, NetType, Region, TransitionSystem, TsUnion
+from boolsynth import solving
 
 TAU = NetType.from_spec("nop,set,swap,free")
 TAU_TILDE = NetType.from_spec("nop,res,swap,used")
@@ -82,6 +83,16 @@ def solver_state(solver) -> tuple:
         solver._watches,
         solver._heap,
     )
+
+
+def consistency_cnf(ctx) -> list[list[int]]:
+    """The consistency CNF of a ``solving._SatContext`` as one list of
+    clauses in internal literals, the binary ones (a flat list of pairs in
+    ``_consistency_clauses``) first."""
+    pairs, clauses = solving._consistency_clauses(
+        ctx.problem, ctx.sup_var, ctx.sel_var
+    )
+    return [pairs[k : k + 2] for k in range(0, len(pairs), 2)] + clauses
 
 
 # ------------------------------------------------------- brute-force oracle

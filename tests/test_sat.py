@@ -30,7 +30,7 @@ from boolsynth import (
 )
 from boolsynth import sat as sat_module
 from boolsynth.sat import _luby
-from conftest import region_digest, solver_state
+from conftest import consistency_cnf, region_digest, solver_state
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -557,10 +557,8 @@ class TestClauseLoading:
         # Rounds of clauses, each round followed by a solve, so that later
         # rounds arrive above level 0. Clauses may name unknown variables,
         # also after a tautology (those stay uncreated), and literals true or
-        # false at level 0. A third solver normalises every clause, so the
-        # clauses attached as they are must be attached as normalised. Up
-        # to five literals, so clauses wider than three take the batch
-        # path too.
+        # false at level 0. A third solver normalises every clause directly:
+        # all three must agree, with clauses of up to five literals.
         rng = random.Random(seed)
         nvars = rng.randint(2, 7)
         known = rng.randint(0, nvars)
@@ -615,32 +613,68 @@ class TestClauseLoading:
     )
     def test_consistency_cnf_of_a_wide_type_loads_as_normalised(self, spec):
         # A type of four or more interactions has at-least-one clauses of
-        # four or more literals. The batch load of _SatContext must leave
+        # four or more literals. _SatContext attaches the CNF's pair list
+        # and clause list as they are (SatSolver.attach); that must leave
         # the state that add_clause and _add_normalised leave, clause by
-        # clause, with the same clauses written in DIMACS literals. The
-        # batch keeps each wide clause's own list: none was normalised. All
-        # decide support bits only, as _SatContext's solver does.
+        # clause, given the binary clauses first and then the others, the
+        # same clauses written in DIMACS literals. The attached solver
+        # keeps each wide clause's own list. All decide support bits only,
+        # as _SatContext's solver does.
         union, _ = build_union(PHI_UNSAT, Family.USED)
         problem = solving._Problem(union, NetType.from_spec(spec))
         ctx = solving._SatContext(problem)
-        clauses = list(
-            solving._consistency_clauses(problem, ctx.sup_var, ctx.sel_var)
+        pairs, clauses = solving._consistency_clauses(
+            problem, ctx.sup_var, ctx.sel_var
         )
+        assert all(len(clause) >= 3 for clause in clauses)
         wide = [clause for clause in clauses if len(clause) >= 4]
         assert len(wide) == len(problem.events)
-        one, slow, batch = (SatSolver(decision_vars=problem.n) for _ in range(3))
-        for solver in (one, slow, batch):
+        one, slow, attached = (SatSolver(decision_vars=problem.n) for _ in range(3))
+        for solver in (one, slow, attached):
             solver.ensure_vars(ctx.solver.num_vars)
-        for clause in clauses:
+        for clause in consistency_cnf(ctx):
             one.add_clause([v >> 1 if v & 1 == 0 else -(v >> 1) for v in clause])
             slow._add_normalised(list(clause))
-        batch.add_clauses(clauses)
+        attached.attach(pairs, clauses)
         assert all(
-            any(watched is clause for watched in batch._watches[clause[0]])
+            any(watched is clause for watched in attached._watches[clause[0]])
             for clause in wide
         )
         assert solver_state(ctx.solver) == solver_state(one) == solver_state(slow)
-        assert solver_state(batch) == solver_state(slow)
+        assert solver_state(attached) == solver_state(slow)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_attach_matches_clause_by_clause(self, seed):
+        # Clauses of distinct known variables, two to five literals, loaded
+        # into a solver with nothing assigned: attach leaves the state that
+        # add_clause leaves on the binary clauses and then the others.
+        rng = random.Random(seed)
+        nvars = rng.randint(5, 9)
+        one, attached = SatSolver(), SatSolver()
+        for solver in (one, attached):
+            solver.ensure_vars(nvars)
+        binary: list[list[int]] = []
+        longer: list[list[int]] = []
+        for _ in range(rng.randint(0, 4 * nvars)):
+            chosen = rng.sample(range(1, nvars + 1), rng.randint(2, 5))
+            clause = [v * rng.choice((1, -1)) for v in chosen]
+            (binary if len(clause) == 2 else longer).append(clause)
+        for clause in binary + longer:
+            one.add_clause(clause)
+        attached.attach(
+            [lit for clause in binary for lit in internal(clause)],
+            [internal(clause) for clause in longer],
+        )
+        assert solver_state(attached) == solver_state(one)
+        assert attached.solve() == one.solve()
+        assert attached.conflicts == one.conflicts
+        assert attached.decisions == one.decisions
+
+    def test_attach_is_refused_once_something_is_assigned(self):
+        solver = fresh(2, [[1]])
+        with pytest.raises(ValueError):
+            solver.attach([2, 4], [])
 
 
 class TestSearchIdentity:

@@ -4,6 +4,7 @@ cross-checked against the brute-force oracle from conftest."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from boolsynth import (
     TsUnion,
     all_net_types,
     assign_witnesses,
+    build_instance,
     build_union,
     check_essp,
     check_feasibility,
@@ -47,6 +49,7 @@ from boolsynth import solving
 from conftest import (
     TAU,
     TAU_TILDE,
+    consistency_cnf,
     line_ts,
     oracle_essp,
     oracle_inhibitable,
@@ -492,6 +495,71 @@ def per_bit_clauses(ctx, event_pos):
     return clauses
 
 
+def arc_mix(rng: random.Random) -> TransitionSystem:
+    """A system of two to five states whose one to four events each take a
+    random mix of a self-loop, a two-cycle, two arcs into one state and a
+    single arc, the system's arcs in random order."""
+    states = [f"s{k}" for k in range(rng.randint(2, 5))]
+    arcs: dict[tuple[str, str], str] = {}
+    for event in (f"e{k}" for k in range(rng.randint(1, 4))):
+        for shape in rng.sample(("loop", "cycle", "into", "one"), rng.randint(1, 4)):
+            p, q, r = (rng.choice(states) for _ in range(3))
+            pairs = {
+                "loop": [(p, p)],
+                "cycle": [(p, q), (q, p)],
+                "into": [(p, r), (q, r)],
+                "one": [(p, q)],
+            }[shape]
+            for source, target in pairs:
+                arcs.setdefault((source, event), target)
+    items = [(source, event, target) for (source, event), target in arcs.items()]
+    rng.shuffle(items)
+    return TransitionSystem.build(items[0][0], items)
+
+
+def dimacs_reference(ctx) -> SatSolver:
+    """A solver with the consistency CNF of ``ctx`` loaded clause by clause
+    in DIMACS literals, by the rule that
+    ``TestConsistencyCnf.test_loaded_solver_matches_a_dimacs_reference_for_every_type``
+    states."""
+    problem = ctx.problem
+    reference = SatSolver(decision_vars=problem.n)
+    reference.ensure_vars(ctx.solver.num_vars)
+    for sels in ctx.sel_var:
+        reference.add_clause(list(sels))
+    for sels, arcs in zip(ctx.sel_var, problem.index.arcs_by_event):
+        for src, dst in arcs:
+            s, d = ctx.sup_var[src], ctx.sup_var[dst]
+            for sel, interaction in zip(sels, problem.tau_list):
+                out = [
+                    (a, b)
+                    for a in (0, 1)
+                    for b in (0, 1)
+                    if interaction.effect[a] != b
+                ]
+                sides = []  # (a or None, b or None) per clause
+                for a, b in out:
+                    if (a, 1 - b) in out:
+                        side = (a, None)
+                    elif (1 - a, b) in out:
+                        side = (None, b)
+                    else:
+                        side = (a, b)
+                    if side not in sides:
+                        sides.append(side)
+                loaded = []
+                for a, b in sides:
+                    clause = [-sel]
+                    if a is not None:
+                        clause.append(-s if a else s)
+                    if b is not None:
+                        clause.append(-d if b else d)
+                    if set(clause) not in loaded:
+                        loaded.append(set(clause))
+                        reference.add_clause(clause)
+    return reference
+
+
 def dimacs(clause):
     return [lit >> 1 if lit & 1 == 0 else -(lit >> 1) for lit in clause]
 
@@ -563,6 +631,43 @@ class TestConsistencyCnf:
                 partners = ctx.solver._bins[2 * sel + 1]
                 assert len(partners) == len(set(partners)), tau.spec()
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(0, 10**9))
+    def test_loaded_solver_matches_a_dimacs_reference_on_random_systems(self, seed):
+        # The rule of the test above on systems whose events mix self-loops,
+        # two-cycles, arcs into one state and single arcs in random order,
+        # under types of one to eight interactions.
+        rng = random.Random(seed)
+        ts = arc_mix(rng)
+        for _ in range(4):
+            tau = NetType(frozenset(rng.sample(list(Interaction), rng.randint(1, 8))))
+            ctx = solving._SatContext(solving._Problem(ts, tau))
+            assert solver_state(ctx.solver) == solver_state(
+                dimacs_reference(ctx)
+            ), (ts.arcs, tau.spec())
+
+    @pytest.mark.parametrize("tau", family_types(), ids=NetType.spec)
+    def test_the_glued_instance_loads_without_normalising(self, tau, monkeypatch):
+        # Under a type of two or more interactions the CNF is attached as it
+        # is: no clause goes through the solver's normalising path.
+        family = Family.FREE if tau in Family.FREE.types() else Family.USED
+        problem = solving._Problem(build_instance(PHI_SAT, family).ts, tau)
+        calls = []
+        normalise = SatSolver._add_normalised
+
+        def counting(self, clause):
+            calls.append(clause)
+            return normalise(self, clause)
+
+        monkeypatch.setattr(SatSolver, "_add_normalised", counting)
+        ctx = solving._SatContext(problem)
+        assert calls == []
+        assert any(ctx.solver._bins) and any(ctx.solver._watches)
+
     @staticmethod
     def assert_same_models_as_the_per_bit_rule(ts, tau):
         # The clauses of different events share only support bits, so the
@@ -570,10 +675,7 @@ class TestConsistencyCnf:
         # support bits and that event's selectors (renumbered after them).
         problem = solving._Problem(ts, tau)
         ctx = solving._SatContext(problem)
-        clauses = [
-            dimacs(c)
-            for c in solving._consistency_clauses(problem, ctx.sup_var, ctx.sel_var)
-        ]
+        clauses = [dimacs(c) for c in consistency_cnf(ctx)]
         for event_pos, sels in enumerate(ctx.sel_var):
             renumber = {sel: problem.n + k + 1 for k, sel in enumerate(sels)}
 
@@ -620,10 +722,7 @@ class TestDecisionBound:
         problem = solving._Problem(ts, tau)
         ctx = solving._SatContext(problem)
         bounded = ctx.solver
-        clauses = [
-            dimacs(c)
-            for c in solving._consistency_clauses(problem, ctx.sup_var, ctx.sel_var)
-        ]
+        clauses = [dimacs(c) for c in consistency_cnf(ctx)]
         unbounded = SatSolver()
         unbounded.ensure_vars(bounded.num_vars)
         for clause in clauses:
@@ -759,6 +858,27 @@ class TestBatchFallback:
         assert via_sat.outcome == exhaustive.outcome == "no"
         assert via_sat.counterexample == exhaustive.counterexample
         assert via_sat.counterexample == EventStateAtom("c", "s0")
+
+
+class TestCheckResult:
+    def test_is_frozen_equal_and_hashable(self, battery):
+        result = check_ssp(battery["a1"], TAU, engine="sat")
+        assert result == check_ssp(battery["a1"], TAU, engine="sat")
+        assert result != dataclasses.replace(result, outcome="no")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.outcome = "no"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del result.reason
+        # Hashable as far as its fields are (a Region holds dicts).
+        atom = StatePairAtom("s0", "s1")
+        one = solving.CheckResult("ssp", "no", "sat", atom, ())
+        other = solving.CheckResult("ssp", "no", "sat", atom, (), reason="")
+        assert one == other and hash(one) == hash(other)
+        assert len({one, other, dataclasses.replace(one, engine="exhaustive")}) == 2
+        assert repr(one) == (
+            "CheckResult(property_name='ssp', outcome='no', engine='sat', "
+            f"counterexample={atom!r}, regions=(), reason='')"
+        )
 
 
 class TestBudgets:
