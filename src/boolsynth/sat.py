@@ -3,8 +3,12 @@
 Implements just what the propositional region engine needs: incremental
 clause addition, solving under assumptions, watched literals with a binary
 fast path, first-UIP clause learning, activity-based decisions with index
-tie-breaking, phase saving (callers may hint a phase with ``set_phase``),
-and Luby restarts. No randomness anywhere, so runs are reproducible.
+tie-breaking and phase saving (callers may hint a phase with ``set_phase``).
+No randomness anywhere, so runs are reproducible. It never restarts: after
+a Luby restart it decided the active variables first, so on the glued
+hardness instances each later backjump undid and redecided the untouched
+support bits above them (95,620 decisions in one bench pass, 31,733
+without). Learning without clause deletion keeps the search complete.
 
 Literal convention: DIMACS-style nonzero ints at the API boundary
 (``v``/``-v``), mapped internally to ``2v`` (positive) / ``2v + 1``
@@ -32,7 +36,10 @@ level, and the learnt literal takes its asserting level, so the trail may
 hold literals out of level order. On the glued hardness gadgets most open
 levels have nothing to do with a given conflict, so long backjumps made most
 propagations redo undone assignments. Of 0, 10, 25 and 100, 10 ran them the
-fastest, and it leaves every search without longer backjumps as it was.
+fastest while the solver still restarted, and it leaves every search without
+longer backjumps as it was. Without restarts 0, 3 and 10 run the cubic
+formulas of m = 24 and 36 about equally fast, and plain backjumping takes
+up to twice as long.
 """
 
 from __future__ import annotations
@@ -49,19 +56,6 @@ _UNDEF = 2
 
 #: Backjumps over more levels than this backtrack one level (read per conflict).
 CHRONO_LEVELS = 10
-
-
-def _luby(i: int) -> int:
-    """The i-th element (1-based) of the Luby restart sequence."""
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
-    while (1 << k) - 1 != i:
-        i -= (1 << k) - 1
-        k = 1
-        while (1 << (k + 1)) - 1 <= i:
-            k += 1
-    return 1 << (k - 1)
 
 
 class SatSolver:
@@ -190,14 +184,10 @@ class SatSolver:
         val = self._val
         trail = self._trail
         trail_lim = self._trail_lim
-        restart_count = 0
-        limit = 32 * _luby(1)
-        conflicts_here = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
-                conflicts_here += 1
                 conflict_level = max(self._level[lit >> 1] for lit in conflict)
                 if not conflict_level:
                     self._ok = False
@@ -213,11 +203,6 @@ class SatSolver:
                 if deadline is not None and self.conflicts % 64 == 0:
                     if time.monotonic() > deadline:
                         return None
-                if conflicts_here >= limit:
-                    restart_count += 1
-                    limit = 32 * _luby(restart_count + 1)
-                    conflicts_here = 0
-                    self._backtrack(0)
                 continue
             lvl = len(trail_lim)
             if lvl < len(assume):

@@ -1,8 +1,8 @@
 """The CDCL core: unit behavior, clause loading one by one and in batches,
-assumptions, restarts, budgets, work counters, differential checks against
-a brute-force evaluator on random small formulas, a golden trace of the
-search on the hardness gadgets, and checks of chronological backtracking
-with every backjump made chronological."""
+assumptions, long searches, budgets, work counters, differential checks
+against a brute-force evaluator on random small formulas, a golden trace of
+the search on the hardness gadgets, and checks of chronological
+backtracking with every backjump made chronological."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from boolsynth import (
     PHI_SAT,
     PHI_UNSAT,
+    CubicCnf,
     Family,
     NetType,
     SatSolver,
@@ -29,11 +30,30 @@ from boolsynth import (
     verify_inhibiting_region,
 )
 from boolsynth import sat as sat_module
-from boolsynth.sat import _luby
 from conftest import consistency_cnf, region_digest, solver_state
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: Seeded cubic formulas without a one-in-three model, written out so that
+#: their searches stay pinned: ``random_cubic(random.Random(1), m)`` of
+#: ``tests/test_reduction.py`` drew them for m = 4 and 24. The glued
+#: instance of CUBIC_24 has 4,295 states.
+CUBIC_4 = CubicCnf(
+    (("x2", "x3", "x1"), ("x2", "x0", "x1"), ("x1", "x3", "x0"), ("x0", "x3", "x2"))
+)
+CUBIC_24 = CubicCnf(
+    (
+        ("x6", "x18", "x10"), ("x10", "x20", "x0"), ("x22", "x4", "x15"),
+        ("x0", "x4", "x12"), ("x21", "x15", "x23"), ("x11", "x16", "x7"),
+        ("x23", "x17", "x1"), ("x4", "x16", "x21"), ("x20", "x9", "x1"),
+        ("x22", "x7", "x14"), ("x8", "x19", "x23"), ("x16", "x8", "x3"),
+        ("x9", "x12", "x19"), ("x5", "x6", "x9"), ("x17", "x2", "x15"),
+        ("x20", "x3", "x14"), ("x18", "x19", "x13"), ("x8", "x2", "x3"),
+        ("x2", "x13", "x14"), ("x11", "x5", "x13"), ("x7", "x1", "x10"),
+        ("x0", "x11", "x21"), ("x18", "x5", "x17"), ("x12", "x22", "x6"),
+    )
 )
 
 
@@ -146,17 +166,6 @@ class TestAssumptions:
         assert solver.model_value(1) is True
 
 
-class TestLuby:
-    def test_prefix(self):
-        got = [_luby(i) for i in range(1, 16)]
-        assert got == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
-
-    def test_powers_at_sequence_ends(self):
-        # positions 2^k - 1 hold 2^(k-1)
-        for k in range(1, 10):
-            assert _luby((1 << k) - 1) == 1 << (k - 1)
-
-
 def pigeonhole(pigeons, holes):
     """PHP clauses; variable p*holes + h + 1 puts pigeon p in hole h."""
     nvars = pigeons * holes
@@ -219,7 +228,9 @@ class TestHarderInstances:
         assert solver.verify_model(clauses)
 
     def test_restarts_do_not_change_verdicts(self):
-        # enough conflicts to force several restarts (limit starts at 32)
+        # The solver never restarts: a search of many conflicts, past the
+        # 32 after which it restarted while it had Luby restarts, keeps its
+        # trail and still ends in the right verdict.
         nvars, clauses = pigeonhole(6, 5)
         solver = fresh(nvars, clauses)
         assert solver.solve() is False
@@ -312,7 +323,9 @@ class TestLearntClauses:
         # A conflict clause with one literal at the conflict level is, less
         # its level-0 literals, its own learnt clause. It becomes the reason
         # of the asserted literal, watched by that literal and one of the
-        # backjump level, and no copy of it is attached.
+        # backjump level, and no copy of it is attached. The input is
+        # CUBIC_4, not PHI_UNSAT: without restarts the PHI_UNSAT search
+        # under used meets no such conflict clause.
         own_clauses = copies = 0
         latest: set[int] = set()
         analyze = SatSolver._analyze
@@ -341,7 +354,8 @@ class TestLearntClauses:
 
         monkeypatch.setattr(SatSolver, "_analyze", analyzing)
         monkeypatch.setattr(SatSolver, "_attach", attaching)
-        instance = build_instance(PHI_UNSAT, family)
+        assert solve_one_in_three(CUBIC_4) is None
+        instance = build_instance(CUBIC_4, family)
         region = solve_atom(
             instance.ts, family.base_type, instance.target_atom, engine="sat"
         )
@@ -689,10 +703,11 @@ class TestSearchIdentity:
         [
             (PHI_SAT, Family.FREE, "sat", "f48c974db11a4f21", (1, 383, 1117)),
             (PHI_SAT, Family.USED, "sat", "b61a06e277b35e66", (8, 185, 1538)),
-            (PHI_UNSAT, Family.FREE, "unsat", None, (162, 2892, 12887)),
-            (PHI_UNSAT, Family.USED, "unsat", None, (152, 2824, 20197)),
+            (PHI_UNSAT, Family.FREE, "unsat", None, (188, 1048, 8311)),
+            (PHI_UNSAT, Family.USED, "unsat", None, (138, 636, 6538)),
+            (CUBIC_24, Family.FREE, "unsat", None, (583, 6378, 70532)),
         ],
-        ids=["sat-free", "sat-used", "unsat-free", "unsat-used"],
+        ids=["sat-free", "sat-used", "unsat-free", "unsat-used", "cubic24-free"],
     )
     def test_target_atom_query(self, cnf, family, status, digest, work):
         # Re-recorded when the solver began to backtrack chronologically
@@ -709,6 +724,16 @@ class TestSearchIdentity:
         # one binary clause per arc: the regions are unchanged and the work
         # went from (7, 607, 1571), (17, 240, 1676), (188, 3051, 12958) and
         # (208, 2777, 17470).
+        # Re-recorded again when the solver stopped restarting (it made a
+        # Luby restart after 32, 32, 64, ... conflicts): only the two unsat
+        # searches reach 32 conflicts, and their work went from
+        # (162, 2892, 12887) and (152, 2824, 20197). Each restart decided
+        # the active variables again first, so hundreds of untouched
+        # support bits landed above them on the trail, and every later
+        # backjump undid and redecided them. The cubic24-free case pins a
+        # search of 500+ conflicts, the scale where restarts made a target
+        # decision 1.8-5.9 times slower (m = 24, seeds 1-2, both families);
+        # with them its work was (403, 46415, 156929).
         instance = build_instance(cnf, family)
         problem = solving._Problem(instance.ts, family.base_type)
         ctx = solving._SatContext(problem)
