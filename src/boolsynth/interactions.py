@@ -157,22 +157,9 @@ def interactions_matching(
     source_bit: int, target_bit: int
 ) -> frozenset[Interaction]:
     """All interactions i with i(source_bit) defined and equal to target_bit."""
-    return _MATCHING[source_bit][target_bit]
-
-
-def _build_matching() -> tuple[tuple[frozenset[Interaction], ...], ...]:
-    table = []
-    for a in (0, 1):
-        row = []
-        for b in (0, 1):
-            row.append(
-                frozenset(i for i in INTERACTION_ORDER if _EFFECT[i][a] == b)
-            )
-        table.append(tuple(row))
-    return tuple(table)
-
-
-_MATCHING = _build_matching()
+    return frozenset(
+        i for i in INTERACTION_ORDER if _EFFECT[i][source_bit] == target_bit
+    )
 
 
 def iter_type(tau: NetType | Iterable[Interaction]) -> tuple[Interaction, ...]:

@@ -90,40 +90,34 @@ def fire(
 
 
 class _FiringMasks:
-    """Integer-mask compilation of one transition's column of the flow map."""
+    """Integer-mask compilation of one transition's column of the flow map,
+    read off each place's ``Interaction.effect``."""
 
-    __slots__ = ("need_one", "need_zero", "force_one", "force_zero", "toggle")
+    __slots__ = ("need_one", "need_zero", "one_from_0", "one_from_1")
 
     def __init__(self, net: BooleanNet, transition: str, bit_of: Dict[str, int]):
         self.need_one = 0  # places whose interaction is undefined at 0
         self.need_zero = 0  # places whose interaction is undefined at 1
-        self.force_one = 0
-        self.force_zero = 0
-        self.toggle = 0
+        self.one_from_0 = 0  # places whose interaction maps 0 to 1
+        self.one_from_1 = 0  # places whose interaction maps 1 to 1
         for place in net.places:
             mask = bit_of[place]
             on0, on1 = net.flow[(place, transition)].effect
             if on0 is None:
                 self.need_one |= mask
+            elif on0:
+                self.one_from_0 |= mask
             if on1 is None:
                 self.need_zero |= mask
-            if on0 == 1 and on1 == 1:
-                self.force_one |= mask
-            elif on0 == 0 and on1 == 0:
-                self.force_zero |= mask
-            elif on0 == 1 and on1 == 0:
-                self.toggle |= mask
-            elif on0 == 1:  # defined only at 0, image 1
-                self.force_one |= mask
-            elif on1 == 0:  # defined only at 1, image 0
-                self.force_zero |= mask
+            elif on1:
+                self.one_from_1 |= mask
 
     def successor(self, marking: int) -> Optional[int]:
         if marking & self.need_one != self.need_one:
             return None
         if marking & self.need_zero:
             return None
-        return ((marking | self.force_one) & ~self.force_zero) ^ self.toggle
+        return marking & self.one_from_1 | ~marking & self.one_from_0
 
 
 def _marking_name(marking: int, width: int) -> str:

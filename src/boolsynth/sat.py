@@ -20,10 +20,10 @@ clauses containing ``lit``. Both fire when ``lit`` becomes false.
 
 As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
-and the decision heap holds no duplicate entries. A conflict clause with one
-literal at the conflict level is its own learnt clause: it is rewatched and
-becomes the reason, and no copy is attached. ``conflicts``, ``decisions``
-and ``propagations`` count work over the solver's lifetime.
+and the decision heap holds no duplicate entries. Every learnt clause of two
+or more literals is attached and becomes the reason of the literal it
+asserts. ``conflicts``, ``decisions`` and ``propagations`` count work over
+the solver's lifetime.
 
 Decision variables (MiniSat's ``setDecisionVar``): with ``decision_vars=k``
 only variables 1..k get heap entries and are decided. ``solve`` answers sat
@@ -351,12 +351,10 @@ class SatSolver:
             self._qhead = qhead
             self.propagations += qhead - start
 
-    def _analyze(self, conflict: Sequence[int]) -> tuple[Sequence[int], int]:
+    def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int]:
         """First-UIP learning: (the learnt clause, attached unless a unit,
         asserting literal first and a literal of the backjump level second;
-        the backjump level). A conflict clause with one literal at the
-        conflict level is its own learnt clause, less its level-0 literals:
-        it is rewatched and returned instead of a copy."""
+        the backjump level)."""
         learnt: list[int] = [0]
         seen: set[int] = set()
         counter = 0
@@ -367,7 +365,6 @@ class SatSolver:
         skip: Optional[int] = None
         idx = len(trail) - 1
         bump = self._bump_activity
-        first_pass = True
         while True:
             for lit in reason:
                 if lit == skip:
@@ -396,7 +393,6 @@ class SatSolver:
                 break
             reason = self._reason[uip >> 1] or ()
             skip = uip
-            first_pass = False
         if len(learnt) == 1:
             return learnt, 0
         back = max(levels[lit >> 1] for lit in learnt[1:])
@@ -405,29 +401,8 @@ class SatSolver:
             if levels[learnt[k] >> 1] == back:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
-        if not first_pass:
-            self._attach(learnt)
-        elif len(conflict) > 2:  # a binary conflict sits in ``bins`` as it is
-            self._rewatch(conflict, learnt[0], learnt[1])
-            return conflict, back
+        self._attach(learnt)
         return learnt, back
-
-    def _rewatch(self, clause: list[int], first: int, second: int) -> None:
-        """Move a long clause's watches to ``first`` and ``second``, and put
-        those two literals in front."""
-        watches = self._watches
-        old = clause[:2]
-        for lit in old:
-            if lit != first and lit != second:
-                watch_list = watches[lit]
-                del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
-        for lit in (first, second):
-            if lit not in old:
-                watches[lit].append(clause)
-        k = clause.index(first)
-        clause[0], clause[k] = first, clause[0]
-        k = clause.index(second)
-        clause[1], clause[k] = second, clause[1]
 
     def _attach(self, clause: list[int]) -> None:
         """Watch a clause of two or more literals by its first two."""

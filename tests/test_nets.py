@@ -3,6 +3,7 @@ regions, the synthesized-net round trip, and graph isomorphism."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -138,29 +139,27 @@ class TestReachabilityGraph:
         assert graph.step("m11", "t") == "m10"
 
     def test_agreement_with_fire_on_every_arc(self):
-        net = BooleanNet(
-            FULL,
-            ("p", "q"),
-            ("t", "u"),
-            {
-                ("p", "t"): Interaction.OUT,
-                ("q", "t"): Interaction.NOP,
-                ("p", "u"): Interaction.RES,
-                ("q", "u"): Interaction.SWAP,
-            },
-            {"p": 0, "q": 0},
-        )
-        graph = reachability_graph(net)
-        for arc in graph.arcs:
-            marking = {
-                place: int(arc.source[1 + k])
-                for k, place in enumerate(net.places)
-            }
-            successor = fire(net, marking, arc.event)
-            assert successor is not None
-            assert arc.target == "m" + "".join(
-                str(successor[place]) for place in net.places
+        # Every ordered pair of interactions on one transition over two
+        # places, under all four initial markings (256 nets): every arc is
+        # the step ``fire`` takes, and every step ``fire`` takes from a
+        # reached marking is an arc.
+        nets = itertools.product(Interaction, Interaction, (0, 1), (0, 1))
+        for first, second, p, q in nets:
+            net = BooleanNet(
+                FULL,
+                ("p", "q"),
+                ("t",),
+                {("p", "t"): first, ("q", "t"): second},
+                {"p": p, "q": q},
             )
+            graph = reachability_graph(net)
+            for state in graph.states:
+                marking = {"p": int(state[1]), "q": int(state[2])}
+                successor = fire(net, marking, "t")
+                steps = {} if successor is None else {
+                    "t": f"m{successor['p']}{successor['q']}"
+                }
+                assert graph.successors[state] == steps, (first, second, p, q)
 
 
     def test_ts_text_is_pinned_for_markings_reached_out_of_order(self):

@@ -319,48 +319,55 @@ class TestDecisionBound:
 
 class TestLearntClauses:
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name)
-    def test_no_conflict_clause_is_attached_twice(self, family, monkeypatch):
-        # A conflict clause with one literal at the conflict level is, less
-        # its level-0 literals, its own learnt clause. It becomes the reason
-        # of the asserted literal, watched by that literal and one of the
-        # backjump level, and no copy of it is attached. The input is
-        # CUBIC_4, not PHI_UNSAT: without restarts the PHI_UNSAT search
-        # under used meets no such conflict clause.
-        own_clauses = copies = 0
-        latest: set[int] = set()
+    def test_every_learnt_clause_is_attached_and_asserts(self, family, monkeypatch):
+        # Every learnt clause of two or more literals is attached once, by
+        # the ``_analyze`` call that returns it, and is the reason of the
+        # literal asserted next. That holds too for a conflict clause with
+        # one literal at the conflict level, whose learnt clause has the
+        # same literals less its level-0 ones: CUBIC_4 meets such conflicts
+        # under both families.
+        learnt_clauses = own_clauses = 0
+        attached: list[list[int]] = []
+        pending: list[list[int]] = []
         analyze = SatSolver._analyze
         attach = SatSolver._attach
+        enqueue = SatSolver._enqueue
 
         def analyzing(self, conflict):
-            nonlocal own_clauses
-            latest.clear()
-            latest.update(lit for lit in conflict if self._level[lit >> 1])
+            nonlocal learnt_clauses, own_clauses
+            latest = {lit for lit in conflict if self._level[lit >> 1]}
+            attached.clear()
             learnt, level = analyze(self, conflict)
-            if {lit for lit in learnt if self._level[lit >> 1]} == latest:
-                own_clauses += len(learnt) > 1
-                if len(conflict) > 2 and len(learnt) > 1:
-                    assert learnt is conflict
-                    for lit in learnt[:2]:
-                        assert sum(c is learnt for c in self._watches[lit]) == 1
-                    assert not any(
-                        c is learnt for lit in learnt[2:] for c in self._watches[lit]
-                    )
+            if len(learnt) > 1:
+                learnt_clauses += 1
+                own_clauses += set(learnt) == latest
+                assert len(attached) == 1 and attached[0] is learnt
+                pending.append(learnt)
+            else:
+                assert not attached
             return learnt, level
 
         def attaching(self, clause):
-            nonlocal copies
-            copies += set(clause) == latest
+            attached.append(clause)
             attach(self, clause)
+
+        def enqueueing(self, lit, level, reason):
+            if pending:
+                learnt = pending.pop()
+                assert lit == learnt[0] and reason is learnt
+            enqueue(self, lit, level, reason)
 
         monkeypatch.setattr(SatSolver, "_analyze", analyzing)
         monkeypatch.setattr(SatSolver, "_attach", attaching)
+        monkeypatch.setattr(SatSolver, "_enqueue", enqueueing)
         assert solve_one_in_three(CUBIC_4) is None
         instance = build_instance(CUBIC_4, family)
         region = solve_atom(
             instance.ts, family.base_type, instance.target_atom, engine="sat"
         )
         assert region is None
-        assert own_clauses and not copies
+        assert own_clauses and learnt_clauses > own_clauses
+        assert not pending
 
 
 def random_formula(draw_size_rng):
