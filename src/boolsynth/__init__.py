@@ -75,7 +75,6 @@ from .solving import (
 )
 from .ts import (
     Arc,
-    Joined,
     Report,
     TransitionSystem,
     TsUnion,
@@ -102,7 +101,6 @@ __all__ = [
     "GadgetInstance",
     "INTERACTION_ORDER",
     "Interaction",
-    "Joined",
     "NetType",
     "PHI_SAT",
     "PHI_UNSAT",

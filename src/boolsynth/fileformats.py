@@ -385,7 +385,7 @@ def format_roles(instance: GadgetInstance) -> str:
     ]
     pairs.extend(
         (f"clause_{index}", " ".join(clause))
-        for index, clause in enumerate(roles.clause_vars)
+        for index, clause in enumerate(instance.cnf.clauses)
     )
     return "".join(f"# role {name} = {value}\n" for name, value in pairs)
 

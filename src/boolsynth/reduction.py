@@ -23,7 +23,6 @@ from .interactions import Interaction, NetType
 from .regions import Family, Region, validate_region
 from .solving import EventStateAtom
 from .ts import (
-    Joined,
     Report,
     TransitionSystem,
     TsUnion,
@@ -104,7 +103,6 @@ PHI_UNSAT = CubicCnf(
 class RoleMap:
     """Who is who inside a generated instance."""
 
-    family: Family
     target_event: str
     target_state: str
     flip_events: tuple[str, ...]  # must be signed with the swapping interaction
@@ -116,12 +114,7 @@ class RoleMap:
     clause_events: tuple[str, ...]
     slot_events: tuple[str, ...]
     variables: tuple[str, ...]
-    clause_vars: tuple[tuple[str, str, str], ...]
     unique_events: tuple[str, ...]
-
-    @property
-    def target_atom(self) -> EventStateAtom:
-        return EventStateAtom(self.target_event, self.target_state)
 
 
 def _path(
@@ -201,7 +194,6 @@ def build_union(cnf: CubicCnf, family: Family) -> tuple[TsUnion, RoleMap]:
             add(f"T{i}_{alpha}", f"t_{i}_{alpha}", _both(first, flip, second))
     union = TsUnion(members=tuple(members))
     roles = RoleMap(
-        family=family,
         target_event="k",
         target_state="h_0_2",
         flip_events=tuple(f"v_{j}" for j in range(4 * m)),
@@ -213,7 +205,6 @@ def build_union(cnf: CubicCnf, family: Family) -> tuple[TsUnion, RoleMap]:
         clause_events=tuple(f"y_{j}" for j in range(m)),
         slot_events=tuple(f"p_{l}" for l in range(3 * m)),
         variables=cnf.variables,
-        clause_vars=cnf.clauses,
         unique_events=tuple(f"u_{i}" for i in range(len(members))),
     )
     return union, roles
@@ -226,16 +217,12 @@ class GadgetInstance:
     cnf: CubicCnf
     family: Family
     union: TsUnion
-    joined: Joined
+    ts: TransitionSystem
     roles: RoleMap
 
     @property
-    def ts(self) -> TransitionSystem:
-        return self.joined.ts
-
-    @property
     def target_atom(self) -> EventStateAtom:
-        return self.roles.target_atom
+        return EventStateAtom(self.roles.target_event, self.roles.target_state)
 
 
 def build_instance(cnf: CubicCnf, family: Family) -> GadgetInstance:
@@ -247,10 +234,8 @@ def build_instance(cnf: CubicCnf, family: Family) -> GadgetInstance:
             f"generated union violates gluing preconditions:\n{report}"
         )
     name = f"instance_{family.name.lower()}_m{len(cnf.clauses)}"
-    joined = join(union, name=name)
-    return GadgetInstance(
-        cnf=cnf, family=family, union=union, joined=joined, roles=roles
-    )
+    ts = join(union, name=name)
+    return GadgetInstance(cnf=cnf, family=family, union=union, ts=ts, roles=roles)
 
 
 def verify_inhibiting_region(

@@ -726,20 +726,20 @@ class _SatContext:
         from .sat import SatSolver
 
         self.problem = problem
-        n, events = problem.n, problem.events
+        n = problem.n
         # Decisions on support bits only; see the module docstring.
         self.solver = SatSolver(decision_vars=n)
+        # Support bits in state name order: it sets the decision heap's tie-breaks.
         self.sup_var = [0] * n
         for var, pos in enumerate(sorted(range(n), key=problem.states.__getitem__), 1):
             self.sup_var[pos] = var
         width = len(problem.tau_list)
         # sel_var[event_pos][k] selects interaction tau_list[k] for the event
-        self.sel_var: list[list[int]] = [[] for _ in events]
-        base = n
-        for event_pos in sorted(range(len(events)), key=events.__getitem__):
-            self.sel_var[event_pos] = list(range(base + 1, base + width + 1))
-            base += width
-        self.solver.ensure_vars(base)
+        n_events = len(problem.events)
+        self.sel_var = [
+            range(n + 1 + k * width, n + 1 + (k + 1) * width) for k in range(n_events)
+        ]
+        self.solver.ensure_vars(n + n_events * width)
         pairs, clauses = _consistency_clauses(problem, self.sup_var, self.sel_var)
         if width == 1:  # unit at-least-one clauses: the normalising path
             self.solver.add_clauses(clauses)

@@ -427,33 +427,21 @@ def path_arcs(
     return arcs
 
 
-@dataclass(frozen=True)
-class Joined:
-    """A union glued into one transition system plus the gluing bookkeeping.
-
-    A fresh rail of states threads the members together; each member is
-    entered through a three-state branch hanging off its rail section, via a
-    fresh entry event looping on the member's initial state.
-    ``fresh_events`` lists ``seal_i, step_i, side_i, entry_i`` per member.
-    """
-
-    ts: TransitionSystem
-    rail_states: tuple[str, ...]
-    fresh_events: tuple[str, ...]
-
-
-def join(union: TsUnion, name: str = "") -> Joined:
+def join(union: TsUnion, name: str = "") -> TransitionSystem:
     """Glue the members of a union into a single transition system.
 
-    For member ``i`` with rail states ``r0..r4`` (shared boundaries between
+    A fresh rail ``rail_0 .. rail_4n`` threads the ``n`` members together;
+    each member is entered through a three-state branch hanging off its rail
+    section, via a fresh entry event looping on its initial state. For
+    member ``i`` with rail states ``r0..r4`` (shared boundaries between
     neighbors) and branch states ``b1..b3``::
 
         r0 <-seal_i-> r1 -step_i-> r2 <-step_i-> r3 <-seal_i-> r4
                                    r2 -side_i-> b1 <-side_i-> b2
                                    b2 <-step_i-> b3 <-entry_i-> initial_i
 
-    The joined system starts at the first rail state. Fresh state/event names
-    must not collide with member names; collisions raise ValueError.
+    The glued system starts at ``rail_0``. Fresh state/event names must not
+    collide with member names; collisions raise ValueError.
     """
     n = len(union.members)
     rail = [f"rail_{k}" for k in range(4 * n + 1)]
@@ -486,14 +474,13 @@ def join(union: TsUnion, name: str = "") -> Joined:
         arcs.extend(member.arcs)
         states += [*section[1:], b1, b2, b3, *member.states]
         events += [seal, step, side, entry, *member.events]
-    ts = TransitionSystem(
+    return TransitionSystem(
         initial=rail[0],
         arcs=tuple(arcs),
         states=tuple(states),
         events=tuple(dict.fromkeys(events)),
         name=name or "joined",
     )
-    return Joined(ts=ts, rail_states=tuple(rail), fresh_events=tuple(fresh))
 
 
 Subject = Union[TransitionSystem, TsUnion]

@@ -195,7 +195,7 @@ def test_criterion_3_gluing_preserves_both_properties():
     mismatches = comparisons = 0
     for _ in range(20):
         union = glueable_union(rng)
-        glued = join(union).ts
+        glued = join(union)
         for tau in family_types():
             for checker in (check_ssp, check_essp):
                 on_union = checker(union, tau, engine="sat")

@@ -3,7 +3,8 @@ every private name the package defines is read somewhere in it.
 
 No linter runs on this repository, so this is the check that keeps unused
 imports and unread private helpers out. ``__init__.py`` is skipped for
-imports: it imports names to re-export them.
+imports: it imports names to re-export them, and ``__all__`` lists exactly
+those names.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import boolsynth
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boolsynth"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -118,3 +121,10 @@ def test_an_unread_private_helper_is_caught():
     assert private_definitions(tree) - read_names(tree) == {
         "_SPARE", "_unread", "_spare"
     }
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    # ``__init__.py`` imports names only to re-export them, so a name it
+    # imports and ``__all__`` leaves out, or the other way round, is stale.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert sorted(boolsynth.__all__) == sorted(imported_names(tree))

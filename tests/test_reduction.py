@@ -272,8 +272,8 @@ class TestGadgetStructure:
         assert {s.split("_")[0] for s in unreachable} == {"d", "g"}
 
     def test_role_census(self, phi3_free):
+        assert phi3_free.target_atom == EventStateAtom("k", "h_0_2")
         roles = phi3_free.roles
-        assert roles.target_atom == EventStateAtom("k", "h_0_2")
         assert len(roles.flip_events) == 12  # one per variable occurrence slot
         assert len(roles.hold_events) == 3
         assert len(roles.occ_events) == 9

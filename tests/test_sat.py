@@ -1,8 +1,8 @@
 """The CDCL core: unit behavior, clause loading one by one and in batches,
-assumptions, long searches, budgets, work counters, differential checks
-against a brute-force evaluator on random small formulas, a golden trace of
-the search on the hardness gadgets, and checks of chronological
-backtracking with every backjump made chronological."""
+assumptions, long searches, budgets, work counters, activity rescaling,
+differential checks against a brute-force evaluator on random small
+formulas, a golden trace of the search on the hardness gadgets, and checks
+of chronological backtracking with every backjump made chronological."""
 
 from __future__ import annotations
 
@@ -315,6 +315,57 @@ class TestDecisionBound:
         assert solver.model() == [False] * 6
         assert solver.solve([5]) is True
         assert solver.model()[4:] == [True, True]
+
+
+class TestActivityRescale:
+    """Once the activity increment passes 1e100, ``_rescale_activity``
+    scales every activity down and rebuilds the decision heap. A search
+    reaches it only after thousands of conflicts, so the increment starts
+    just below the limit here and the first conflict triggers it."""
+
+    def test_rescaled_searches_match_brute_force(self, monkeypatch):
+        rescales = 0
+        rescale = SatSolver._rescale_activity
+
+        def rescaling(self):
+            nonlocal rescales
+            rescales += 1
+            rescale(self)
+            # every unassigned decision variable has a current heap entry,
+            # and no other variable has one
+            limit = min(self._nvars, self._decision_limit)
+            current = {var for act, var in self._heap if -act == self._activity[var]}
+            assert all(var <= limit for var in current)
+            for var in range(1, limit + 1):
+                if self._val[2 * var] == sat_module._UNDEF:
+                    assert var in current and self._in_heap[var]
+
+        monkeypatch.setattr(SatSolver, "_rescale_activity", rescaling)
+        rng = random.Random(23)
+        for _ in range(400):
+            nvars = rng.randint(3, 9)
+            clauses = [
+                [rng.randint(1, nvars) * rng.choice((1, -1)) for _ in range(3)]
+                for _ in range(rng.randint(2 * nvars, 5 * nvars))
+            ]
+            assumptions = [
+                var * rng.choice((1, -1))
+                for var in rng.sample(range(1, nvars + 1), rng.randint(0, 2))
+            ]
+            bound = rng.choice((None, rng.randint(0, nvars)))
+            solver = SatSolver(decision_vars=bound)
+            solver.ensure_vars(nvars)
+            for clause in clauses:
+                solver.add_clause(clause)
+            solver._var_inc = 0.96e100
+            verdict = solver.solve(assumptions)
+            expected = brute_force(nvars, clauses, assumptions) is not None
+            if bound is None:
+                assert verdict == expected
+                assert not verdict or solver.verify_model(clauses)
+            else:  # with a bound, sat only says the decision variables are set
+                assert verdict or not expected
+        assert rescales >= 100
 
 
 class TestLearntClauses:

@@ -325,29 +325,27 @@ class TestJoin:
 
     def test_shape(self):
         union = self.good_union()
-        joined = join(union, name="glued")
-        ts = joined.ts
+        ts = join(union, name="glued")
         n = len(union.members)
         # 4n+1 rail states, 3 branch states per member, plus member states
-        assert len(joined.rail_states) == 4 * n + 1
+        rail = [s for s in ts.states if s.startswith("rail_")]
+        assert len(rail) == 4 * n + 1
         assert len(ts.states) == (4 * n + 1) + 3 * n + len(union.states)
         # 14 fresh arcs per member plus the member's own
         assert len(ts.arcs) == 14 * n + len(union.arcs)
-        assert ts.initial == joined.rail_states[0]
+        assert ts.initial == "rail_0"
         assert ts.name == "glued"
-        # every member event survives, all fresh events are new
+        # every member event survives, plus four fresh events per member
         assert set(union.events) <= set(ts.events)
-        assert set(joined.fresh_events).isdisjoint(union.events)
-        assert len(joined.fresh_events) == 4 * n
+        assert len(set(ts.events) - set(union.events)) == 4 * n
 
     def test_joined_system_is_deterministic_and_reachable(self):
-        report = validate_ts(join(self.good_union()).ts)
+        report = validate_ts(join(self.good_union()))
         assert report.ok, str(report)
 
     def test_single_member_three_state_example(self, battery):
         # one member with 3 states: 5 rail + 3 branch + 3 member = 11 states
-        joined = join(TsUnion.of(battery["a1"]))
-        assert len(joined.ts.states) == 11
+        assert len(join(TsUnion.of(battery["a1"])).states) == 11
 
     def test_name_collision_rejected(self):
         clashing = two_cycle("rail_0", "x0", "h0")
@@ -361,7 +359,6 @@ class TestJoin:
 
     def test_join_preserves_member_arcs_verbatim(self):
         union = self.good_union()
-        joined = join(union)
-        joined_arcs = set(map(tuple, joined.ts.arcs))
+        joined_arcs = set(map(tuple, join(union).arcs))
         for arc in union.arcs:
             assert tuple(arc) in joined_arcs
