@@ -32,10 +32,10 @@ from .solving import (
     CheckResult,
     EngineError,
     ResourceExhausted,
-    assign_witnesses,
     check_essp,
     check_feasibility,
     check_ssp,
+    witness_rows,
 )
 
 EXIT_HOLDS = 0
@@ -74,28 +74,16 @@ def _parse_type(spec: str) -> NetType:
 def _emit_witnesses(
     path: str, subject, tau: NetType, result: CheckResult
 ) -> None:
+    """Write the witness file of a check: one record per pooled region that
+    settles a requirement no earlier one settles, in the order of its first
+    requirement, written straight from the coverage tracker's masks
+    (``witness_rows``, ``format_witness_rows``)."""
     want_ssp = result.property_name in ("ssp", "feasible")
     want_essp = result.property_name in ("essp", "feasible")
-    records = assign_witnesses(
+    rows = witness_rows(
         subject, tau, result.regions, want_ssp=want_ssp, want_essp=want_essp
     )
-    # One record per pooled region (the pool holds each region once, so the
-    # object identifies it): a region reused by thousands of requirements is
-    # written once, and each requirement appears as one atom line.
-    grouped: dict[int, tuple[Region, list]] = {}
-    for atom, region in records:
-        entry = grouped.get(id(region))
-        if entry is None:
-            grouped[id(region)] = (region, [atom])
-        else:
-            entry[1].append(atom)
-    _write_out(
-        ff.format_witnesses(
-            ff.WitnessRecord(region, tuple(atoms))
-            for region, atoms in grouped.values()
-        ),
-        path,
-    )
+    _write_out(ff.format_witness_rows(subject, rows), path)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

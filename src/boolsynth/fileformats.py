@@ -16,14 +16,21 @@ witnesses           ``region`` / ``sup <s> <bit>``* / ``sig <e> <i>``*
                     / ``atom sp <s> <s'>`` | ``atom essp <e> <s>``
 formula             ``p cnf13 <m>`` then m lines of three variable names
 instance            transition-system format plus ``# role`` metadata
+
+Witness text has one layout (``_WitnessLayout``): ``format_witnesses``
+writes it from records of atoms, and ``format_witness_rows``, which
+``check --witness`` uses, from the masks of ``solving.witness_rows``, with
+no atom object per requirement.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .interactions import NetType, parse_interaction
+from .interactions import INTERACTION_ORDER, Interaction, NetType, parse_interaction
 from .nets import BooleanNet
 from .reduction import CubicCnf, GadgetInstance, build_instance
 from .regions import Region, parse_family
@@ -238,54 +245,113 @@ class WitnessRecord:
 
 
 def format_atom(atom: Atom) -> str:
-    """A requirement as ``sp <s> <s'>`` or ``essp <e> <s>``: the text of a
-    witness ``atom`` line and of a CLI counterexample."""
+    """A requirement as ``sp <s> <s'>`` or ``essp <e> <s>``, as a witness
+    ``atom`` line names it: the text of a CLI counterexample."""
     if isinstance(atom, StatePairAtom):
         return f"sp {atom.first} {atom.second}"
     return f"essp {atom.event} {atom.state}"
 
 
+class _WitnessLayout:
+    """The one layout of witness text, from per-state and per-event tables:
+    a record is its ``region`` line, one ``sup`` line per state and one
+    ``sig`` line per event in the region's own order, then its ``atom``
+    lines; each ``atom`` line is a requirement's prefix (``atom sp <s> `` or
+    ``atom essp <e> ``) followed by its last name."""
+
+    def __init__(self) -> None:
+        self.sup = functools.cache(
+            lambda state: (f"sup {state} 0\n", f"sup {state} 1\n")
+        )
+        self.sig = functools.cache(lambda event, i: f"sig {event} {i.value}\n")
+        self.sp = functools.cache(lambda state: f"atom sp {state} ")
+        self.essp = functools.cache(lambda event: f"atom essp {event} ")
+
+    def region(self, region: Region) -> str:
+        """A record's ``region``, ``sup`` and ``sig`` lines; a support holds
+        0/1 ints."""
+        support = region.support
+        return "".join(
+            itertools.chain(
+                ("region\n",),
+                map(tuple.__getitem__, map(self.sup, support), support.values()),
+                itertools.starmap(self.sig, region.signature.items()),
+            )
+        )
+
+
+def _atom_lines(prefix: str, names: Iterable[str]) -> str:
+    """One ``atom`` line per name, each the ``prefix`` and the name."""
+    return prefix + ("\n" + prefix).join(names) + "\n"
+
+
 def format_witnesses(records: Iterable[WitnessRecord]) -> str:
-    lines: list[str] = []
+    """The witness text of ``records``, one record after the other, each
+    atom on its own line in the order given."""
+    layout = _WitnessLayout()
+    parts: list[str] = []
     for record in records:
-        lines.append("region")
-        for state in record.region.support:
-            lines.append(f"sup {state} {record.region.support[state]}")
-        for event, interaction in record.region.signature.items():
-            lines.append(f"sig {event} {interaction.value}")
+        parts.append(layout.region(record.region))
         for atom in record.atoms:
-            lines.append(f"atom {format_atom(atom)}")
-    return "\n".join(lines) + "\n" if lines else ""
+            if isinstance(atom, StatePairAtom):
+                parts.append(_atom_lines(layout.sp(atom.first), (atom.second,)))
+            else:
+                parts.append(_atom_lines(layout.essp(atom.event), (atom.state,)))
+    return "".join(parts)
+
+
+def format_witness_rows(subject: Subject, rows: Iterable[tuple]) -> str:
+    """The witness text of ``solving.witness_rows`` over ``subject``: one
+    record per entry, in the layout ``format_witnesses`` writes, its atoms
+    the rows' state pairs and then its inhibitions, each row's names in
+    position order. So it equals ``format_witnesses`` over
+    ``assign_witnesses`` grouped by region in first-requirement order."""
+    states, events = subject.states, subject.events
+    n = len(states)
+    layout = _WitnessLayout()
+    sp, essp = layout.sp, layout.essp
+    width = f"0{n}b"
+    digit_bits = bytes.maketrans(b"01", b"\x00\x01")
+
+    def named(mask: int) -> Iterable[str]:
+        """The states of a mask, in position order."""
+        return itertools.compress(
+            states, format(mask, width).encode().translate(digit_bits)
+        )
+
+    parts: list[str] = []
+    for region, pair_rows, inhibition_rows in rows:
+        parts.append(layout.region(region))
+        for i, partners in pair_rows:
+            parts.append(_atom_lines(sp(states[i]), named(partners)))
+        for e, newly in inhibition_rows:
+            parts.append(_atom_lines(essp(events[e]), named(newly)))
+    return "".join(parts)
 
 
 def parse_witnesses(text: str) -> list[WitnessRecord]:
-    records: list[WitnessRecord] = []
-    support: dict[str, int] = {}
-    signature: dict[str, object] = {}
+    """The records of a witness text, read in one scan: each line is split
+    once (comments cut first, if the text has any), and a ``sig`` line's
+    interaction is looked up by name (other spellings go through
+    ``parse_interaction``)."""
+    named = {i.value: i for i in INTERACTION_ORDER}
+    blocks: list[tuple[dict, dict, list]] = []  # support, signature, atoms
+    support: Optional[dict[str, int]] = None  # of the open block, if any
+    signature: dict[str, Interaction] = {}
     atoms: list[Atom] = []
-    started = False
-
-    def flush() -> None:
-        if started:
-            records.append(
-                WitnessRecord(
-                    Region(dict(support), dict(signature)),  # type: ignore[arg-type]
-                    tuple(atoms),
-                )
-            )
-        support.clear()
-        signature.clear()
-        atoms.clear()
-
-    for number, line in _content_lines(text):
-        tokens = line.split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = (raw.split("#", 1)[0] for raw in lines)
+    for number, tokens in enumerate(map(str.split, lines), start=1):
+        if not tokens:
+            continue
         kind = tokens[0]
         if kind == "region":
             if len(tokens) != 1:
                 raise _fail(number, "'region' takes no arguments")
-            flush()
-            started = True
-        elif not started:
+            support, signature, atoms = {}, {}, []
+            blocks.append((support, signature, atoms))
+        elif support is None:
             raise _fail(number, f"expected a 'region' header before {kind!r}")
         elif kind == "sup":
             if len(tokens) != 3 or tokens[2] not in ("0", "1"):
@@ -293,15 +359,6 @@ def parse_witnesses(text: str) -> list[WitnessRecord]:
             if tokens[1] in support:
                 raise _fail(number, f"duplicate support entry {tokens[1]!r}")
             support[tokens[1]] = int(tokens[2])
-        elif kind == "sig":
-            if len(tokens) != 3:
-                raise _fail(number, "'sig' takes an event and an interaction")
-            if tokens[1] in signature:
-                raise _fail(number, f"duplicate signature entry {tokens[1]!r}")
-            try:
-                signature[tokens[1]] = parse_interaction(tokens[2])
-            except ValueError as exc:
-                raise _fail(number, str(exc)) from None
         elif kind == "atom":
             if len(tokens) == 4 and tokens[1] == "sp":
                 atoms.append(StatePairAtom(tokens[2], tokens[3]))
@@ -311,10 +368,23 @@ def parse_witnesses(text: str) -> list[WitnessRecord]:
                 raise _fail(
                     number, "'atom' takes 'sp <s> <s'>' or 'essp <e> <s>'"
                 )
+        elif kind == "sig":
+            if len(tokens) != 3:
+                raise _fail(number, "'sig' takes an event and an interaction")
+            if tokens[1] in signature:
+                raise _fail(number, f"duplicate signature entry {tokens[1]!r}")
+            try:
+                signature[tokens[1]] = named.get(tokens[2]) or parse_interaction(
+                    tokens[2]
+                )
+            except ValueError as exc:
+                raise _fail(number, str(exc)) from None
         else:
             raise _fail(number, f"unknown item {kind!r}")
-    flush()
-    return records
+    return [
+        WitnessRecord(Region(support, signature), tuple(atoms))
+        for support, signature, atoms in blocks
+    ]
 
 
 # ------------------------------------------------------------- formula text
@@ -450,6 +520,7 @@ __all__ = [
     "format_union",
     "format_net",
     "format_witnesses",
+    "format_witness_rows",
     "format_cnf",
     "format_instance",
     "format_roles",

@@ -125,8 +125,15 @@ def _path(
     state, the member's initial state."""
     steps = [*steps, (unique, Way.BOTH)]
     states = [f"{prefix}_{x}" for x in range(len(steps) + 1)]
-    return TransitionSystem.build(
-        initial=states[-1], arcs=path_arcs(states, steps), name=name
+    # The orders ``TransitionSystem.build`` would infer from the arcs: the
+    # initial state, then the path's states in order (no gadget path starts
+    # with a backward step), and the events as the steps first name them.
+    return TransitionSystem(
+        initial=states[-1],
+        arcs=tuple(path_arcs(states, steps)),
+        states=(states[-1], *states[:-1]),
+        events=tuple(dict.fromkeys(event for event, _ in steps)),
+        name=name,
     )
 
 

@@ -74,9 +74,13 @@ interaction (``_Problem.region``). So a region depends only on its support
 and on what is still pending, whichever engine found the support. Each
 pooled region settles a requirement no earlier one settles, so no pool
 repeats a region. The counterexample is the tracker's first pending
-requirement; ``assign_witnesses`` and ``first_unsettled`` replay a pool
+requirement; ``witness_rows`` and ``first_unsettled`` replay a pool
 through the same tracker, and ``solve_atom`` is a check whose tracker has
-one pending requirement (``_Coverage.of_atom``). ``irredundant`` thins a
+one pending requirement (``_Coverage.of_atom``). ``witness_rows`` keeps what
+``settle`` returns for each region as masks, one row per state or event, so
+a witness file is written from them (``fileformats.format_witness_rows``)
+and ``assign_witnesses`` expands the same rows into one atom per
+requirement. ``irredundant`` thins a
 pool for synthesis, on ints over the same index: it drops, in order, each
 region whose state pairs and inhibitions the regions it keeps settle too.
 For a fixed subject the two engines agree on all verdicts and report the
@@ -1056,6 +1060,54 @@ def enumerate_inhibiting_regions(
     return found
 
 
+def witness_rows(
+    subject: Subject,
+    tau: NetType,
+    regions: Sequence[Region],
+    *,
+    want_ssp: bool = True,
+    want_essp: bool = True,
+) -> list[tuple[Region, list[tuple[int, int]], list[tuple[int, int]]]]:
+    """What each region of ``regions`` settles first, replayed through the
+    checkers' coverage tracker, as rows of masks over the subject's state
+    positions.
+
+    One entry per region that settles a requirement no earlier region
+    settles: the region, its state pair rows ``(i, the states j > i it
+    separates from state i)`` ascending in i, and its inhibition rows
+    ``(e, the states it inhibits event e at)`` ascending in e. Entries follow
+    the canonical order of their first requirement, state pairs first, so
+    each requirement appears once, under the first region that settles it.
+    """
+    problem = _Problem(subject, tau)
+    n = problem.n
+    coverage = _Coverage(problem, want_ssp, want_essp)
+    keyed = []
+    for region in regions:
+        support = problem.support_int_of(region)
+        halves, inhibited = coverage.settle(support, region.signature)
+        pair_rows = []
+        for ones, zeros in halves:
+            for i in _positions(ones | zeros, n):
+                bit = 1 << (n - 1 - i)
+                partners = (zeros if ones & bit else ones) & (bit - 1)
+                if partners:
+                    pair_rows.append((i, partners))
+        pair_rows.sort()
+        inhibition_rows = [(e, newly) for e, newly in inhibited if newly]
+        if pair_rows:
+            i, partners = pair_rows[0]
+            key = (0, i, n - partners.bit_length())
+        elif inhibition_rows:
+            e, newly = inhibition_rows[0]
+            key = (1, e, n - newly.bit_length())
+        else:
+            continue
+        keyed.append((key, region, pair_rows, inhibition_rows))
+    keyed.sort(key=lambda entry: entry[0])
+    return [entry[1:] for entry in keyed]
+
+
 def assign_witnesses(
     subject: Subject,
     tau: NetType,
@@ -1067,26 +1119,24 @@ def assign_witnesses(
     """Pair every separation requirement with the first region in ``regions``
     that settles it, in canonical atom order.
 
-    Replays the regions through the checkers' coverage tracker, so feeding a
-    check's region pool back in yields one record per requirement the pool
-    settles; requirements no region settles are silently omitted (that is
-    the failing or inconclusive case).
+    Expands ``witness_rows``, so feeding a check's region pool back in yields
+    one record per requirement the pool settles; requirements no region
+    settles are silently omitted (that is the failing or inconclusive case).
     """
-    problem = _Problem(subject, tau)
-    n, states, events = problem.n, problem.states, problem.events
-    coverage = _Coverage(problem, want_ssp, want_essp)
+    states, events = subject.states, subject.events
+    n = len(states)
     # Canonical order is position order: (first, second) for state pairs,
     # (event, state) for inhibitions, with state pairs first.
     pairs: dict[tuple[int, int], Region] = {}
     inhibitions: dict[tuple[int, int], Region] = {}
-    for region in regions:
-        support = problem.support_int_of(region)
-        halves, inhibited = coverage.settle(support, region.signature)
-        for ones, zeros in halves:
-            for i in _positions(ones, n):
-                for j in _positions(zeros, n):
-                    pairs[min(i, j), max(i, j)] = region
-        for e, newly in inhibited:
+    rows = witness_rows(
+        subject, tau, regions, want_ssp=want_ssp, want_essp=want_essp
+    )
+    for region, pair_rows, inhibition_rows in rows:
+        for i, partners in pair_rows:
+            for j in _positions(partners, n):
+                pairs[i, j] = region
+        for e, newly in inhibition_rows:
             for pos in _positions(newly, n):
                 inhibitions[e, pos] = region
     return [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import pairwise
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -418,12 +418,15 @@ def path_arcs(
 ) -> list[Arc]:
     """The arcs of a path: step ``k``, an event and its way, links
     ``states[k]`` to ``states[k + 1]``."""
+    # Each arc in one C-level call: the named tuple's own ``__new__`` is
+    # Python code, and these 3-tuples need no arity check.
+    new_arc = partial(tuple.__new__, Arc)
     arcs: list[Arc] = []
     for (a, b), (event, way) in zip(pairwise(states), steps, strict=True):
         if way is not Way.BACK:
-            arcs.append(Arc(a, event, b))
+            arcs.append(new_arc((a, event, b)))
         if way is not Way.FORWARD:
-            arcs.append(Arc(b, event, a))
+            arcs.append(new_arc((b, event, a)))
     return arcs
 
 

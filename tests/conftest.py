@@ -1,5 +1,6 @@
-"""Shared fixtures: the four-example battery, small random systems, and an
-independent brute-force separation oracle used to cross-check the engines."""
+"""Shared fixtures: the four-example battery, small random systems (seeded
+and as hypothesis strategies), and an independent brute-force separation
+oracle used to cross-check the engines."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 from typing import Iterable, Optional
 
 import pytest
+from hypothesis import strategies as st
 
 from boolsynth import Interaction, NetType, Region, TransitionSystem, TsUnion
 from boolsynth import solving
@@ -236,3 +238,31 @@ def random_ts(
     return TransitionSystem.build(
         "s0", arcs, states=states, events=[e for e in events if e in present]
     )
+
+
+# ------------------------------------------------ hypothesis strategies
+
+
+@st.composite
+def small_systems(draw, prefix: str = "s") -> TransitionSystem:
+    """A deterministic system of one to five states over one to three
+    events, any of which may label no arc or one arc; arcs may be
+    self-loops and states may be unreachable."""
+    states = [f"{prefix}{k}" for k in range(draw(st.integers(1, 5)))]
+    events = [f"e{k}" for k in range(draw(st.integers(1, 3)))]
+    arcs = [
+        (source, event, draw(st.sampled_from(states)))
+        for source in states
+        for event in events
+        if draw(st.booleans())
+    ]
+    return TransitionSystem.build(states[0], arcs, states=states, events=events)
+
+
+@st.composite
+def subjects(draw):
+    """A system, or a union of one to three systems sharing event names."""
+    if draw(st.booleans()):
+        return draw(small_systems())
+    count = draw(st.integers(1, 3))
+    return TsUnion(tuple(draw(small_systems(f"m{k}_")) for k in range(count)))

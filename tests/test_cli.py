@@ -6,19 +6,30 @@ import hashlib
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boolsynth import (
     PHI_SAT,
     PHI_UNSAT,
+    CheckResult,
     CubicCnf,
     Family,
+    Interaction,
+    NetType,
+    StatePairAtom,
+    TransitionSystem,
     TsUnion,
+    assign_witnesses,
     build_instance,
     build_union,
+    check_essp,
+    check_feasibility,
+    check_ssp,
     is_isomorphic,
     solve_atom,
 )
-from boolsynth.cli import _build_parser, main
+from boolsynth.cli import _build_parser, _emit_witnesses, main
 from boolsynth.fileformats import (
     WitnessRecord,
     format_cnf,
@@ -28,10 +39,11 @@ from boolsynth.fileformats import (
     format_witnesses,
     parse_instance,
     parse_net,
+    parse_subject,
     parse_ts,
     parse_witnesses,
 )
-from conftest import build_battery, line_ts
+from conftest import build_battery, line_ts, subjects
 
 TAU_SPEC = "nop,set,swap,free"
 
@@ -184,6 +196,109 @@ class TestCheck:
         )
         assert code == 2
         assert "cannot read" in err
+
+
+def reference_records(subject, tau, regions, property_name):
+    """The witness records of a pool as ``assign_witnesses`` pairs them, one
+    per region in the order of its first requirement, each with its atoms
+    in canonical order."""
+    records = assign_witnesses(
+        subject, tau, regions,
+        want_ssp=property_name in ("ssp", "feasible"),
+        want_essp=property_name in ("essp", "feasible"),
+    )
+    grouped: dict[int, tuple] = {}
+    for atom, region in records:
+        grouped.setdefault(id(region), (region, []))[1].append(atom)
+    return [WitnessRecord(region, tuple(atoms)) for region, atoms in grouped.values()]
+
+
+def line_by_line(records) -> str:
+    """Witness text with one formatted string per line."""
+    lines = []
+    for record in records:
+        lines.append("region")
+        lines += [f"sup {s} {bit}" for s, bit in record.region.support.items()]
+        lines += [f"sig {e} {i.value}" for e, i in record.region.signature.items()]
+        for atom in record.atoms:
+            if isinstance(atom, StatePairAtom):
+                lines.append(f"atom sp {atom.first} {atom.second}")
+            else:
+                lines.append(f"atom essp {atom.event} {atom.state}")
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+CHECKERS = {"ssp": check_ssp, "essp": check_essp, "feasible": check_feasibility}
+
+
+class TestWitnessWriter:
+    """``check --witness`` writes its file from the coverage tracker's masks;
+    it must equal the reference rendering: ``format_witnesses`` over
+    ``assign_witnesses``, grouped by region in first-requirement order."""
+
+    def assert_file_is_the_reference(self, path, subject, tau, result):
+        _emit_witnesses(str(path), subject, tau, result)
+        records = reference_records(
+            subject, tau, result.regions, result.property_name
+        )
+        expected = format_witnesses(records)
+        assert expected == line_by_line(records)
+        assert path.read_bytes() == expected.encode()
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_file_equals_the_reference_rendering(self, data, tmp_path_factory):
+        subject = data.draw(subjects())
+        interactions = st.sets(st.sampled_from(list(Interaction)), min_size=1)
+        tau = NetType(frozenset(data.draw(interactions)))
+        property_name = data.draw(st.sampled_from(sorted(CHECKERS)))
+        engine = data.draw(st.sampled_from(["exhaustive", "sat"]))
+        result = CHECKERS[property_name](subject, tau, engine=engine)
+        # A spent budget leaves a prefix of the pool, the empty one included.
+        kept = data.draw(st.integers(0, len(result.regions)))
+        if kept < len(result.regions):
+            result = CheckResult(
+                property_name, "inconclusive", engine, None,
+                result.regions[:kept], "budget exhausted before a verdict",
+            )
+        path = tmp_path_factory.getbasetemp() / "writer.wit"
+        self.assert_file_is_the_reference(path, subject, tau, result)
+
+    def test_a_partial_interaction_that_inhibits_nothing_new(self, tmp_path):
+        # The second region signs e1 with inp, its first allowed interaction,
+        # though e1 is pending only at s0, which holds 1 there: settling it
+        # credits e1 with no state, and its record lists no atom for e1.
+        ts = TransitionSystem.build(
+            "s0",
+            [("s0", "e2", "s1"), ("s1", "e1", "s2"), ("s1", "e0", "s3"),
+             ("s1", "e2", "s1"), ("s3", "e2", "s0")],
+            events=["e0", "e1", "e2"],
+        )
+        tau = NetType.from_spec("inp,set")
+        result = check_feasibility(ts, tau, engine="exhaustive")
+        self.assert_file_is_the_reference(tmp_path / "w.wit", ts, tau, result)
+
+    def test_glued_unsat_instance_file(self, capsys, tmp_path):
+        instance = build_instance(PHI_UNSAT, Family.FREE)
+        ts_path = tmp_path / "unsat.ts"
+        ts_path.write_text(format_instance(instance))
+        witness_path = tmp_path / "unsat.wit"
+        code, out, _ = run(
+            capsys, "check", "feasible", str(ts_path), "--type", TAU_SPEC,
+            "--engine", "sat", "--witness", str(witness_path),
+        )
+        assert (code, out) == (1, "feasible: no\ncounterexample: essp k h_0_2\n")
+        subject = parse_subject(ts_path.read_text())
+        tau = NetType.from_spec(TAU_SPEC)
+        regions = check_feasibility(subject, tau, engine="sat").regions
+        text = witness_path.read_text()
+        assert text == format_witnesses(
+            reference_records(subject, tau, regions, "feasible")
+        )
+        assert format_witnesses(parse_witnesses(text)) == text
 
 
 class TestSynthRgIso:

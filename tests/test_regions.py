@@ -16,13 +16,12 @@ from boolsynth import (
     Region,
     RegionDomainError,
     TransitionSystem,
-    TsUnion,
     family_types,
     parse_family,
     region_coherence_report,
     validate_region,
 )
-from conftest import TAU, TAU_TILDE, oracle_regions, random_ts
+from conftest import TAU, TAU_TILDE, oracle_regions, random_ts, subjects
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -144,31 +143,6 @@ class TestValidateRegion:
             for a in ts.arcs
         )
         assert validate_region(ts, tau, region) == expected
-
-
-@st.composite
-def small_systems(draw, prefix: str = "s") -> TransitionSystem:
-    """A deterministic system of one to five states over one to three
-    events, any of which may label no arc or one arc; arcs may be
-    self-loops and states may be unreachable."""
-    states = [f"{prefix}{k}" for k in range(draw(st.integers(1, 5)))]
-    events = [f"e{k}" for k in range(draw(st.integers(1, 3)))]
-    arcs = [
-        (source, event, draw(st.sampled_from(states)))
-        for source in states
-        for event in events
-        if draw(st.booleans())
-    ]
-    return TransitionSystem.build(states[0], arcs, states=states, events=events)
-
-
-@st.composite
-def subjects(draw):
-    """A system, or a union of one to three systems sharing event names."""
-    if draw(st.booleans()):
-        return draw(small_systems())
-    count = draw(st.integers(1, 3))
-    return TsUnion(tuple(draw(small_systems(f"m{k}_")) for k in range(count)))
 
 
 def arc_by_arc(subject, region) -> bool:
