@@ -32,10 +32,10 @@ from .solving import (
     CheckResult,
     EngineError,
     ResourceExhausted,
+    assign_witnesses,
     check_essp,
     check_feasibility,
     check_ssp,
-    witness_rows,
 )
 
 EXIT_HOLDS = 0
@@ -74,16 +74,16 @@ def _parse_type(spec: str) -> NetType:
 def _emit_witnesses(
     path: str, subject, tau: NetType, result: CheckResult
 ) -> None:
-    """Write the witness file of a check: one record per pooled region that
-    settles a requirement no earlier one settles, in the order of its first
-    requirement, written straight from the coverage tracker's masks
-    (``witness_rows``, ``format_witness_rows``)."""
+    """Write the witness file of a check by the one witness path: one record
+    per pooled region that settles a requirement no earlier one settles, in
+    the order of its first requirement, written by ``ff.format_witnesses``
+    from the coverage tracker's masks (``solving.assign_witnesses``)."""
     want_ssp = result.property_name in ("ssp", "feasible")
     want_essp = result.property_name in ("essp", "feasible")
-    rows = witness_rows(
+    rows = assign_witnesses(
         subject, tau, result.regions, want_ssp=want_ssp, want_essp=want_essp
     )
-    _write_out(ff.format_witness_rows(subject, rows), path)
+    _write_out(ff.format_witnesses(subject, rows), path)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

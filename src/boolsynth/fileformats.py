@@ -17,10 +17,10 @@ witnesses           ``region`` / ``sup <s> <bit>``* / ``sig <e> <i>``*
 formula             ``p cnf13 <m>`` then m lines of three variable names
 instance            transition-system format plus ``# role`` metadata
 
-Witness text has one layout (``_WitnessLayout``): ``format_witnesses``
-writes it from records of atoms, and ``format_witness_rows``, which
-``check --witness`` uses, from the masks of ``solving.witness_rows``, with
-no atom object per requirement.
+Witness text is written one way: ``format_witnesses`` writes the masks
+of ``solving.assign_witnesses`` (what ``check --witness`` emits), with no
+atom object per requirement, and ``parse_witnesses`` reads it back as
+``WitnessRecord`` values (what ``extract`` reads).
 """
 
 from __future__ import annotations
@@ -252,80 +252,32 @@ def format_atom(atom: Atom) -> str:
     return f"essp {atom.event} {atom.state}"
 
 
-class _WitnessLayout:
-    """The one layout of witness text, from per-state and per-event tables:
-    a record is its ``region`` line, one ``sup`` line per state and one
-    ``sig`` line per event in the region's own order, then its ``atom``
-    lines; each ``atom`` line is a requirement's prefix (``atom sp <s> `` or
-    ``atom essp <e> ``) followed by its last name."""
-
-    def __init__(self) -> None:
-        self.sup = functools.cache(
-            lambda state: (f"sup {state} 0\n", f"sup {state} 1\n")
-        )
-        self.sig = functools.cache(lambda event, i: f"sig {event} {i.value}\n")
-        self.sp = functools.cache(lambda state: f"atom sp {state} ")
-        self.essp = functools.cache(lambda event: f"atom essp {event} ")
-
-    def region(self, region: Region) -> str:
-        """A record's ``region``, ``sup`` and ``sig`` lines; a support holds
-        0/1 ints."""
-        support = region.support
-        return "".join(
-            itertools.chain(
-                ("region\n",),
-                map(tuple.__getitem__, map(self.sup, support), support.values()),
-                itertools.starmap(self.sig, region.signature.items()),
-            )
-        )
-
-
-def _atom_lines(prefix: str, names: Iterable[str]) -> str:
-    """One ``atom`` line per name, each the ``prefix`` and the name."""
-    return prefix + ("\n" + prefix).join(names) + "\n"
-
-
-def format_witnesses(records: Iterable[WitnessRecord]) -> str:
-    """The witness text of ``records``, one record after the other, each
-    atom on its own line in the order given."""
-    layout = _WitnessLayout()
-    parts: list[str] = []
-    for record in records:
-        parts.append(layout.region(record.region))
-        for atom in record.atoms:
-            if isinstance(atom, StatePairAtom):
-                parts.append(_atom_lines(layout.sp(atom.first), (atom.second,)))
-            else:
-                parts.append(_atom_lines(layout.essp(atom.event), (atom.state,)))
-    return "".join(parts)
-
-
-def format_witness_rows(subject: Subject, rows: Iterable[tuple]) -> str:
-    """The witness text of ``solving.witness_rows`` over ``subject``: one
-    record per entry, in the layout ``format_witnesses`` writes, its atoms
-    the rows' state pairs and then its inhibitions, each row's names in
-    position order. So it equals ``format_witnesses`` over
-    ``assign_witnesses`` grouped by region in first-requirement order."""
+def format_witnesses(subject: Subject, rows: Iterable[tuple]) -> str:
+    """The witness text of ``solving.assign_witnesses``' rows over
+    ``subject``: per entry, a ``region`` line, its ``sup`` and ``sig`` lines
+    in the region's own order, then one ``atom`` line per requirement of its
+    pair rows and then of its inhibition rows, names in position order."""
     states, events = subject.states, subject.events
-    n = len(states)
-    layout = _WitnessLayout()
-    sp, essp = layout.sp, layout.essp
-    width = f"0{n}b"
+    sup = functools.cache(lambda state: (f"sup {state} 0\n", f"sup {state} 1\n"))
+    sig = functools.cache(lambda event, i: f"sig {event} {i.value}\n")
+    width = f"0{len(states)}b"
     digit_bits = bytes.maketrans(b"01", b"\x00\x01")
 
-    def named(mask: int) -> Iterable[str]:
-        """The states of a mask, in position order."""
-        return itertools.compress(
-            states, format(mask, width).encode().translate(digit_bits)
-        )
+    def atom_lines(prefix: str, mask: int) -> str:
+        """An ``atom`` line, ``prefix`` and a name, per state of ``mask``."""
+        bits = format(mask, width).encode().translate(digit_bits)
+        return prefix + ("\n" + prefix).join(itertools.compress(states, bits)) + "\n"
 
     parts: list[str] = []
     for region, pair_rows, inhibition_rows in rows:
-        parts.append(layout.region(region))
+        support = region.support
+        parts.append("region\n")
+        parts += map(tuple.__getitem__, map(sup, support), support.values())
+        parts += itertools.starmap(sig, region.signature.items())
         for i, partners in pair_rows:
-            parts.append(_atom_lines(sp(states[i]), named(partners)))
+            parts.append(atom_lines(f"atom sp {states[i]} ", partners))
         for e, newly in inhibition_rows:
-            parts.append(_atom_lines(essp(events[e]), named(newly)))
+            parts.append(atom_lines(f"atom essp {events[e]} ", newly))
     return "".join(parts)
 
 
@@ -520,7 +472,6 @@ __all__ = [
     "format_union",
     "format_net",
     "format_witnesses",
-    "format_witness_rows",
     "format_cnf",
     "format_instance",
     "format_roles",

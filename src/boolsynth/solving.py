@@ -74,15 +74,15 @@ interaction (``_Problem.region``). So a region depends only on its support
 and on what is still pending, whichever engine found the support. Each
 pooled region settles a requirement no earlier one settles, so no pool
 repeats a region. The counterexample is the tracker's first pending
-requirement; ``witness_rows`` and ``first_unsettled`` replay a pool
+requirement; ``assign_witnesses`` and ``first_unsettled`` replay a pool
 through the same tracker, and ``solve_atom`` is a check whose tracker has
-one pending requirement (``_Coverage.of_atom``). ``witness_rows`` keeps what
-``settle`` returns for each region as masks, one row per state or event, so
-a witness file is written from them (``fileformats.format_witness_rows``)
-and ``assign_witnesses`` expands the same rows into one atom per
-requirement. ``irredundant`` thins a
-pool for synthesis, on ints over the same index: it drops, in order, each
-region whose state pairs and inhibitions the regions it keeps settle too.
+one pending requirement (``_Coverage.of_atom``). ``assign_witnesses`` keeps
+what ``settle`` returns for each region as masks, one row per state or
+event, and a witness file is written from those rows
+(``fileformats.format_witnesses``), with no atom object per requirement.
+``irredundant`` thins a pool for synthesis, on ints over the same index: it
+drops, in order, each region whose state pairs and inhibitions the regions
+it keeps settle too.
 For a fixed subject the two engines agree on all verdicts and report the
 same (canonically first) counterexample; only the witnessing regions may
 differ.
@@ -1060,7 +1060,7 @@ def enumerate_inhibiting_regions(
     return found
 
 
-def witness_rows(
+def assign_witnesses(
     subject: Subject,
     tau: NetType,
     regions: Sequence[Region],
@@ -1077,7 +1077,9 @@ def witness_rows(
     separates from state i)`` ascending in i, and its inhibition rows
     ``(e, the states it inhibits event e at)`` ascending in e. Entries follow
     the canonical order of their first requirement, state pairs first, so
-    each requirement appears once, under the first region that settles it.
+    each requirement appears once, under the first region that settles it;
+    requirements no region settles are omitted (the failing or inconclusive
+    case). ``fileformats.format_witnesses`` writes the entries as text.
     """
     problem = _Problem(subject, tau)
     n = problem.n
@@ -1106,45 +1108,6 @@ def witness_rows(
         keyed.append((key, region, pair_rows, inhibition_rows))
     keyed.sort(key=lambda entry: entry[0])
     return [entry[1:] for entry in keyed]
-
-
-def assign_witnesses(
-    subject: Subject,
-    tau: NetType,
-    regions: Sequence[Region],
-    *,
-    want_ssp: bool = True,
-    want_essp: bool = True,
-) -> list[tuple[Atom, Region]]:
-    """Pair every separation requirement with the first region in ``regions``
-    that settles it, in canonical atom order.
-
-    Expands ``witness_rows``, so feeding a check's region pool back in yields
-    one record per requirement the pool settles; requirements no region
-    settles are silently omitted (that is the failing or inconclusive case).
-    """
-    states, events = subject.states, subject.events
-    n = len(states)
-    # Canonical order is position order: (first, second) for state pairs,
-    # (event, state) for inhibitions, with state pairs first.
-    pairs: dict[tuple[int, int], Region] = {}
-    inhibitions: dict[tuple[int, int], Region] = {}
-    rows = witness_rows(
-        subject, tau, regions, want_ssp=want_ssp, want_essp=want_essp
-    )
-    for region, pair_rows, inhibition_rows in rows:
-        for i, partners in pair_rows:
-            for j in _positions(partners, n):
-                pairs[i, j] = region
-        for e, newly in inhibition_rows:
-            for pos in _positions(newly, n):
-                inhibitions[e, pos] = region
-    return [
-        (StatePairAtom(states[i], states[j]), pairs[i, j]) for i, j in sorted(pairs)
-    ] + [
-        (EventStateAtom(events[e], states[pos]), inhibitions[e, pos])
-        for e, pos in sorted(inhibitions)
-    ]
 
 
 def _positions(mask: int, n: int) -> Iterator[int]:

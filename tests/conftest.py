@@ -11,7 +11,15 @@ from typing import Iterable, Optional
 import pytest
 from hypothesis import strategies as st
 
-from boolsynth import Interaction, NetType, Region, TransitionSystem, TsUnion
+from boolsynth import (
+    EventStateAtom,
+    Interaction,
+    NetType,
+    Region,
+    StatePairAtom,
+    TransitionSystem,
+    TsUnion,
+)
 from boolsynth import solving
 
 TAU = NetType.from_spec("nop,set,swap,free")
@@ -70,6 +78,48 @@ def region_digest(region: Region) -> str:
     """First 16 hex digits of the sha256 of a region's key, for golden
     values that pin which regions a computation returns."""
     return hashlib.sha256(repr(region.key()).encode()).hexdigest()[:16]
+
+
+def witness_atoms(subject, rows) -> list[tuple]:
+    """The rows of ``solving.assign_witnesses`` expanded into (atom, first
+    region settling it) pairs, in canonical order: state pairs by position,
+    then inhibitions by event and state position."""
+    states, events = subject.states, subject.events
+    n = len(states)
+
+    def positions(mask: int) -> list[int]:
+        return [k for k in range(n) if mask >> (n - 1 - k) & 1]
+
+    pairs, inhibitions = [], []
+    for region, pair_rows, inhibition_rows in rows:
+        for i, partners in pair_rows:
+            pairs += [((i, j), region) for j in positions(partners)]
+        for e, newly in inhibition_rows:
+            inhibitions += [((e, k), region) for k in positions(newly)]
+    pairs.sort(key=lambda entry: entry[0])
+    inhibitions.sort(key=lambda entry: entry[0])
+    return [
+        (StatePairAtom(states[i], states[j]), region) for (i, j), region in pairs
+    ] + [
+        (EventStateAtom(events[e], states[k]), region)
+        for (e, k), region in inhibitions
+    ]
+
+
+def line_by_line(records) -> str:
+    """The reference rendering of witness records: one formatted string
+    per line."""
+    lines = []
+    for record in records:
+        lines.append("region")
+        lines += [f"sup {s} {bit}" for s, bit in record.region.support.items()]
+        lines += [f"sig {e} {i.value}" for e, i in record.region.signature.items()]
+        for atom in record.atoms:
+            if isinstance(atom, StatePairAtom):
+                lines.append(f"atom sp {atom.first} {atom.second}")
+            else:
+                lines.append(f"atom essp {atom.event} {atom.state}")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def solver_state(solver) -> tuple:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +21,7 @@ from boolsynth import (
     Family,
     Interaction,
     NetType,
-    StatePairAtom,
+    SatSolver,
     TransitionSystem,
     TsUnion,
     assign_witnesses,
@@ -29,6 +33,7 @@ from boolsynth import (
     is_isomorphic,
     solve_atom,
 )
+from boolsynth import fileformats, solving
 from boolsynth.cli import _build_parser, _emit_witnesses, main
 from boolsynth.fileformats import (
     WitnessRecord,
@@ -43,7 +48,13 @@ from boolsynth.fileformats import (
     parse_ts,
     parse_witnesses,
 )
-from conftest import build_battery, line_ts, subjects
+from conftest import (
+    build_battery,
+    line_by_line,
+    line_ts,
+    subjects,
+    witness_atoms,
+)
 
 TAU_SPEC = "nop,set,swap,free"
 
@@ -198,34 +209,23 @@ class TestCheck:
         assert "cannot read" in err
 
 
-def reference_records(subject, tau, regions, property_name):
-    """The witness records of a pool as ``assign_witnesses`` pairs them, one
-    per region in the order of its first requirement, each with its atoms
-    in canonical order."""
-    records = assign_witnesses(
-        subject, tau, regions,
-        want_ssp=property_name in ("ssp", "feasible"),
-        want_essp=property_name in ("essp", "feasible"),
-    )
+def reference_records(subject, rows):
+    """The witness records of ``assign_witnesses``' rows, one per region in
+    the order of its first requirement, each with its atoms in canonical
+    order."""
     grouped: dict[int, tuple] = {}
-    for atom, region in records:
+    for atom, region in witness_atoms(subject, rows):
         grouped.setdefault(id(region), (region, []))[1].append(atom)
     return [WitnessRecord(region, tuple(atoms)) for region, atoms in grouped.values()]
 
 
-def line_by_line(records) -> str:
-    """Witness text with one formatted string per line."""
-    lines = []
-    for record in records:
-        lines.append("region")
-        lines += [f"sup {s} {bit}" for s, bit in record.region.support.items()]
-        lines += [f"sig {e} {i.value}" for e, i in record.region.signature.items()]
-        for atom in record.atoms:
-            if isinstance(atom, StatePairAtom):
-                lines.append(f"atom sp {atom.first} {atom.second}")
-            else:
-                lines.append(f"atom essp {atom.event} {atom.state}")
-    return "\n".join(lines) + "\n" if lines else ""
+def witness_rows_of(subject, tau, regions, property_name):
+    """``assign_witnesses`` over a pool, for the requirements of a check."""
+    return assign_witnesses(
+        subject, tau, regions,
+        want_ssp=property_name in ("ssp", "feasible"),
+        want_essp=property_name in ("essp", "feasible"),
+    )
 
 
 CHECKERS = {"ssp": check_ssp, "essp": check_essp, "feasible": check_feasibility}
@@ -233,16 +233,17 @@ CHECKERS = {"ssp": check_ssp, "essp": check_essp, "feasible": check_feasibility}
 
 class TestWitnessWriter:
     """``check --witness`` writes its file from the coverage tracker's masks;
-    it must equal the reference rendering: ``format_witnesses`` over
-    ``assign_witnesses``, grouped by region in first-requirement order."""
+    it must equal the reference rendering: ``line_by_line`` over the atoms
+    of ``assign_witnesses``' rows, grouped by region in first-requirement
+    order."""
 
     def assert_file_is_the_reference(self, path, subject, tau, result):
         _emit_witnesses(str(path), subject, tau, result)
-        records = reference_records(
+        rows = witness_rows_of(
             subject, tau, result.regions, result.property_name
         )
-        expected = format_witnesses(records)
-        assert expected == line_by_line(records)
+        expected = line_by_line(reference_records(subject, rows))
+        assert format_witnesses(subject, rows) == expected
         assert path.read_bytes() == expected.encode()
 
     @settings(
@@ -295,10 +296,58 @@ class TestWitnessWriter:
         tau = NetType.from_spec(TAU_SPEC)
         regions = check_feasibility(subject, tau, engine="sat").regions
         text = witness_path.read_text()
-        assert text == format_witnesses(
-            reference_records(subject, tau, regions, "feasible")
+        rows = witness_rows_of(subject, tau, regions, "feasible")
+        assert text == line_by_line(reference_records(subject, rows))
+        assert line_by_line(parse_witnesses(text)) == text
+
+
+def spy_everywhere(monkeypatch, module, attr: str, calls: list) -> None:
+    """Replace ``module.attr`` with a spy that logs ``attr`` to ``calls``,
+    under every ``boolsynth`` module attribute bound to it, as a tracer
+    would."""
+    original = getattr(module, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    for name, owner in list(sys.modules.items()):
+        if name == "boolsynth" or name.startswith("boolsynth."):
+            for key, value in list(vars(owner).items()):
+                if value is original:
+                    monkeypatch.setattr(owner, key, spy)
+
+
+class TestWitnessWiring:
+    """``check --witness`` has one path, under the names that
+    ``perfbench/tracer.py`` wraps to time it."""
+
+    def test_check_witness_calls_assign_then_format(
+        self, capsys, battery_files, tmp_path, monkeypatch
+    ):
+        calls: list[str] = []
+        spy_everywhere(monkeypatch, solving, "assign_witnesses", calls)
+        spy_everywhere(monkeypatch, fileformats, "format_witnesses", calls)
+        witness_path = tmp_path / "a1.wit"
+        code, _, _ = run(
+            capsys, "check", "feasible", battery_files["a1"],
+            "--type", TAU_SPEC, "--witness", str(witness_path),
         )
-        assert format_witnesses(parse_witnesses(text)) == text
+        assert code == 0
+        assert calls == ["assign_witnesses", "format_witnesses"]
+        assert len(parse_witnesses(witness_path.read_text())) > 0
+
+    def test_every_traced_name_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("traced_names", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer._FUNCTIONS
+        for module_name, attr, _ in tracer._FUNCTIONS:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), (module_name, attr)
+        for attr in ("solve", "add_clause"):
+            assert callable(SatSolver.__dict__.get(attr)), attr
 
 
 class TestSynthRgIso:
@@ -510,7 +559,7 @@ def pipeline(tmp_path_factory):
     instance_path.write_text(format_instance(instance))
     witness_path = tmp / "inst.wit"
     witness_path.write_text(
-        format_witnesses([WitnessRecord(region, (instance.target_atom,))])
+        line_by_line([WitnessRecord(region, (instance.target_atom,))])
     )
     return {
         "instance": str(instance_path),
@@ -560,7 +609,7 @@ class TestExtract:
         bad_path = pipeline["tmp"] / "bad.wit"
         instance = parse_instance(open(pipeline["instance"]).read())
         bad_path.write_text(
-            format_witnesses([WitnessRecord(broken, (instance.target_atom,))])
+            line_by_line([WitnessRecord(broken, (instance.target_atom,))])
         )
         code, _, err = run(
             capsys, "extract", str(bad_path), pipeline["instance"]

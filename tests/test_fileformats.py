@@ -41,7 +41,7 @@ from boolsynth.fileformats import (
     parse_union,
     parse_witnesses,
 )
-from conftest import TAU, random_ts
+from conftest import TAU, line_by_line, random_ts
 
 PROPERTY_SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -229,15 +229,26 @@ class TestWitnessText:
 
     def test_round_trip(self, battery):
         records = self.records(battery)
-        again = parse_witnesses(format_witnesses(records))
+        again = parse_witnesses(line_by_line(records))
         assert len(again) == 2
         assert again[0].region == records[0].region
         assert again[0].atoms == records[0].atoms
         assert again[1].atoms == records[1].atoms
 
-    def test_empty_input_gives_no_records(self):
+    def test_writer_renders_rows_as_the_reference(self, battery):
+        # Over a1 (states s0, s1, s2; event a), bit n - 1 - k of a mask is
+        # state position k: s1 is 0b010 and s2 is 0b001.
+        records = self.records(battery)
+        rows = [
+            (records[0].region, [(0, 0b010)], []),
+            (records[1].region, [], [(0, 0b001)]),
+        ]
+        assert format_witnesses(battery["a1"], rows) == line_by_line(records)
+
+    def test_empty_input_gives_no_records(self, battery):
         assert parse_witnesses("") == []
-        assert format_witnesses([]) == ""
+        assert format_witnesses(battery["a1"], []) == ""
+        assert line_by_line([]) == ""
 
     def test_atom_lines_parse_both_kinds(self):
         text = (

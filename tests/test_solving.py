@@ -58,6 +58,7 @@ from conftest import (
     random_ts,
     region_digest,
     solver_state,
+    witness_atoms,
 )
 from test_sat import satisfying_set
 
@@ -1030,7 +1031,7 @@ class TestAssignWitnesses:
         ts = mixed_ts()
         result = check_feasibility(ts, FULL)
         assert result.holds
-        records = assign_witnesses(ts, FULL, result.regions)
+        records = witness_atoms(ts, assign_witnesses(ts, FULL, result.regions))
         expected = list(ssp_atoms(ts)) + list(essp_atoms(ts))
         assert [atom for atom, _ in records] == expected
         for atom, region in records:
@@ -1044,7 +1045,7 @@ class TestAssignWitnesses:
         # the chain example fails both properties; solved atoms still listed
         ts = battery["a4"]
         result = check_feasibility(ts, TAU)
-        records = assign_witnesses(ts, TAU, result.regions)
+        records = witness_atoms(ts, assign_witnesses(ts, TAU, result.regions))
         listed = {atom for atom, _ in records}
         assert StatePairAtom("s1", "s3") not in listed
         assert StatePairAtom("s0", "s1") in listed
@@ -1052,11 +1053,15 @@ class TestAssignWitnesses:
     def test_property_selection_flags(self):
         ts = mixed_ts()
         regions = check_feasibility(ts, FULL).regions
-        only_ssp = assign_witnesses(ts, FULL, regions, want_essp=False)
+        only_ssp = witness_atoms(
+            ts, assign_witnesses(ts, FULL, regions, want_essp=False)
+        )
         assert only_ssp and all(
             isinstance(atom, StatePairAtom) for atom, _ in only_ssp
         )
-        only_essp = assign_witnesses(ts, FULL, regions, want_ssp=False)
+        only_essp = witness_atoms(
+            ts, assign_witnesses(ts, FULL, regions, want_ssp=False)
+        )
         assert only_essp and all(
             isinstance(atom, EventStateAtom) for atom, _ in only_essp
         )
@@ -1104,9 +1109,10 @@ class TestCoverageReplay:
                 first = next((r for r in regions if settles(r, atom)), None)
                 if first is not None:
                     expected.append((atom, id(first)))
-            records = assign_witnesses(
+            rows = assign_witnesses(
                 subject, tau, regions, want_ssp=want_ssp, want_essp=want_essp
             )
+            records = witness_atoms(subject, rows)
             assert [(atom, id(region)) for atom, region in records] == expected
 
     @pytest.mark.parametrize("seed", range(40))
@@ -1205,7 +1211,8 @@ class TestIrredundant:
         subject, tau, regions = sampled_pool(seed)
 
         def settled(pool):
-            return {atom for atom, _ in assign_witnesses(subject, tau, pool)}
+            rows = assign_witnesses(subject, tau, pool)
+            return {atom for atom, _ in witness_atoms(subject, rows)}
 
         kept = solving.irredundant(subject, tau, regions)
         assert [id(r) for r in kept] == [id(r) for r in regions if r in kept]
