@@ -20,10 +20,11 @@ clauses containing ``lit``. Both fire when ``lit`` becomes false.
 
 As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
-and the decision heap holds no duplicate entries. Every learnt clause of two
-or more literals is attached and becomes the reason of the literal it
-asserts. ``conflicts``, ``decisions`` and ``propagations`` count work over
-the solver's lifetime.
+and the decision heap holds no duplicate entries. A binary implication's
+reason is the other literal of its clause, an int, so that propagation
+builds no clause for it. Every learnt clause of two or more literals is
+attached and becomes the reason of the literal it asserts. ``conflicts``,
+``decisions`` and ``propagations`` count work over the solver's lifetime.
 
 Decision variables (MiniSat's ``setDecisionVar``): with ``decision_vars=k``
 only variables 1..k get heap entries and are decided. ``solve`` answers sat
@@ -48,7 +49,7 @@ import heapq
 import sys
 import time
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 _FALSE = 0
 _TRUE = 1
@@ -66,11 +67,12 @@ class SatSolver:
         # decided; the others keep ``in_heap`` at 1 and are never pushed.
         self._decision_limit = sys.maxsize if decision_vars is None else decision_vars
         self._nvars = 0
-        self._val = bytearray((_UNDEF, _UNDEF))  # indexed by internal literal
+        # Lists, not bytearrays: the interpreter specialises list indexing.
+        self._val: list[int] = [_UNDEF, _UNDEF]  # indexed by internal literal
         self._level: list[int] = [0]
-        self._reason: list[Optional[Sequence[int]]] = [None]
+        self._reason: list[Union[None, int, Sequence[int]]] = [None]
         self._activity: list[float] = [0.0]
-        self._phase = bytearray(1)
+        self._phase: list[int] = [0]
         self._in_heap = bytearray(1)  # heap holds (-activity[var], var)
         self._watches: list[list[list[int]]] = [[], []]
         self._bins: list[list[int]] = [[], []]
@@ -93,11 +95,11 @@ class SatSolver:
         decided = min(count, self._decision_limit)
         self._heap += [(0.0, var) for var in range(self._nvars + 1, decided + 1)]
         self._nvars = count
-        self._val += bytes((_UNDEF,)) * (2 * added)
+        self._val += [_UNDEF] * (2 * added)
         self._level += [0] * added
         self._reason += [None] * added
         self._activity += [0.0] * added
-        self._phase += bytes(added)
+        self._phase += [0] * added
         self._in_heap += b"\1" * added
         self._watches += [[] for _ in repeat(None, 2 * added)]
         self._bins += [[] for _ in repeat(None, 2 * added)]
@@ -176,11 +178,8 @@ class SatSolver:
         if self._propagate() is not None:
             self._ok = False
             return False
-        assume: list[int] = []
-        for lit in assumptions:
-            var = abs(lit)
-            self.ensure_vars(var)
-            assume.append(var * 2 + (0 if lit > 0 else 1))
+        self.ensure_vars(max(map(abs, assumptions), default=0))
+        assume = [lit * 2 if lit > 0 else 1 - lit * 2 for lit in assumptions]
         val = self._val
         trail = self._trail
         trail_lim = self._trail_lim
@@ -218,14 +217,8 @@ class SatSolver:
             if not var:
                 self._model = bytes(val)
                 return True
-            # A decision keeps the saved phase, so the phase needs no update.
-            lit = var * 2 + (self._phase[var] ^ 1)
             trail_lim.append(len(trail))
-            val[lit] = _TRUE
-            val[lit ^ 1] = _FALSE
-            self._level[var] = lvl + 1
-            self._reason[var] = None
-            trail.append(lit)
+            self._enqueue(var * 2 + (self._phase[var] ^ 1), lvl + 1, None)
             self.decisions += 1
             if deadline is not None and not self.decisions % 1024:
                 if time.monotonic() > deadline:
@@ -297,16 +290,14 @@ class SatSolver:
                         val[implied ^ 1] = _FALSE
                         var = implied >> 1
                         level[var] = level[falsified >> 1]
-                        reasons[var] = (implied, falsified)
+                        reasons[var] = falsified
                         phase[var] = 1 - (implied & 1)
                         trail.append(implied)
+                # Only slots already passed are rewritten, and a clause moves
+                # to a literal that is not false, so never back into this list.
                 watch_list = watches[falsified]
-                write = 0
-                read = 0
-                size = len(watch_list)
-                while read < size:
-                    clause = watch_list[read]
-                    read += 1
+                write = moved = 0
+                for clause in watch_list:
                     first = clause[0]
                     if first == falsified:
                         first = clause[1]
@@ -321,6 +312,7 @@ class SatSolver:
                         clause[1] = lk
                         clause[2] = falsified
                         watches[lk].append(clause)
+                        moved += 1
                         continue
                     for k in range(3, len(clause)):
                         lk = clause[k]
@@ -328,12 +320,13 @@ class SatSolver:
                             clause[1] = lk
                             clause[k] = falsified
                             watches[lk].append(clause)
+                            moved += 1
                             break
                     else:
                         watch_list[write] = clause
                         write += 1
                         if val[first] == _FALSE:
-                            del watch_list[write:read]
+                            del watch_list[write : write + moved]
                             return clause
                         val[first] = _TRUE
                         val[first ^ 1] = _FALSE
@@ -354,21 +347,23 @@ class SatSolver:
     def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int]:
         """First-UIP learning: (the learnt clause, attached unless a unit,
         asserting literal first and a literal of the backjump level second;
-        the backjump level)."""
+        the backjump level). Bumps the activity of every variable it meets."""
         learnt: list[int] = [0]
         seen: set[int] = set()
         counter = 0
         levels = self._level
+        activity = self._activity
+        in_heap = self._in_heap
+        var_inc = self._var_inc
+        limit = self._decision_limit
         level = len(self._trail_lim)
         trail = self._trail
         reason: Sequence[int] = conflict
-        skip: Optional[int] = None
         idx = len(trail) - 1
-        bump = self._bump_activity
         while True:
+            # A variable stays seen once resolved: no reason met later holds
+            # it, since a reason's literals precede its own on the trail.
             for lit in reason:
-                if lit == skip:
-                    continue
                 var = lit >> 1
                 if var in seen:
                     continue
@@ -376,7 +371,9 @@ class SatSolver:
                 if lit_level == 0:
                     continue
                 seen.add(var)
-                bump(var)
+                activity[var] += var_inc
+                if var <= limit:
+                    in_heap[var] = 0  # assigned, so a backtrack pushes it anew
                 if lit_level == level:
                     counter += 1
                 else:
@@ -386,13 +383,13 @@ class SatSolver:
                 idx -= 1
             uip = trail[idx]
             idx -= 1
-            seen.discard(uip >> 1)
             counter -= 1
             if counter == 0:
                 learnt[0] = uip ^ 1
                 break
             reason = self._reason[uip >> 1] or ()
-            skip = uip
+            if type(reason) is int:  # a binary implication's other literal
+                reason = (reason,)
         if len(learnt) == 1:
             return learnt, 0
         back = max(levels[lit >> 1] for lit in learnt[1:])
@@ -428,6 +425,9 @@ class SatSolver:
         val = self._val
         level = self._level
         in_heap = self._in_heap
+        heap = self._heap
+        activity = self._activity
+        heappush = heapq.heappush
         for lit in trail[boundary:]:
             var = lit >> 1
             if level[var] <= target_level:
@@ -438,19 +438,10 @@ class SatSolver:
             val[lit ^ 1] = _UNDEF
             if not in_heap[var]:  # push only variables without an entry
                 in_heap[var] = 1
-                heapq.heappush(self._heap, (-self._activity[var], var))
+                heappush(heap, (-activity[var], var))
         del trail[kept:]
         del self._trail_lim[target_level:]
         self._qhead = boundary
-
-    def _bump_activity(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if var > self._decision_limit:
-            return
-        undef = self._val[var * 2] == _UNDEF
-        self._in_heap[var] = undef  # the old entry is stale now
-        if undef:
-            heapq.heappush(self._heap, (-self._activity[var], var))
 
     def _rescale_activity(self) -> None:
         self._activity = [a * 1e-100 for a in self._activity]

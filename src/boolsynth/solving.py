@@ -112,7 +112,7 @@ class ResourceExhausted(RuntimeError):
 
 
 class EngineError(RuntimeError):
-    """An engine produced a witness that failed re-validation."""
+    """An engine's region failed re-validation, or its loop made no progress."""
 
 
 @dataclass(frozen=True)
@@ -690,9 +690,10 @@ def _exhaustive_check(
     picks, then ``_Problem.region``'s first allowed interactions), and is
     pooled and settled if the support splits a block (its first region
     only) or ``resign`` picked an interaction. This repeats until a
-    round settles nothing, so each pooled region settles something new and
-    none repeats. The allowed masks are read from the sweep's window only
-    at a support that splits a block or while inhibitions are pending."""
+    round settles nothing, so each pooled region settles something new (or
+    ``EngineError`` is raised) and none repeats. The allowed masks are read
+    from the sweep's window only at a support that splits a block or while
+    inhibitions are pending."""
     blocks = coverage.blocks
     uncovered = coverage.uncovered
     essp = any(uncovered)
@@ -711,7 +712,9 @@ def _exhaustive_check(
                     break
                 region = problem.region(support, picks, allowed)
                 pool.append(region)
-                coverage.settle(support, region.signature)
+                _, inhibited = coverage.settle(support, region.signature)
+                if not cut and not any(newly for _, newly in inhibited):
+                    raise EngineError("a pooled region settles nothing new")
                 cut = False
                 essp = essp and any(uncovered)
             if not blocks and not essp:
@@ -913,15 +916,21 @@ def _sat_check(
     the first pending requirement until none is left or one is unsettleable,
     appending each to ``pool``; each query is steered toward settling the
     other pending ones as well. Each region settles a requirement that no
-    earlier one settles, so no region is pooled twice."""
+    earlier one settles, so no region is pooled twice; one that leaves its
+    query pending raises ``EngineError``."""
     ctx = _SatContext(problem)
-    while (atom := coverage.first_pending()) is not None:
+    atom = coverage.first_pending()
+    while atom is not None:
         for lits, forced in ctx.queries(atom, coverage):
             if ctx.solve(lits, deadline):
                 pool.append(ctx.decode(forced, coverage))
                 break
         else:
             break  # no region settles ``atom``: it is the counterexample
+        # Requirements only leave the pending set: ``atom`` is first iff pending.
+        queried, atom = atom, coverage.first_pending()
+        if atom == queried:
+            raise EngineError("a decoded region leaves its query pending")
 
 
 #: The engines by name. Each settles a coverage as far as it can before a

@@ -55,6 +55,7 @@ from conftest import (
     subjects,
     witness_atoms,
 )
+from test_solving import FULL, futile_resign, mixed_ts, unsettling_decode
 
 TAU_SPEC = "nop,set,swap,free"
 
@@ -118,6 +119,28 @@ class TestCheck:
         )
         assert code == 3
         assert "inconclusive" in out
+
+    @pytest.mark.parametrize(
+        "engine, owner, attr, tampered",
+        [
+            ("exhaustive", solving._Coverage, "resign", futile_resign),
+            ("sat", solving._SatContext, "decode", unsettling_decode),
+        ],
+    )
+    def test_an_engine_loop_that_settles_nothing_is_an_internal_error(
+        self, capsys, tmp_path, monkeypatch, engine, owner, attr, tampered
+    ):
+        path = tmp_path / "mixed.ts"
+        path.write_text(format_ts(mixed_ts()))
+        argv = [
+            "check", "feasible", str(path), "--type", FULL.spec(), "--engine", engine,
+        ]
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(owner, attr, tampered)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "internal error" in err
 
     def test_nan_budget_is_a_usage_error(self, capsys, battery_files):
         code, out, err = run(

@@ -1,7 +1,8 @@
 """The CDCL core: unit behavior, clause loading one by one and in batches,
 assumptions, long searches, budgets, work counters, activity rescaling,
 differential checks against a brute-force evaluator on random small
-formulas, a golden trace of the search on the hardness gadgets, and checks
+formulas, the reasons on the trail and the watch lists after every
+propagation, a golden trace of the search on the hardness gadgets, and checks
 of chronological backtracking with every backjump made chronological."""
 
 from __future__ import annotations
@@ -419,6 +420,96 @@ class TestLearntClauses:
         assert region is None
         assert own_clauses and learnt_clauses > own_clauses
         assert not pending
+
+
+class TestReasons:
+    """A binary implication's reason is the other literal of its clause, an
+    int; every other reason is the implying clause, implied literal first."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name)
+    @pytest.mark.parametrize("cnf", [PHI_SAT, PHI_UNSAT], ids=["sat", "unsat"])
+    def test_every_reason_on_the_trail_implies_its_literal(
+        self, cnf, family, monkeypatch
+    ):
+        kinds = {int: 0, list: 0}
+        solve = SatSolver.solve
+
+        def walking(self, assumptions=(), *args, **kwargs):
+            verdict = solve(self, assumptions, *args, **kwargs)
+            position = {lit: i for i, lit in enumerate(self._trail)}
+            for i, lit in enumerate(self._trail):
+                reason = self._reason[lit >> 1]
+                if reason is None:
+                    continue
+                if type(reason) is int:
+                    assert self._val[reason] == sat_module._FALSE
+                    assert position[reason ^ 1] < i
+                    assert lit in self._bins[reason]
+                else:
+                    assert type(reason) is list and reason[0] == lit
+                kinds[type(reason)] += 1
+            return verdict
+
+        monkeypatch.setattr(SatSolver, "solve", walking)
+        instance = build_instance(cnf, family)
+        tau = family.base_type
+        region = solve_atom(instance.ts, tau, instance.target_atom, engine="sat")
+        assert (region is None) == (cnf is PHI_UNSAT)
+        assert kinds[int] and kinds[list]
+
+
+def watch_lists_of(solver) -> dict[int, list[int]]:
+    """The literals whose watch lists hold each clause, by clause ``id``."""
+    where: dict[int, list[int]] = {}
+    for lit, watch_list in enumerate(solver._watches):
+        for clause in watch_list:
+            where.setdefault(id(clause), []).append(lit)
+    return where
+
+
+class TestWatches:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_each_long_clause_is_watched_by_its_first_two_literals(self, seed):
+        # After every propagation, with or without a conflict, a clause of
+        # three or more literals sits once in the watch lists of its first
+        # two literals and in no other list. Clauses wider than three take
+        # the scan's slower path, and assumptions force more conflicts.
+        rng = random.Random(seed)
+        nvars = rng.randint(6, 10)
+        clauses = [
+            [rng.randint(1, nvars) * rng.choice((1, -1)) for _ in range(width)]
+            for width in (rng.randint(3, 5) for _ in range(8 * nvars))
+        ]
+        solver = SatSolver()
+        solver.ensure_vars(nvars)
+        long_clauses = []
+        attach = solver._attach
+        propagate = solver._propagate
+
+        def attaching(clause):
+            if len(clause) > 2:
+                long_clauses.append(clause)
+            attach(clause)
+
+        def checked():
+            conflict = propagate()
+            where = watch_lists_of(solver)
+            assert len(where) == len(long_clauses)
+            for clause in long_clauses:
+                assert sorted(where[id(clause)]) == sorted(clause[:2])
+            return conflict
+
+        solver._attach = attaching
+        solver._propagate = checked
+        for clause in clauses:
+            solver.add_clause(clause)
+        for _ in range(4):
+            assumptions = [
+                var * rng.choice((1, -1))
+                for var in rng.sample(range(1, nvars + 1), rng.randint(0, 3))
+            ]
+            solver.solve(assumptions)
 
 
 def random_formula(draw_size_rng):
@@ -873,7 +964,8 @@ def check_levels(solver, n_assumptions):
     literals, which all precede it on the trail, and each level holds one
     decision, at its start on the trail (an assumption that was already
     true when its level opened holds none). The trail assigns each variable
-    once; only variables above the decision bound may be left open."""
+    once; only variables above the decision bound may be left open. An int
+    reason is the other literal of a binary clause, read as that clause."""
     trail = solver._trail
     levels = solver._level
     position = {lit >> 1: i for i, lit in enumerate(trail)}
@@ -892,6 +984,8 @@ def check_levels(solver, n_assumptions):
                 decided.append(levels[var])
                 assert solver._trail_lim[levels[var] - 1] == i
             continue
+        if isinstance(reason, int):  # a binary implication: the other literal
+            reason = (lit, reason)
         assert reason[0] == lit
         assert all(position[other >> 1] < i for other in reason[1:])
         assert levels[var] == max(levels[other >> 1] for other in reason[1:])

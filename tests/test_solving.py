@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from boolsynth import (
     PHI_SAT,
     BooleanNet,
+    EngineError,
     EventStateAtom,
     Family,
     Interaction,
@@ -880,6 +881,48 @@ class TestCheckResult:
             "CheckResult(property_name='ssp', outcome='no', engine='sat', "
             f"counterexample={atom!r}, regions=(), reason='')"
         )
+
+
+def futile_resign(coverage, support, picks, allowed):
+    """``_Coverage.resign`` gone wrong: each event with pending inhibitions
+    and no pick gets an admissible partial interaction that inhibits none of
+    its pending states, if there is one."""
+    at = (~support, support)  # the states holding 0, 1
+    for e, pending in enumerate(coverage.uncovered):
+        event = coverage.problem.events[e]
+        if pending and event not in picks:
+            for mask_bit, interaction, bit in solving._PARTIALS:
+                if allowed[e] & mask_bit and not pending & at[bit]:
+                    picks[event] = interaction
+
+
+DECODE = solving._SatContext.decode
+
+
+def unsettling_decode(ctx, forced, coverage):
+    """``_SatContext.decode`` gone wrong: the region is credited to a
+    throwaway tracker, so it settles nothing of ``coverage``."""
+    return DECODE(ctx, forced, solving._Coverage(ctx.problem, True, True))
+
+
+class TestProgressGuards:
+    """An engine loop whose round settles nothing raises ``EngineError``
+    instead of pooling the same region until memory runs out."""
+
+    def test_a_region_that_inhibits_nothing_new_stops_the_sweep(self, monkeypatch):
+        assert check_essp(mixed_ts(), FULL, engine="exhaustive").holds
+        monkeypatch.setattr(solving._Coverage, "resign", futile_resign)
+        with pytest.raises(EngineError, match="settles nothing new"):
+            check_essp(mixed_ts(), FULL, engine="exhaustive")
+
+    @pytest.mark.parametrize("check", [check_ssp, check_essp])
+    def test_a_decoded_region_that_settles_nothing_stops_the_queries(
+        self, check, monkeypatch
+    ):
+        assert check(mixed_ts(), FULL, engine="sat").holds
+        monkeypatch.setattr(solving._SatContext, "decode", unsettling_decode)
+        with pytest.raises(EngineError, match="leaves its query pending"):
+            check(mixed_ts(), FULL, engine="sat")
 
 
 class TestBudgets:
