@@ -4,7 +4,7 @@ net synthesis, and hardness-instance generation for one-in-three formulas.
 The package splits into small layers:
 
 ``interactions``  the eight boolean interactions and net types
-``ts``            transition systems, unions, validation, gluing
+``ts``            transition systems, unions, gluing
 ``regions``       regions, admissibility, the two generator families
 ``sat``           a self-contained CDCL solver
 ``solving``       separation engines (exhaustive and propositional)
@@ -21,7 +21,6 @@ from .interactions import (
     Interaction,
     NetType,
     all_net_types,
-    interactions_matching,
     iter_type,
     parse_interaction,
     require_usable,
@@ -53,7 +52,6 @@ from .regions import (
     RegionDomainError,
     family_types,
     parse_family,
-    region_coherence_report,
     validate_region,
 )
 from .sat import SatSolver
@@ -82,7 +80,6 @@ from .ts import (
     check_join_preconditions,
     grade,
     join,
-    validate_ts,
 )
 
 __version__ = "1.0.0"
@@ -130,20 +127,17 @@ __all__ = [
     "family_types",
     "fire",
     "grade",
-    "interactions_matching",
     "is_isomorphic",
     "iter_type",
     "join",
     "parse_family",
     "parse_interaction",
     "reachability_graph",
-    "region_coherence_report",
     "require_usable",
     "solve_atom",
     "solve_one_in_three",
     "ssp_atoms",
     "synthesize",
     "validate_region",
-    "validate_ts",
     "verify_inhibiting_region",
 ]

@@ -31,7 +31,6 @@ from .regions import Family, Region
 from .solving import (
     CheckResult,
     EngineError,
-    ResourceExhausted,
     assign_witnesses,
     check_essp,
     check_feasibility,
@@ -64,13 +63,6 @@ def _write_out(text: str, path: Optional[str]) -> None:
         raise ff.FormatError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _parse_type(spec: str) -> NetType:
-    try:
-        return NetType.from_spec(spec)
-    except ValueError as exc:
-        raise ff.FormatError(str(exc)) from None
-
-
 def _emit_witnesses(
     path: str, subject, tau: NetType, result: CheckResult
 ) -> None:
@@ -88,7 +80,7 @@ def _emit_witnesses(
 
 def _cmd_check(args: argparse.Namespace) -> int:
     subject = ff.parse_subject(_read(args.ts_file))
-    tau = _parse_type(args.type)
+    tau = NetType.from_spec(args.type)
     checker = {
         "ssp": check_ssp,
         "essp": check_essp,
@@ -117,7 +109,7 @@ def _report_unheld(property_name: str, result: CheckResult) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     subject = ff.parse_ts(_read(args.ts_file))
-    tau = _parse_type(args.type)
+    tau = NetType.from_spec(args.type)
     result = check_feasibility(
         subject, tau, engine=args.engine, budget=args.budget
     )
@@ -212,7 +204,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    override = _parse_type(args.type) if args.type else None
+    override = NetType.from_spec(args.type) if args.type else None
     for region in relevant:
         tau = override or _infer_extract_type(instance.family, region)
         report = verify_inhibiting_region(instance, tau, region)
@@ -319,9 +311,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EngineError, FalsificationError, SynthesisError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ResourceExhausted as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except (ff.FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

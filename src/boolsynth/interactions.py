@@ -153,15 +153,6 @@ def require_usable(tau: NetType) -> None:
         raise ValueError("the empty net type admits no regions and no nets")
 
 
-def interactions_matching(
-    source_bit: int, target_bit: int
-) -> frozenset[Interaction]:
-    """All interactions i with i(source_bit) defined and equal to target_bit."""
-    return frozenset(
-        i for i in INTERACTION_ORDER if _EFFECT[i][source_bit] == target_bit
-    )
-
-
 def iter_type(tau: NetType | Iterable[Interaction]) -> tuple[Interaction, ...]:
     """The interactions of ``tau`` in canonical order."""
     members = set(tau) if not isinstance(tau, NetType) else tau.interactions

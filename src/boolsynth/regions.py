@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .interactions import Interaction, NetType
-from .ts import Report, Subject, Violation
+from .ts import Subject
 
 
 class RegionDomainError(ValueError):
@@ -173,67 +173,3 @@ def validate_region(subject: Subject, tau: NetType, region: Region) -> bool:
         if slot & bad:
             return False
     return True
-
-
-def region_coherence_report(
-    subject: Subject, tau: NetType, region: Region
-) -> Report:
-    """Structural coherence facts every valid region must satisfy.
-
-    * ``arc-image``: every arc's support pair must be realized by the arc
-      event's interaction (path images stay inside the type).
-    * ``flip-mismatch``: on a two-way arc, the support bits differ exactly
-      when the signature is swap.
-    * ``swap-return``: on a chain ``s -e-> s' <-e-> s''`` of three distinct
-      states whose event has signature swap, ``s`` and ``s''`` agree.
-    """
-    _check_domains(subject, tau, region)
-    sup = region.support
-    sig = region.signature
-    succ = subject.successors
-    violations: list[Violation] = []
-    for arc in subject.arcs:
-        expected = sig[arc.event].apply(sup[arc.source])
-        if expected != sup[arc.target]:
-            violations.append(
-                Violation(
-                    "arc-image",
-                    f"{arc.source}-{arc.event}->{arc.target}",
-                    f"{sup[arc.source]} maps to {expected}, support says "
-                    f"{sup[arc.target]}",
-                )
-            )
-    for arc in subject.arcs:
-        back = succ[arc.target].get(arc.event)
-        if back != arc.source:
-            continue
-        differs = sup[arc.source] != sup[arc.target]
-        is_swap = sig[arc.event] is Interaction.SWAP
-        if differs != is_swap:
-            violations.append(
-                Violation(
-                    "flip-mismatch",
-                    f"{arc.source}<-{arc.event}->{arc.target}",
-                    f"support differs={differs} but signature is "
-                    f"{sig[arc.event].value}",
-                )
-            )
-    for arc in subject.arcs:
-        if sig[arc.event] is not Interaction.SWAP:
-            continue
-        second = arc.target
-        third = succ[second].get(arc.event)
-        if third is None or succ[third].get(arc.event) != second:
-            continue
-        first = arc.source
-        if len({first, second, third}) != 3:
-            continue
-        if sup[first] != sup[third]:
-            violations.append(
-                Violation(
-                    "swap-return",
-                    f"{first}-{arc.event}->{second}<-{arc.event}->{third}",
-                    "ends of a swap chain disagree",
-                )
-            )
-    return Report(tuple(violations))

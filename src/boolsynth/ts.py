@@ -1,9 +1,9 @@
 """Deterministic initialized labeled transition systems, unions, and joining.
 
 A transition system here is finite, deterministic (per state and event at most
-one outgoing arc), initialized, and intended to be reachable with every event
-occurring on at least one arc; ``validate_ts`` reports violations of the
-reachability/occurrence conventions rather than refusing construction.
+one outgoing arc) and initialized. It is meant to be reachable, with every event
+occurring on at least one arc, but construction refuses neither unreachable
+states nor unused events.
 """
 
 from __future__ import annotations
@@ -255,32 +255,6 @@ class TransitionSystem:
                     seen.add(nxt)
                     frontier.append(nxt)
         return seen
-
-
-def validate_ts(ts: TransitionSystem) -> Report:
-    """Check the transition-system conventions; list every violation.
-
-    Determinism and declaredness are enforced at construction; this adds
-    duplicate-name, event-occurrence and reachability checks.
-    """
-    violations: list[Violation] = []
-    if len(set(ts.states)) != len(ts.states):
-        violations.append(Violation("duplicate-state", ts.name or "ts"))
-    if len(set(ts.events)) != len(ts.events):
-        violations.append(Violation("duplicate-event", ts.name or "ts"))
-    used_events = {arc.event for arc in ts.arcs}
-    for event in ts.events:
-        if event not in used_events:
-            violations.append(
-                Violation("unused-event", event, "labels no arc")
-            )
-    reachable = ts.reachable_states()
-    for state in ts.states:
-        if state not in reachable:
-            violations.append(
-                Violation("unreachable-state", state, "no path from initial")
-            )
-    return Report(tuple(violations))
 
 
 def grade(subject: "Subject") -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
@@ -169,26 +169,19 @@ def oracle_event_interactions(
     return allowed
 
 
-def oracle_regions(
-    subject: TransitionSystem | TsUnion, tau: NetType
-) -> Iterable[Region]:
-    """Every admissible region, one per (support, full signature choice) —
-    signatures enumerated exhaustively (cartesian product per event)."""
-    states = list(subject.states)
-    events = list(subject.events)
-    for bits in itertools.product((0, 1), repeat=len(states)):
-        support = dict(zip(states, bits))
-        per_event = [
-            sorted(
-                oracle_event_interactions(subject, tau, support, e),
-                key=list(Interaction).index,
-            )
-            for e in events
-        ]
-        if any(not options for options in per_event):
-            continue
-        for combo in itertools.product(*per_event):
-            yield Region(support, dict(zip(events, combo)))
+def admissible(
+    subject: TransitionSystem | TsUnion, tau: NetType, region: Region
+) -> bool:
+    """True iff the region covers exactly the subject's states and events, its
+    signature stays inside ``tau`` and every arc ``s -e-> t`` has
+    ``sig[e].effect[sup[s]] == sup[t]``, checked arc by arc without the lib."""
+    sup, sig = region.support, region.signature
+    return (
+        sup.keys() == set(subject.states)
+        and sig.keys() == set(subject.events)
+        and set(sig.values()) <= tau.interactions
+        and all(sig[e].effect[sup[s]] == sup[t] for s, e, t in subject.arcs)
+    )
 
 
 def oracle_separable(

@@ -21,6 +21,7 @@ from boolsynth import (
     Family,
     Interaction,
     NetType,
+    Region,
     SatSolver,
     TransitionSystem,
     TsUnion,
@@ -55,7 +56,13 @@ from conftest import (
     subjects,
     witness_atoms,
 )
-from test_solving import FULL, futile_resign, mixed_ts, unsettling_decode
+from test_solving import (
+    FULL,
+    futile_resign,
+    lax_allowed_at,
+    mixed_ts,
+    unsettling_decode,
+)
 
 TAU_SPEC = "nop,set,swap,free"
 
@@ -141,6 +148,18 @@ class TestCheck:
         assert code == 4
         assert out == ""
         assert "internal error" in err
+
+    def test_an_inadmissible_engine_region_is_an_internal_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "mixed.ts"
+        path.write_text(format_ts(mixed_ts()))
+        argv = ["check", "ssp", str(path), "--type", FULL.spec(), "--engine", "sat"]
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(solving._Problem, "allowed_at", lax_allowed_at)
+        assert run(capsys, *argv) == (
+            4, "", "internal error: engine produced an inadmissible region\n"
+        )
 
     def test_nan_budget_is_a_usage_error(self, capsys, battery_files):
         code, out, err = run(
@@ -655,6 +674,34 @@ class TestExtract:
         assert code == 2
         assert "does not match" in err
 
+    def test_records_without_atoms_are_read_by_their_regions(self, capsys, pipeline):
+        # A record with no atom lines is relevant when its region inhibits
+        # the target; one over another system lacks the target's names.
+        instance = parse_instance(Path(pipeline["instance"]).read_text())
+        k = instance.roles.target_event
+        region = pipeline["region"]
+        relaxed = Region(
+            dict(region.support), {**region.signature, k: Interaction.NOP}
+        )
+        foreign = Region({"s0": 1, "s1": 0, "s2": 1}, {"a": Interaction.SWAP})
+        cases = [
+            ([foreign, region], 0, "x1\n", ""),
+            (
+                [foreign, relaxed],
+                2,
+                "",
+                f"no witness record inhibits {k} at {instance.roles.target_state}\n",
+            ),
+        ]
+        for regions, want_code, want_out, want_err in cases:
+            path = pipeline["tmp"] / "bare.wit"
+            path.write_text(
+                format_witnesses(instance.ts, [(r, [], []) for r in regions])
+            )
+            assert "atom" not in path.read_text()
+            got = run(capsys, "extract", str(path), pipeline["instance"])
+            assert got == (want_code, want_out, want_err)
+
 
 class TestUsage:
     def test_consecutive_calls_keep_their_own_results(self, capsys, battery_files):
@@ -702,3 +749,16 @@ class TestUsage:
             "--type", TAU_SPEC, "--engine", "bdd",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["check", "synth", "extract"])
+    def test_bad_type_names_the_unknown_interaction(
+        self, capsys, battery_files, pipeline, command
+    ):
+        operands = {
+            "check": ["feasible", battery_files["a1"]],
+            "synth": [battery_files["a1"]],
+            "extract": [pipeline["witness"], pipeline["instance"]],
+        }[command]
+        assert run(capsys, command, *operands, "--type", "nop,bogus") == (
+            2, "", "error: unknown interaction 'bogus'\n"
+        )

@@ -213,6 +213,59 @@ class TestNetText:
         with pytest.raises(FormatError, match="line 5"):
             parse_net(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "expected a 'net' header"),
+            ("type nop\n", "expected a 'net' header"),
+            ("# a net\n\nnet x y\n", "line 3: 'net' takes at most a name"),
+            ("net\ntype nop\ntype nop\n", "line 3: duplicate 'type' line"),
+            ("net\ntype nop,bogus\n", "line 2: unknown interaction 'bogus'"),
+            (
+                "net\ntype nop\nplace p 2\n",
+                "line 3: 'place' takes a name and a 0/1 bit",
+            ),
+            ("net\ntype nop\nplace p 0\nplace p 1\n", "line 4: duplicate place 'p'"),
+            (
+                "net\ntype nop\ntransition\n",
+                "line 3: 'transition' takes exactly one name",
+            ),
+            (
+                "net\ntype nop\ntransition t\ntransition t\n",
+                "line 4: duplicate transition 't'",
+            ),
+            (
+                "net\ntype nop\nflow p t\n",
+                "line 3: 'flow' takes place, transition, interaction",
+            ),
+            (
+                "net\ntype nop\nflow p t nop\n\nflow p t nop\n",
+                "line 5: duplicate flow entry ('p', 't')",
+            ),
+            ("net\ntype nop\nflow p t zzz\n", "line 3: unknown interaction 'zzz'"),
+            ("net\ntype nop\nedge p t\n", "line 3: unknown item 'edge'"),
+        ],
+        ids=[
+            "empty",
+            "no-header",
+            "header-tokens",
+            "duplicate-type",
+            "bad-type",
+            "place-bit",
+            "duplicate-place",
+            "transition-tokens",
+            "duplicate-transition",
+            "flow-tokens",
+            "duplicate-flow",
+            "flow-interaction",
+            "unknown-item",
+        ],
+    )
+    def test_malformed_text_gets_its_exact_message(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_net(text)
+        assert str(caught.value) == message
+
 
 class TestWitnessText:
     def records(self, battery):
@@ -260,6 +313,53 @@ class TestWitnessText:
             StatePairAtom("s0", "s1"),
             EventStateAtom("a", "s0"),
         )
+
+    def test_comments_and_blank_lines_ignored(self, battery):
+        records = self.records(battery)
+        text = line_by_line(records)
+        noisy = "# witnesses\n\n" + text.replace("\n", "  # note\n\n", 2)
+        assert parse_witnesses(noisy) == parse_witnesses(text) == records
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("region x\n", "line 1: 'region' takes no arguments"),
+            ("sup s0 1\n", "line 1: expected a 'region' header before 'sup'"),
+            ("region\nsup s0 2\n", "line 2: 'sup' takes a state and a 0/1 bit"),
+            ("region\nsup s0 1\nsup s0 0\n", "line 3: duplicate support entry 's0'"),
+            (
+                "region\natom sp s0\n",
+                "line 2: 'atom' takes 'sp <s> <s'>' or 'essp <e> <s>'",
+            ),
+            ("region\nsig a\n", "line 2: 'sig' takes an event and an interaction"),
+            (
+                "region\nsig a nop\nsig a swap\n",
+                "line 3: duplicate signature entry 'a'",
+            ),
+            ("region\nsig a bogus\n", "line 2: unknown interaction 'bogus'"),
+            ("region\nedge a\n", "line 2: unknown item 'edge'"),
+            (
+                "# witnesses\n\nregion # one\nsup s0 9\n",
+                "line 4: 'sup' takes a state and a 0/1 bit",
+            ),
+        ],
+        ids=[
+            "region-tokens",
+            "before-header",
+            "sup-bit",
+            "duplicate-sup",
+            "atom-tokens",
+            "sig-tokens",
+            "duplicate-sig",
+            "sig-interaction",
+            "unknown-item",
+            "after-comments",
+        ],
+    )
+    def test_malformed_text_gets_its_exact_message(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_witnesses(text)
+        assert str(caught.value) == message
 
 
 class TestCnfText:

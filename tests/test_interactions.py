@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from boolsynth import (
@@ -13,7 +11,6 @@ from boolsynth import (
     Interaction,
     NetType,
     all_net_types,
-    interactions_matching,
     iter_type,
     parse_interaction,
     require_usable,
@@ -154,18 +151,3 @@ class TestNetType:
             Interaction.RES,
             Interaction.FREE,
         )
-
-
-class TestInteractionsMatching:
-    @pytest.mark.parametrize(
-        "source_bit,target_bit", list(itertools.product((0, 1), repeat=2))
-    )
-    def test_matches_effect_table(self, source_bit, target_bit):
-        got = interactions_matching(source_bit, target_bit)
-        expected = {
-            i for i in Interaction if EFFECT_TABLE[i][source_bit] == target_bit
-        }
-        assert got == expected
-        # six interactions are defined at each bit and they split evenly
-        assert len(got) == 3
-

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from boolsynth import (
+    COMPLEMENT_MAP,
     PHI_SAT,
     PHI_UNSAT,
     CubicCnf,
@@ -354,6 +355,26 @@ class TestTargetAtomDecision:
             model = extract_model(phi3_used, region)
             assert PHI_SAT.is_model(model)
 
+    def test_complemented_used_region_extracts_through_res(self, phi3_used):
+        # The type is its own complement, so the complemented region is one
+        # of its regions too: the target is then freeness-inhibited at
+        # support 1 and the model is read off res instead of set.
+        tau = NetType.from_spec("nop,set,res,swap,used,free")
+        assert tau.complement() == tau
+        region = solve_atom(phi3_used.ts, tau, phi3_used.target_atom, engine="sat")
+        complemented = Region(
+            {s: 1 - bit for s, bit in region.support.items()},
+            {e: COMPLEMENT_MAP[i] for e, i in region.signature.items()},
+        )
+        k = phi3_used.roles.target_event
+        assert region.signature[k] is Interaction.USED
+        assert complemented.signature[k] is Interaction.FREE
+        assert verify_inhibiting_region(phi3_used, tau, complemented).ok
+        assert sorted(extract_model(phi3_used, complemented)) == ["x1"]
+        assert extract_model(phi3_used, region) == extract_model(
+            phi3_used, complemented
+        )
+
 
 class TestVerifierGuards:
     def test_type_outside_family_flagged(self, good):
@@ -422,3 +443,32 @@ class TestExtractionGuards:
         )
         with pytest.raises(FalsificationError, match="zero or multiple"):
             extract_model(inst, tampered)
+
+    def test_free_family_target_without_free_raises(self, good):
+        inst, _, region = good
+        # out is undefined at 1 too, so the target stays inhibited
+        k = inst.roles.target_event
+        assert region.support[inst.roles.target_state] == 1
+        tampered = Region(
+            dict(region.support), {**region.signature, k: Interaction.OUT}
+        )
+        with pytest.raises(FalsificationError) as caught:
+            extract_model(inst, tampered)
+        assert str(caught.value) == (
+            "target event carries Interaction.OUT, expected the freeness test"
+        )
+
+    def test_used_family_target_without_used_or_free_raises(self, phi3_used):
+        tau = Family.USED.base_type
+        region = solve_atom(phi3_used.ts, tau, phi3_used.target_atom, engine="sat")
+        # inp is undefined at 0 too, so the target stays inhibited
+        k = phi3_used.roles.target_event
+        assert region.support[phi3_used.roles.target_state] == 0
+        tampered = Region(
+            dict(region.support), {**region.signature, k: Interaction.INP}
+        )
+        with pytest.raises(FalsificationError) as caught:
+            extract_model(phi3_used, tampered)
+        assert str(caught.value) == (
+            "target event carries Interaction.INP, expected usedness or freeness"
+        )

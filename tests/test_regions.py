@@ -1,4 +1,4 @@
-"""Regions, admissibility checking, the generator families and coherence."""
+"""Regions, admissibility checking and the generator families."""
 
 from __future__ import annotations
 
@@ -18,10 +18,9 @@ from boolsynth import (
     TransitionSystem,
     family_types,
     parse_family,
-    region_coherence_report,
     validate_region,
 )
-from conftest import TAU, TAU_TILDE, oracle_regions, random_ts, subjects
+from conftest import TAU, TAU_TILDE, random_ts, subjects
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -261,38 +260,3 @@ class TestFamilies:
         assert parse_family("used") is Family.USED
         with pytest.raises(ValueError, match="unknown family"):
             parse_family("loose")
-
-
-class TestCoherenceReport:
-    def test_valid_regions_are_coherent(self, battery):
-        for support, interaction in TestCanonicalRegionsOfTheTwoCycleExample.CASES:
-            region = region_of(battery["a1"], support, {"a": interaction})
-            assert region_coherence_report(battery["a1"], TAU, region).ok
-
-    def test_arc_image_violation_reported(self, battery):
-        region = region_of(battery["a1"], {"s0"}, {"a": Interaction.NOP})
-        report = region_coherence_report(battery["a1"], TAU, region)
-        assert any(v.code == "arc-image" for v in report.violations)
-
-    def test_flip_mismatch_reported(self, battery):
-        # s1 <-a-> s2 is a two-way arc; equal bits with swap is incoherent
-        region = region_of(battery["a1"], set(), {"a": Interaction.SWAP})
-        report = region_coherence_report(
-            battery["a1"], NetType.from_spec("nop,swap"), region
-        )
-        assert any(v.code == "flip-mismatch" for v in report.violations)
-
-    def test_swap_return_reported(self, battery):
-        # s0 -a-> s1 <-a-> s2 with swap: s0 and s2 must agree, 1 vs 0 breaks
-        region = region_of(battery["a1"], {"s0", "s1"}, {"a": Interaction.SWAP})
-        report = region_coherence_report(battery["a1"], TAU, region)
-        assert any(v.code == "swap-return" for v in report.violations)
-
-    @PROPERTY_SETTINGS
-    @given(seed=st.integers(0, 10**9))
-    def test_every_admissible_region_is_coherent(self, seed):
-        rng = random.Random(seed)
-        ts = random_ts(rng, max_states=3, max_events=2)
-        tau = TAU if rng.random() < 0.5 else TAU_TILDE
-        for region in oracle_regions(ts, tau):
-            assert region_coherence_report(ts, tau, region).ok

@@ -40,7 +40,6 @@ from boolsynth import (
     family_types,
     iter_type,
     reachability_graph,
-    region_coherence_report,
     solve_atom,
     ssp_atoms,
     synthesize,
@@ -50,6 +49,7 @@ from boolsynth import solving
 from conftest import (
     TAU,
     TAU_TILDE,
+    admissible,
     consistency_cnf,
     line_ts,
     oracle_essp,
@@ -231,7 +231,7 @@ class TestDifferentialAgainstOracle:
             coverage = solving._Coverage(problem, True, True)
             for region in result.regions:
                 assert validate_region(ts, tau, region)
-                assert region_coherence_report(ts, tau, region).ok
+                assert admissible(ts, tau, region)
                 # Replayed in pool order, each region settles a requirement
                 # the earlier ones leave pending, so no region repeats and
                 # neither engine needs to deduplicate its pool.
@@ -387,6 +387,13 @@ class TestEnumeration:
 
     def test_unsolvable_atom_gives_empty_list(self, battery):
         assert enumerate_inhibiting_regions(battery["a2"], TAU, "a", "s2") == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_limit_gives_empty_list(self, engine):
+        regions = enumerate_inhibiting_regions(
+            mixed_ts(), FULL, "a", "q", engine=engine, limit=0
+        )
+        assert regions == []
 
     def test_enabled_pair_rejected(self, battery):
         with pytest.raises(ValueError, match="nothing to inhibit"):
@@ -923,6 +930,24 @@ class TestProgressGuards:
         monkeypatch.setattr(solving._SatContext, "decode", unsettling_decode)
         with pytest.raises(EngineError, match="leaves its query pending"):
             check(mixed_ts(), FULL, engine="sat")
+
+
+def lax_allowed_at(problem, bits):
+    """``_Problem.allowed_at`` gone wrong: every event may take any
+    interaction of the type, whatever its arcs show."""
+    return [problem.allowed_by_code[0]] * len(problem.events)
+
+
+class TestRegionGuard:
+    """``_Problem.region`` re-validates every region it builds, so an engine
+    that signs an event against its arcs raises ``EngineError``."""
+
+    def test_an_inadmissible_region_stops_the_check(self, monkeypatch):
+        assert check_ssp(mixed_ts(), FULL, engine="sat").holds
+        monkeypatch.setattr(solving._Problem, "allowed_at", lax_allowed_at)
+        with pytest.raises(EngineError) as caught:
+            check_ssp(mixed_ts(), FULL, engine="sat")
+        assert str(caught.value) == "engine produced an inadmissible region"
 
 
 class TestBudgets:
