@@ -63,21 +63,6 @@ def _write_out(text: str, path: Optional[str]) -> None:
         raise ff.FormatError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit_witnesses(
-    path: str, subject, tau: NetType, result: CheckResult
-) -> None:
-    """Write the witness file of a check by the one witness path: one record
-    per pooled region that settles a requirement no earlier one settles, in
-    the order of its first requirement, written by ``ff.format_witnesses``
-    from the coverage tracker's masks (``solving.assign_witnesses``)."""
-    want_ssp = result.property_name in ("ssp", "feasible")
-    want_essp = result.property_name in ("essp", "feasible")
-    rows = assign_witnesses(
-        subject, tau, result.regions, want_ssp=want_ssp, want_essp=want_essp
-    )
-    _write_out(ff.format_witnesses(subject, rows), path)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     subject = ff.parse_subject(_read(args.ts_file))
     tau = NetType.from_spec(args.type)
@@ -88,7 +73,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     }[args.property]
     result = checker(subject, tau, engine=args.engine, budget=args.budget)
     if args.witness:
-        _emit_witnesses(args.witness, subject, tau, result)
+        rows = assign_witnesses(subject, tau, result.regions, args.property)
+        _write_out(ff.format_witnesses(subject, rows), args.witness)
     if result.outcome == "yes":
         print(f"{args.property}: yes")
         return EXIT_HOLDS
@@ -101,7 +87,7 @@ def _report_unheld(property_name: str, result: CheckResult) -> int:
     if result.outcome == "no":
         print(f"{property_name}: no")
         assert result.counterexample is not None
-        print(f"counterexample: {ff.format_atom(result.counterexample)}")
+        print(f"counterexample: {result.counterexample}")
         return EXIT_FAILS
     print(f"{property_name}: inconclusive ({result.reason})")
     return EXIT_INCONCLUSIVE

@@ -35,7 +35,7 @@ from .nets import BooleanNet
 from .reduction import CubicCnf, GadgetInstance, build_instance
 from .regions import Region, parse_family
 from .solving import Atom, EventStateAtom, StatePairAtom
-from .ts import Subject, TransitionSystem, TsUnion
+from .ts import DIGIT_BITS, Subject, TransitionSystem, TsUnion
 
 
 class FormatError(ValueError):
@@ -173,10 +173,12 @@ def format_net(net: BooleanNet) -> str:
 
 def parse_net(text: str) -> BooleanNet:
     lines = _content_lines(text)
-    if not lines or lines[0][1].split()[0] != "net":
-        raise FormatError("expected a 'net' header")
+    if not lines:
+        raise FormatError("no 'net' header found")
     header_number, header = lines[0]
     tokens = header.split()
+    if tokens[0] != "net":
+        raise _fail(header_number, f"expected a 'net' header before {header!r}")
     if len(tokens) > 2:
         raise _fail(header_number, "'net' takes at most a name")
     name = tokens[1] if len(tokens) == 2 else ""
@@ -219,7 +221,7 @@ def parse_net(text: str) -> BooleanNet:
         else:
             raise _fail(number, f"unknown item {kind!r}")
     if net_type is None:
-        raise FormatError("net lacks a 'type' line")
+        raise _fail(header_number, "net lacks a 'type' line")
     try:
         return BooleanNet(
             net_type=net_type,
@@ -230,7 +232,7 @@ def parse_net(text: str) -> BooleanNet:
             name=name,
         )
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise _fail(header_number, str(exc)) from None
 
 
 # ------------------------------------------------------------- witness text
@@ -244,14 +246,6 @@ class WitnessRecord:
     atoms: tuple[Atom, ...] = ()
 
 
-def format_atom(atom: Atom) -> str:
-    """A requirement as ``sp <s> <s'>`` or ``essp <e> <s>``, as a witness
-    ``atom`` line names it: the text of a CLI counterexample."""
-    if isinstance(atom, StatePairAtom):
-        return f"sp {atom.first} {atom.second}"
-    return f"essp {atom.event} {atom.state}"
-
-
 def format_witnesses(subject: Subject, rows: Iterable[tuple]) -> str:
     """The witness text of ``solving.assign_witnesses``' rows over
     ``subject``: per entry, a ``region`` line, its ``sup`` and ``sig`` lines
@@ -261,11 +255,10 @@ def format_witnesses(subject: Subject, rows: Iterable[tuple]) -> str:
     sup = functools.cache(lambda state: (f"sup {state} 0\n", f"sup {state} 1\n"))
     sig = functools.cache(lambda event, i: f"sig {event} {i.value}\n")
     width = f"0{len(states)}b"
-    digit_bits = bytes.maketrans(b"01", b"\x00\x01")
 
     def atom_lines(prefix: str, mask: int) -> str:
         """An ``atom`` line, ``prefix`` and a name, per state of ``mask``."""
-        bits = format(mask, width).encode().translate(digit_bits)
+        bits = format(mask, width).encode().translate(DIGIT_BITS)
         return prefix + ("\n" + prefix).join(itertools.compress(states, bits)) + "\n"
 
     parts: list[str] = []
@@ -467,7 +460,6 @@ def parse_instance(text: str) -> GadgetInstance:
 __all__ = [
     "FormatError",
     "WitnessRecord",
-    "format_atom",
     "format_ts",
     "format_union",
     "format_net",

@@ -139,10 +139,10 @@ class NetType:
         return "{" + self.spec() + "}"
 
 
-def all_net_types(include_empty: bool = False) -> Iterator[NetType]:
-    """All 256 net types (or 255 nonempty ones) in a fixed order."""
+def all_net_types() -> Iterator[NetType]:
+    """All 255 nonempty net types in a fixed order."""
     n = len(INTERACTION_ORDER)
-    for bits in range(0 if include_empty else 1, 1 << n):
+    for bits in range(1, 1 << n):
         members = [INTERACTION_ORDER[k] for k in range(n) if bits >> k & 1]
         yield NetType(frozenset(members))
 

@@ -323,7 +323,7 @@ def extract_model(instance: GadgetInstance, region: Region) -> frozenset[str]:
     if instance.family is Family.FREE:
         if k_sig is not Interaction.FREE:
             raise FalsificationError(
-                f"target event carries {k_sig}, expected the freeness test"
+                f"target event carries {k_sig!r}, expected the freeness test"
             )
         marker = Interaction.SET
     elif k_sig is Interaction.USED:
@@ -332,7 +332,7 @@ def extract_model(instance: GadgetInstance, region: Region) -> frozenset[str]:
         marker = Interaction.RES
     else:
         raise FalsificationError(
-            f"target event carries {k_sig}, expected usedness or freeness"
+            f"target event carries {k_sig!r}, expected usedness or freeness"
         )
     model = frozenset(
         v for v in roles.variables if sig.get(v) is marker

@@ -23,7 +23,9 @@ masks per event read from the event's code, never from a loop over its
 arcs. The sat engine reads a model's support bits in one gather and each
 event's code from its slot in the gathered ints (``_Problem.allowed_at``);
 the exhaustive engine reads the code from the sweep's pattern sets of the
-support's window (``_Problem.allowed_in_window``). Every region either
+support's window (``_Problem.allowed_in_window``). ``_Problem.region``
+signs a region from its support in one form, one 0/1 byte per state in
+position order, as the gather reads it. Every region either
 engine builds passes ``regions.validate_region``, which reads it back from
 its mappings and checks it against ``Interaction.effect``, independent of
 this table and of the CNF.
@@ -64,14 +66,18 @@ far; every other caller lets it propagate.
 
 One coverage tracker, ``_Coverage``, records which requirements are still
 pending: a partition of state blocks for separation (pairs inside a block
-are pending) and one uncovered-state mask per event for inhibition. It
-decides inhibition for both engines: ``resign`` gives each event with
-pending inhibitions the admissible partial interaction that inhibits the
-most of them, and ``settle`` credits a region with every requirement it
-settles. Both engines sign a region by this one rule: a query's forced
-entry, then ``resign``'s picks, then each other event's first allowed
-interaction (``_Problem.region``). So a region depends only on its support
-and on what is still pending, whichever engine found the support. Each
+are pending) and one uncovered-state mask per event for inhibition. A
+check's scope is its property name: the scope table, ``_SCOPES``, says
+which of the two kinds the tracker of ``ssp``, ``essp`` or ``feasible``
+starts with pending, and ``_run_check`` and ``assign_witnesses`` both read
+it (``_Coverage.of_property``). The tracker decides inhibition for both
+engines: ``resign`` gives each event with pending inhibitions the
+admissible partial interaction that inhibits the most of them, and
+``settle`` credits a region with every requirement it settles. Both
+engines sign a region by this one rule: a query's forced entry, then
+``resign``'s picks, then each other event's first allowed interaction
+(``_Problem.region``). So a region depends only on its support and on what
+is still pending, whichever engine found the support. Each
 pooled region settles a requirement no earlier one settles, so no pool
 repeats a region. The counterexample is the tracker's first pending
 requirement; ``assign_witnesses`` and ``first_unsettled`` replay a pool
@@ -104,7 +110,7 @@ from .interactions import (
     require_usable,
 )
 from .regions import Region, validate_region
-from .ts import BIT_DIGITS, Subject, tuple_getter
+from .ts import BIT_DIGITS, DIGIT_BITS, Subject, tuple_getter
 
 
 class ResourceExhausted(RuntimeError):
@@ -122,8 +128,8 @@ class StatePairAtom:
     first: str
     second: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ssp {self.first} {self.second}"
+    def __str__(self) -> str:
+        return f"sp {self.first} {self.second}"
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ class EventStateAtom:
     event: str
     state: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"essp {self.event} {self.state}"
 
 
@@ -234,6 +240,10 @@ class _Problem:
         lays supports out."""
         return 1 << (self.n - 1 - pos)
 
+    def bits_of(self, support: int) -> bytes:
+        """A support integer as one 0/1 byte per state in position order."""
+        return format(support, f"0{self.n}b").encode().translate(DIGIT_BITS)
+
     def allowed_at(self, bits: bytes) -> list[int]:
         """Per event, the mask of the interactions (over the canonical
         order) that follow every arc of the event under a support given as
@@ -277,27 +287,17 @@ class _Problem:
         ]
 
     def region(
-        self,
-        support_int: int,
-        picks: Mapping[str, Interaction],
-        allowed: Sequence[int],
-        bits: Optional[bytes] = None,
+        self, bits: bytes, picks: Mapping[str, Interaction], allowed: Sequence[int]
     ) -> Region:
-        """The region of a support integer, re-validated: each event in
-        ``picks`` gets its pick, every other the first interaction of its
-        ``allowed`` mask in canonical order. ``bits`` is the support as one
-        0/1 byte per state, where the caller has it. An engine that builds
-        an inadmissible region is at fault."""
+        """The region of a support given as one 0/1 byte per state in
+        position order, re-validated: each event in ``picks`` gets its pick,
+        every other the first interaction of its ``allowed`` mask in
+        canonical order. An engine that builds an inadmissible region is at
+        fault."""
         signature = dict(zip(self.events, map(_FIRST_OF.__getitem__, allowed)))
         if picks:
             signature.update(picks)
-        if bits is None:
-            n1 = self.n - 1
-            states = enumerate(self.states)
-            support = {s: support_int >> (n1 - p) & 1 for p, s in states}
-        else:
-            support = dict(zip(self.states, bits))
-        region = Region(support, signature)
+        region = Region(dict(zip(self.states, bits)), signature)
         if not validate_region(self.subject, self.tau, region):
             raise EngineError("engine produced an inadmissible region")
         return region
@@ -313,6 +313,11 @@ def _position(positions: Mapping[str, int], kind: str, name: str) -> int:
     if name not in positions:
         raise ValueError(f"no {kind} {name!r} in the subject")
     return positions[name]
+
+
+#: The scope table: per property a check decides, whether its coverage
+#: tracker tracks (state pairs, inhibitions).
+_SCOPES = {"ssp": (True, False), "essp": (False, True), "feasible": (True, True)}
 
 
 class _Coverage:
@@ -340,6 +345,13 @@ class _Coverage:
                     self.blocks.append(((1 << size) - 1) << (problem.n - end))
         full = problem.full if want_essp else 0
         self.uncovered = [~mask & full for mask in problem.index.enabled_mask]
+
+    @classmethod
+    def of_property(cls, problem: _Problem, property_name: str) -> _Coverage:
+        """A tracker of every requirement of ``property_name`` (``_SCOPES``)."""
+        if property_name not in _SCOPES:
+            raise ValueError(f"unknown property {property_name!r}")
+        return cls(problem, *_SCOPES[property_name])
 
     @classmethod
     def of_atom(cls, problem: _Problem, atom: Atom) -> _Coverage:
@@ -611,10 +623,10 @@ def _window_sets(
 def _admissible_supports(
     problem: _Problem,
     deadline: Optional[float],
-    shown: Optional[list[tuple[int, int, int, int]]] = None,
+    shown: list[tuple[int, int, int, int]],
 ) -> Iterator[int]:
     """Every admissible support of ``problem`` in ascending order; raises
-    ``ResourceExhausted`` once the deadline has passed. A list ``shown``
+    ``ResourceExhausted`` once the deadline has passed. The list ``shown``
     holds, while a window's supports are yielded, its ``_window_sets``,
     from which ``_Problem.allowed_in_window`` reads a support's allowed
     masks.
@@ -649,8 +661,7 @@ def _admissible_supports(
                 sets = problem.index.sweep_sets[width] = _window_sets(
                     problem, low_columns
                 )
-        if shown is not None:
-            shown[:] = sets
+        shown[:] = sets
         blocked = 0
         for pattern_sets in sets:
             stuck = all_ones
@@ -710,7 +721,7 @@ def _exhaustive_check(
                     coverage.resign(support, picks, allowed)
                 if not cut and not picks:
                     break
-                region = problem.region(support, picks, allowed)
+                region = problem.region(problem.bits_of(support), picks, allowed)
                 pool.append(region)
                 _, inhibited = coverage.settle(support, region.signature)
                 if not cut and not any(newly for _, newly in inhibited):
@@ -822,7 +833,7 @@ class _SatContext:
         allowed = problem.allowed_at(bits)
         picks = dict(forced)
         coverage.resign(support, picks, allowed)
-        region = problem.region(support, picks, allowed, bits)
+        region = problem.region(bits, picks, allowed)
         coverage.settle(support, region.signature)
         return region
 
@@ -951,9 +962,7 @@ def _run_check(
     """The one place a spent budget ends in a verdict: "inconclusive", with
     the regions pooled so far."""
     problem = _Problem(subject, tau)
-    want_ssp = property_name in ("ssp", "feasible")
-    want_essp = property_name in ("essp", "feasible")
-    coverage = _Coverage(problem, want_ssp, want_essp)
+    coverage = _Coverage.of_property(problem, property_name)
     engine_name = _resolve_engine(engine, problem, budget)
     pool: list[Region] = []
     try:
@@ -1051,7 +1060,7 @@ def enumerate_inhibiting_regions(
             picks: dict[str, Interaction] = {}
             coverage.resign(support, picks, allowed)
             if picks:
-                found.append(problem.region(support, picks, allowed))
+                found.append(problem.region(problem.bits_of(support), picks, allowed))
                 if len(found) == limit:
                     break
         return found
@@ -1073,13 +1082,12 @@ def assign_witnesses(
     subject: Subject,
     tau: NetType,
     regions: Sequence[Region],
-    *,
-    want_ssp: bool = True,
-    want_essp: bool = True,
+    property_name: str = "feasible",
 ) -> list[tuple[Region, list[tuple[int, int]], list[tuple[int, int]]]]:
-    """What each region of ``regions`` settles first, replayed through the
-    checkers' coverage tracker, as rows of masks over the subject's state
-    positions.
+    """What each region of ``regions`` settles first among the requirements
+    of ``property_name`` (``ssp``, ``essp`` or ``feasible``, as a check
+    names them), replayed through the checkers' coverage tracker, as rows
+    of masks over the subject's state positions.
 
     One entry per region that settles a requirement no earlier region
     settles: the region, its state pair rows ``(i, the states j > i it
@@ -1092,7 +1100,7 @@ def assign_witnesses(
     """
     problem = _Problem(subject, tau)
     n = problem.n
-    coverage = _Coverage(problem, want_ssp, want_essp)
+    coverage = _Coverage.of_property(problem, property_name)
     keyed = []
     for region in regions:
         support = problem.support_int_of(region)

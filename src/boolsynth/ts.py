@@ -108,6 +108,10 @@ class SubjectIndex:
 #: "0", any other byte to "1".
 BIT_DIGITS = b"0" + b"1" * 255
 
+#: Its inverse on digits: "0" to byte 0 and "1" to byte 1, so the ``format``
+#: of a support integer translates to one 0/1 byte per state.
+DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """``itemgetter(*positions)``, but returning a tuple however few

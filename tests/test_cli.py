@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import importlib.util
+import runpy
 import sys
 import time
 from pathlib import Path
@@ -35,7 +36,7 @@ from boolsynth import (
     solve_atom,
 )
 from boolsynth import fileformats, solving
-from boolsynth.cli import _build_parser, _emit_witnesses, main
+from boolsynth.cli import _build_parser, main
 from boolsynth.fileformats import (
     WitnessRecord,
     format_cnf,
@@ -195,7 +196,7 @@ class TestCheck:
         # a1 has three state pairs and no inhibition requirements; records
         # group requirements by the region settling them, each exactly once
         rendered = [str(atom) for r in records for atom in r.atoms]
-        assert sorted(rendered) == ["ssp s0 s1", "ssp s0 s2", "ssp s1 s2"]
+        assert sorted(rendered) == ["sp s0 s1", "sp s0 s2", "sp s1 s2"]
         key_set = {r.region.key() for r in records}
         assert len(key_set) == len(records)
         for record in records:
@@ -261,15 +262,6 @@ def reference_records(subject, rows):
     return [WitnessRecord(region, tuple(atoms)) for region, atoms in grouped.values()]
 
 
-def witness_rows_of(subject, tau, regions, property_name):
-    """``assign_witnesses`` over a pool, for the requirements of a check."""
-    return assign_witnesses(
-        subject, tau, regions,
-        want_ssp=property_name in ("ssp", "feasible"),
-        want_essp=property_name in ("essp", "feasible"),
-    )
-
-
 CHECKERS = {"ssp": check_ssp, "essp": check_essp, "feasible": check_feasibility}
 
 
@@ -279,21 +271,17 @@ class TestWitnessWriter:
     of ``assign_witnesses``' rows, grouped by region in first-requirement
     order."""
 
-    def assert_file_is_the_reference(self, path, subject, tau, result):
-        _emit_witnesses(str(path), subject, tau, result)
-        rows = witness_rows_of(
-            subject, tau, result.regions, result.property_name
-        )
+    def assert_file_is_the_reference(self, subject, tau, result):
+        rows = assign_witnesses(subject, tau, result.regions, result.property_name)
         expected = line_by_line(reference_records(subject, rows))
         assert format_witnesses(subject, rows) == expected
-        assert path.read_bytes() == expected.encode()
 
     @settings(
         max_examples=300, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(data=st.data())
-    def test_file_equals_the_reference_rendering(self, data, tmp_path_factory):
+    def test_file_equals_the_reference_rendering(self, data):
         subject = data.draw(subjects())
         interactions = st.sets(st.sampled_from(list(Interaction)), min_size=1)
         tau = NetType(frozenset(data.draw(interactions)))
@@ -307,10 +295,9 @@ class TestWitnessWriter:
                 property_name, "inconclusive", engine, None,
                 result.regions[:kept], "budget exhausted before a verdict",
             )
-        path = tmp_path_factory.getbasetemp() / "writer.wit"
-        self.assert_file_is_the_reference(path, subject, tau, result)
+        self.assert_file_is_the_reference(subject, tau, result)
 
-    def test_a_partial_interaction_that_inhibits_nothing_new(self, tmp_path):
+    def test_a_partial_interaction_that_inhibits_nothing_new(self):
         # The second region signs e1 with inp, its first allowed interaction,
         # though e1 is pending only at s0, which holds 1 there: settling it
         # credits e1 with no state, and its record lists no atom for e1.
@@ -322,7 +309,28 @@ class TestWitnessWriter:
         )
         tau = NetType.from_spec("inp,set")
         result = check_feasibility(ts, tau, engine="exhaustive")
-        self.assert_file_is_the_reference(tmp_path / "w.wit", ts, tau, result)
+        self.assert_file_is_the_reference(ts, tau, result)
+
+    @pytest.mark.parametrize("property_name", sorted(CHECKERS))
+    def test_check_scopes_its_file_by_the_property(
+        self, capsys, tmp_path, property_name
+    ):
+        ts = mixed_ts()
+        ts_path = tmp_path / "pq.ts"
+        ts_path.write_text(format_ts(ts))
+        witness_path = tmp_path / "pq.wit"
+        run(
+            capsys, "check", property_name, str(ts_path), "--type", "nop,inp,out",
+            "--witness", str(witness_path),
+        )
+        tau = NetType.from_spec("nop,inp,out")
+        regions = CHECKERS[property_name](ts, tau).regions
+        rows = assign_witnesses(ts, tau, regions, property_name)
+        text = witness_path.read_text()
+        assert text == format_witnesses(ts, rows)
+        kinds = {line.split()[1] for line in text.splitlines() if line[:4] == "atom"}
+        scopes = {"ssp": {"sp"}, "essp": {"essp"}, "feasible": {"sp", "essp"}}
+        assert kinds == scopes[property_name]
 
     def test_glued_unsat_instance_file(self, capsys, tmp_path):
         instance = build_instance(PHI_UNSAT, Family.FREE)
@@ -338,7 +346,7 @@ class TestWitnessWriter:
         tau = NetType.from_spec(TAU_SPEC)
         regions = check_feasibility(subject, tau, engine="sat").regions
         text = witness_path.read_text()
-        rows = witness_rows_of(subject, tau, regions, "feasible")
+        rows = assign_witnesses(subject, tau, regions)
         assert text == line_by_line(reference_records(subject, rows))
         assert line_by_line(parse_witnesses(text)) == text
 
@@ -659,6 +667,24 @@ class TestExtract:
         assert code == 4
         assert "forced-shape" in err
 
+    def test_a_region_outside_every_family_type_is_checked_under_the_base(
+        self, capsys, pipeline
+    ):
+        # out is in no FREE-family type, so the region is verified under the
+        # family's base type, whose domain check rejects it.
+        instance = parse_instance(Path(pipeline["instance"]).read_text())
+        flip = instance.roles.flip_events[0]
+        region = pipeline["region"]
+        foreign = Region(
+            dict(region.support), {**region.signature, flip: Interaction.OUT}
+        )
+        path = pipeline["tmp"] / "foreign.wit"
+        path.write_text(line_by_line([WitnessRecord(foreign, (instance.target_atom,))]))
+        code, out, err = run(capsys, "extract", str(path), pipeline["instance"])
+        assert (code, out) == (4, "")
+        assert err.startswith("witness fails the construction's forced-shape checks:\n")
+        assert "region-domain: region" in err
+
     def test_tampered_instance_file_rejected(self, capsys, pipeline):
         text = open(pipeline["instance"]).read()
         lines = text.splitlines()
@@ -762,3 +788,22 @@ class TestUsage:
         assert run(capsys, command, *operands, "--type", "nop,bogus") == (
             2, "", "error: unknown interaction 'bogus'\n"
         )
+
+    def test_an_unwritable_output_is_a_usage_error(
+        self, capsys, battery_files, tmp_path
+    ):
+        missing = tmp_path / "no-such-dir" / "a1.net"
+        code, out, err = run(
+            capsys, "synth", battery_files["a1"], "--type", TAU_SPEC, "-o", str(missing)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {missing}: No such file or directory\n"
+
+    def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch, battery_files):
+        monkeypatch.setattr(
+            sys, "argv", ["boolsynth", "iso", battery_files["a1"], battery_files["a1"]]
+        )
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("boolsynth", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == "isomorphic\n"

@@ -216,8 +216,8 @@ class TestNetText:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("", "expected a 'net' header"),
-            ("type nop\n", "expected a 'net' header"),
+            ("", "no 'net' header found"),
+            ("type nop\n", "line 1: expected a 'net' header before 'type nop'"),
             ("# a net\n\nnet x y\n", "line 3: 'net' takes at most a name"),
             ("net\ntype nop\ntype nop\n", "line 3: duplicate 'type' line"),
             ("net\ntype nop,bogus\n", "line 2: unknown interaction 'bogus'"),
@@ -244,6 +244,11 @@ class TestNetText:
             ),
             ("net\ntype nop\nflow p t zzz\n", "line 3: unknown interaction 'zzz'"),
             ("net\ntype nop\nedge p t\n", "line 3: unknown item 'edge'"),
+            ("# a net\nnet\nplace p 0\n", "line 2: net lacks a 'type' line"),
+            (
+                "net\ntype nop\nplace p 0\ntransition t\n",
+                "line 1: flow is not total: missing ('p', 't')",
+            ),
         ],
         ids=[
             "empty",
@@ -259,6 +264,8 @@ class TestNetText:
             "duplicate-flow",
             "flow-interaction",
             "unknown-item",
+            "no-type",
+            "partial-flow",
         ],
     )
     def test_malformed_text_gets_its_exact_message(self, text, message):
@@ -400,6 +407,21 @@ class TestCnfText:
         with pytest.raises(FormatError, match="exactly three times"):
             parse_cnf(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 3\n", "line 1: header must read 'p cnf13 <clauses>'"),
+            ("p cnf13 three\n", "line 1: clause count must be an integer"),
+            ("p cnf13 1\nx0 x1\n", "line 2: each clause names exactly three variables"),
+            ("c a comment only\n", "missing 'p cnf13' header"),
+        ],
+        ids=["header-tokens", "count-not-an-integer", "clause-arity", "no-header"],
+    )
+    def test_malformed_text_gets_its_exact_message(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_cnf(text)
+        assert str(caught.value) == message
+
 
 @pytest.fixture(scope="module")
 def instance():
@@ -445,6 +467,26 @@ class TestInstanceText:
         )
         with pytest.raises(FormatError, match="clause"):
             parse_instance(text + "\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# role family free\n", "line 1: role lines read '# role <name> = <values>'"),
+            (
+                "# role family = free\n# role clause_0 = a b\n",
+                "role clause_0 must name three variables",
+            ),
+            (
+                "# role family = free\n# role clause_0 = a b c\n",
+                "variables must occur exactly three times; violated by ['a', 'b', 'c']",
+            ),
+        ],
+        ids=["role-line", "clause-arity", "invalid-formula"],
+    )
+    def test_malformed_roles_get_their_exact_message(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_instance(text)
+        assert str(caught.value) == message
 
     def test_role_lines_survive_the_comment_stripper(self, instance):
         # role lines are comments to every other parser

@@ -43,6 +43,10 @@ class TestEffectTable:
     def test_apply_agrees_with_effect(self, interaction, tokens):
         assert interaction.apply(tokens) == EFFECT_TABLE[interaction][tokens]
 
+    def test_apply_takes_only_a_token_count(self):
+        with pytest.raises(ValueError, match="token count must be 0 or 1, got 2"):
+            Interaction.NOP.apply(2)
+
     def test_canonical_order(self):
         assert [i.value for i in INTERACTION_ORDER] == [
             "nop",
@@ -108,12 +112,21 @@ class TestParsing:
     def test_whitespace_and_case_tolerated(self):
         assert parse_interaction(" Swap ") is Interaction.SWAP
 
+    def test_repr_is_the_token(self):
+        assert repr(Interaction.OUT) == "out"
+        assert f"{[Interaction.NOP, Interaction.FREE]}" == "[nop, free]"
+
     def test_unknown_token_raises(self):
         with pytest.raises(ValueError):
             parse_interaction("sett")
 
 
 class TestNetType:
+    @pytest.mark.parametrize("text", ["", " , "])
+    def test_from_spec_rejects_an_empty_spec(self, text):
+        with pytest.raises(ValueError, match="empty net-type spec"):
+            NetType.from_spec(text)
+
     def test_from_spec_round_trip(self):
         tau = NetType.from_spec("nop, set , swap,free")
         assert tau.spec() == "nop,set,swap,free"
@@ -131,7 +144,7 @@ class TestNetType:
         assert len(tau) == 2
 
     def test_256_types_including_empty(self):
-        assert len(set(all_net_types(include_empty=True))) == 256
+        assert len(set(all_net_types()) | {NetType(frozenset())}) == 256
         assert len(set(all_net_types())) == 255
         assert all(not t.is_empty for t in all_net_types())
 
@@ -141,7 +154,7 @@ class TestNetType:
         require_usable(NetType.of(Interaction.NOP))  # no exception
 
     def test_complement_is_an_involution_on_types(self):
-        for tau in all_net_types(include_empty=True):
+        for tau in [NetType(frozenset()), *all_net_types()]:
             assert tau.complement().complement() == tau
 
     def test_iter_type_orders_canonically(self):

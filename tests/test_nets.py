@@ -69,6 +69,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="0/1"):
             single_place_net(Interaction.NOP, 2)
 
+    def test_duplicate_transitions_rejected(self):
+        with pytest.raises(ValueError, match="duplicate transition"):
+            BooleanNet(FULL, ("p",), ("t", "t"), {("p", "t"): Interaction.NOP}, {"p": 0})
+
+    def test_flow_outside_places_and_transitions_rejected(self):
+        flow = {("p", "t"): Interaction.NOP, ("q", "t"): Interaction.NOP}
+        with pytest.raises(ValueError, match="flow map has entries outside"):
+            BooleanNet(FULL, ("p",), ("t",), flow, {"p": 0})
+
+    def test_marking_outside_places_rejected(self):
+        with pytest.raises(ValueError, match="initial marking has entries outside"):
+            BooleanNet(FULL, ("p",), ("t",), {("p", "t"): Interaction.NOP}, {"p": 0, "q": 1})
+
 
 class TestFiring:
     @pytest.mark.parametrize("interaction", list(Interaction))
@@ -108,6 +121,11 @@ class TestFiring:
         )
         with pytest.raises(ValueError, match="not total"):
             fire(net, {"p": 0}, "t")
+
+    def test_non_binary_marking_rejected(self):
+        net = single_place_net(Interaction.NOP, 0)
+        with pytest.raises(ValueError, match="marking of place 'p' must be 0 or 1"):
+            fire(net, {"p": 2}, "t")
 
 
 class TestReachabilityGraph:
@@ -221,7 +239,7 @@ class TestSynthesize:
         try:
             synthesize(ts, TAU, [])
         except SynthesisError as err:
-            assert str(err.atom) == "ssp s0 s1"
+            assert str(err.atom) == "sp s0 s1"
 
     def test_infeasible_subject_cannot_be_synthesized(self, battery):
         ts = battery["a3"]  # state separation fails
@@ -382,6 +400,17 @@ class TestIsomorphism:
             [("y0", "a", "y1"), ("y0", "b", "y1"), ("y1", "b", "y2"), ("y1", "a", "y2"), ("y2", "a", "y3")],
         )
         assert is_isomorphic(first, second) is None
+
+    def test_a_target_already_mapped_elsewhere_breaks_isomorphism(self):
+        # x1 leads back to x0, but its image y1 loops on itself
+        cycle = TransitionSystem.build("x0", [("x0", "a", "x1"), ("x1", "a", "x0")])
+        lasso = TransitionSystem.build("y0", [("y0", "a", "y1"), ("y1", "a", "y1")])
+        assert is_isomorphic(cycle, lasso) is None
+
+    def test_unreachable_states_of_equal_count_break_isomorphism(self):
+        arcs = [("t0", "a", "t1"), ("t1", "a", "t0")]
+        padded = TransitionSystem.build("t0", arcs, states=["t0", "t1", "island"])
+        assert is_isomorphic(padded, padded) is None
 
     def test_unreachable_states_break_isomorphism(self, battery):
         padded = TransitionSystem.build(

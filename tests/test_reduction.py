@@ -416,6 +416,16 @@ class TestVerifierGuards:
         report = verify_inhibiting_region(inst, tau, broken)
         assert any(v.code == "flip-signature" for v in report.violations)
 
+    def test_swap_on_a_steady_event_flagged(self, good):
+        inst, tau, region = good
+        hold = inst.roles.hold_events[0]
+        broken = Region(
+            dict(region.support), {**region.signature, hold: Interaction.SWAP}
+        )
+        report = verify_inhibiting_region(inst, tau, broken)
+        steady = ("steady-signature", hold, "must not carry swap")
+        assert steady in {(v.code, v.subject, v.detail) for v in report.violations}
+
     def test_foreign_region_domain_flagged(self, good, battery):
         inst, tau, _ = good
         foreign = Region({"s0": 0, "s1": 0, "s2": 0}, {"a": Interaction.NOP})
@@ -455,7 +465,7 @@ class TestExtractionGuards:
         with pytest.raises(FalsificationError) as caught:
             extract_model(inst, tampered)
         assert str(caught.value) == (
-            "target event carries Interaction.OUT, expected the freeness test"
+            "target event carries out, expected the freeness test"
         )
 
     def test_used_family_target_without_used_or_free_raises(self, phi3_used):
@@ -470,5 +480,5 @@ class TestExtractionGuards:
         with pytest.raises(FalsificationError) as caught:
             extract_model(phi3_used, tampered)
         assert str(caught.value) == (
-            "target event carries Interaction.INP, expected usedness or freeness"
+            "target event carries inp, expected usedness or freeness"
         )

@@ -5,6 +5,7 @@ tracer still finds every function it patches."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,22 @@ def test_battery_report_tallies_all_types(tmp_path):
         "verdict counts (ssp, essp): ('yes', 'yes')=96, ('yes', 'no')=96, "
         "('no', 'yes')=414, ('no', 'no')=414"
     )
+
+
+def test_untested_lines_lists_source_lines(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    completed = subprocess.run(
+        [sys.executable, str(SCRIPTS / "untested_lines.py"), "tests/test_interactions.py"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = completed.stdout.splitlines()
+    assert lines  # that one file leaves most of the package unrun
+    assert all(re.fullmatch(r"src/boolsynth/\w+\.py:[1-9]\d*", line) for line in lines)
 
 
 def test_bench_tracer_sees_a_sat_check(monkeypatch):

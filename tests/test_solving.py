@@ -115,7 +115,7 @@ class TestAtomEnumeration:
         assert list(essp_atoms(battery["a1"])) == []
 
     def test_atom_renderings(self):
-        assert str(StatePairAtom("x", "y")) == "ssp x y"
+        assert str(StatePairAtom("x", "y")) == "sp x y"
         assert str(EventStateAtom("e", "s")) == "essp e s"
 
 
@@ -452,14 +452,14 @@ class TestSupportSweep:
             systems += 1
             for tau in rng.sample(types, 3):
                 problem = solving._Problem(ts, tau)
-                swept = list(solving._admissible_supports(problem, None))
+                swept = list(solving._admissible_supports(problem, None, []))
                 assert swept == naive_supports(problem), (ts.arcs, tau.spec())
 
     def test_eighteen_states_agree_with_sat_across_windows(self):
         ts = net_graph_18()
         assert len(ts.states) == 18
         problem = solving._Problem(ts, TAU)
-        swept = list(solving._admissible_supports(problem, None))
+        swept = list(solving._admissible_supports(problem, None, []))
         assert swept == naive_supports(problem)
         assert len({support >> solving._WINDOW_BITS for support in swept}) > 1
         for tau in [TAU, *list(all_net_types())[::5]]:
@@ -1121,18 +1121,20 @@ class TestAssignWitnesses:
     def test_property_selection_flags(self):
         ts = mixed_ts()
         regions = check_feasibility(ts, FULL).regions
-        only_ssp = witness_atoms(
-            ts, assign_witnesses(ts, FULL, regions, want_essp=False)
-        )
+        only_ssp = witness_atoms(ts, assign_witnesses(ts, FULL, regions, "ssp"))
         assert only_ssp and all(
             isinstance(atom, StatePairAtom) for atom, _ in only_ssp
         )
-        only_essp = witness_atoms(
-            ts, assign_witnesses(ts, FULL, regions, want_ssp=False)
-        )
+        only_essp = witness_atoms(ts, assign_witnesses(ts, FULL, regions, "essp"))
         assert only_essp and all(
             isinstance(atom, EventStateAtom) for atom, _ in only_essp
         )
+
+    def test_an_unknown_property_is_rejected(self):
+        ts = mixed_ts()
+        regions = check_feasibility(ts, FULL).regions
+        with pytest.raises(ValueError, match="unknown property 'sp'"):
+            assign_witnesses(ts, FULL, regions, "sp")
 
 
 def settles(region, atom) -> bool:
@@ -1168,18 +1170,16 @@ class TestCoverageReplay:
     @pytest.mark.parametrize("seed", range(40))
     def test_assign_witnesses_matches_a_naive_scan(self, seed):
         subject, tau, regions = sampled_pool(seed)
-        for want_ssp, want_essp in ((True, True), (True, False), (False, True)):
-            atoms = (list(ssp_atoms(subject)) if want_ssp else []) + (
-                list(essp_atoms(subject)) if want_essp else []
+        for property_name in ("feasible", "ssp", "essp"):
+            atoms = (list(ssp_atoms(subject)) if property_name != "essp" else []) + (
+                list(essp_atoms(subject)) if property_name != "ssp" else []
             )
             expected = []
             for atom in atoms:
                 first = next((r for r in regions if settles(r, atom)), None)
                 if first is not None:
                     expected.append((atom, id(first)))
-            rows = assign_witnesses(
-                subject, tau, regions, want_ssp=want_ssp, want_essp=want_essp
-            )
+            rows = assign_witnesses(subject, tau, regions, property_name)
             records = witness_atoms(subject, rows)
             assert [(atom, id(region)) for atom, region in records] == expected
 
@@ -1452,9 +1452,10 @@ class TestResign:
             bits = sum(problem.state_bit(problem.index.state_pos[s]) for s in states)
             coverage.uncovered[problem.index.event_pos[event]] &= ~bits
         picks = {event: Interaction(name) for event, name in (picks or {}).items()}
-        allowed = problem.allowed_at(support_bits(problem, self.SUPPORT))
+        bits = support_bits(problem, self.SUPPORT)
+        allowed = problem.allowed_at(bits)
         coverage.resign(self.SUPPORT, picks, allowed)
-        problem.region(self.SUPPORT, picks, allowed)  # raises unless admissible
+        problem.region(bits, picks, allowed)  # raises unless admissible
         return {event: interaction.value for event, interaction in picks.items()}
 
     def test_events_get_the_partial_with_the_most_pending_states(self):
@@ -1506,9 +1507,10 @@ class TestDecode:
             region = decode(ctx, forced, coverage)
             support = ctx.problem.support_int_of(region)
             picks = dict(forced)
-            allowed = ctx.problem.allowed_at(support_bits(ctx.problem, support))
+            bits = support_bits(ctx.problem, support)
+            allowed = ctx.problem.allowed_at(bits)
             before.resign(support, picks, allowed)
-            assert region == ctx.problem.region(support, picks, allowed)
+            assert region == ctx.problem.region(bits, picks, allowed)
             decoded.append(region)
             return region
 

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from boolsynth import (
     Arc,
     NetType,
+    Report,
     TransitionSystem,
     TsUnion,
+    Violation,
     check_join_preconditions,
     check_ssp,
     grade,
@@ -287,7 +289,13 @@ class TestJoinPreconditions:
         return TsUnion.of(two_cycle("i0", "x0", "h0"), two_cycle("i1", "x1", "h1"))
 
     def test_good_union_passes(self):
-        assert check_join_preconditions(self.good_union()).ok
+        report = check_join_preconditions(self.good_union())
+        assert report.ok and report and str(report) == "ok"
+
+    def test_a_report_lists_its_violations(self):
+        report = Report((Violation("a", "x", "why"), Violation("b", "y")))
+        assert not report
+        assert str(report) == "a: x (why); b: y"
 
     def test_event_enabled_everywhere_flagged(self):
         union = TsUnion.of(two_cycle("i0", "x0", "h0"))
