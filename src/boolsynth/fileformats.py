@@ -185,7 +185,7 @@ def parse_net(text: str) -> BooleanNet:
     net_type: Optional[NetType] = None
     places: dict[str, int] = {}
     transitions: dict[str, None] = {}
-    flow: dict[tuple[str, str], object] = {}
+    flow: dict[tuple[str, str], tuple[int, Interaction]] = {}  # (line, interaction)
     for number, line in lines[1:]:
         tokens = line.split()
         kind = tokens[0]
@@ -215,19 +215,24 @@ def parse_net(text: str) -> BooleanNet:
             if key in flow:
                 raise _fail(number, f"duplicate flow entry {key!r}")
             try:
-                flow[key] = parse_interaction(tokens[3])
+                flow[key] = (number, parse_interaction(tokens[3]))
             except ValueError as exc:
                 raise _fail(number, str(exc)) from None
         else:
             raise _fail(number, f"unknown item {kind!r}")
     if net_type is None:
         raise _fail(header_number, "net lacks a 'type' line")
+    for (place, transition), (number, _) in flow.items():
+        if place not in places:
+            raise _fail(number, f"flow names undeclared place {place!r}")
+        if transition not in transitions:
+            raise _fail(number, f"flow names undeclared transition {transition!r}")
     try:
         return BooleanNet(
             net_type=net_type,
             places=tuple(places),
             transitions=tuple(transitions),
-            flow=flow,  # type: ignore[arg-type]
+            flow={key: interaction for key, (_, interaction) in flow.items()},
             initial_marking=places,
             name=name,
         )

@@ -89,35 +89,24 @@ def fire(
     return successor
 
 
-class _FiringMasks:
-    """Integer-mask compilation of one transition's column of the flow map,
-    read off each place's ``Interaction.effect``."""
-
-    __slots__ = ("need_one", "need_zero", "one_from_0", "one_from_1")
-
-    def __init__(self, net: BooleanNet, transition: str, bit_of: Dict[str, int]):
-        self.need_one = 0  # places whose interaction is undefined at 0
-        self.need_zero = 0  # places whose interaction is undefined at 1
-        self.one_from_0 = 0  # places whose interaction maps 0 to 1
-        self.one_from_1 = 0  # places whose interaction maps 1 to 1
-        for place in net.places:
-            mask = bit_of[place]
-            on0, on1 = net.flow[(place, transition)].effect
-            if on0 is None:
-                self.need_one |= mask
-            elif on0:
-                self.one_from_0 |= mask
-            if on1 is None:
-                self.need_zero |= mask
-            elif on1:
-                self.one_from_1 |= mask
-
-    def successor(self, marking: int) -> Optional[int]:
-        if marking & self.need_one != self.need_one:
-            return None
-        if marking & self.need_zero:
-            return None
-        return marking & self.one_from_1 | ~marking & self.one_from_0
+def _compile(net: BooleanNet) -> tuple[int, list[tuple[str, int, int, int, int]]]:
+    """The initial marking as an int (first place = most significant bit)
+    and, per transition, four place masks read off each place's
+    ``Interaction.effect``: where it is undefined at 0, where it is undefined
+    at 1, where it maps 0 to 1, and where it maps 1 to 1."""
+    start = 0
+    columns = {t: [0, 0, 0, 0] for t in net.transitions}
+    for k, place in enumerate(reversed(net.places)):
+        bit = 1 << k
+        if net.initial_marking[place]:
+            start |= bit
+        for transition, masks in columns.items():
+            for a, image in enumerate(net.flow[(place, transition)].effect):
+                if image is None:
+                    masks[a] |= bit
+                elif image:
+                    masks[2 + a] |= bit
+    return start, [(t, *masks) for t, masks in columns.items()]
 
 
 def _marking_name(marking: int, width: int) -> str:
@@ -129,12 +118,7 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
     one. States are named by the marking's bit vector over the place order;
     the event set keeps only transitions that fire at least once."""
     width = len(net.places)
-    bit_of = {p: 1 << (width - 1 - k) for k, p in enumerate(net.places)}
-    columns = [(t, _FiringMasks(net, t, bit_of)) for t in net.transitions]
-    start = 0
-    for place, bit in net.initial_marking.items():
-        if bit:
-            start |= bit_of[place]
+    start, columns = _compile(net)
     names = {start: _marking_name(start, width)}  # in BFS order
     queue = [start]
     arcs: list[Arc] = []
@@ -144,10 +128,10 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
         marking = queue[head]
         head += 1
         source = names[marking]
-        for transition, column in columns:
-            successor = column.successor(marking)
-            if successor is None:
+        for transition, undef_0, undef_1, one_from_0, one_from_1 in columns:
+            if ~marking & undef_0 or marking & undef_1:
                 continue
+            successor = marking & one_from_1 | ~marking & one_from_0
             fired.setdefault(transition, None)
             target = names.get(successor)
             if target is None:
@@ -199,19 +183,17 @@ def synthesize(
     The witness set must jointly settle every state-separation and
     event-inhibition requirement of ``subject`` (raises
     :class:`SynthesisError` naming the first unsolved one otherwise). The
-    distinct witnesses are then tried in sorted key order
-    (:func:`_region_order`), and each one whose requirements the others kept
-    settle too is dropped (:func:`~boolsynth.solving.irredundant`), so no
-    place can be removed.
+    witnesses are then tried in sorted key order (:func:`_region_order`),
+    and each one whose requirements the others kept settle too is dropped
+    (:func:`~boolsynth.solving.irredundant`), so no place can be removed and
+    of two equal witnesses only the later one stays.
     """
     require_usable(tau)
-    key = _region_order(subject)
-    distinct: dict[bytes, Region] = {}
-    for region in witnesses:
+    regions = list(witnesses)
+    for region in regions:
         if not validate_region(subject, tau, region):
             raise ValueError("witness is not an admissible region of the input")
-        distinct.setdefault(key(region), region)
-    regions = [distinct[key] for key in sorted(distinct)]
+    regions.sort(key=_region_order(subject))
     unsettled = first_unsettled(subject, tau, regions)
     if unsettled is not None:
         raise SynthesisError(unsettled)

@@ -109,11 +109,11 @@ def _check_keys(
 
 
 def _check_support(states: Sequence[str], support: Mapping) -> None:
-    """Raise unless ``support`` maps exactly ``states``, each to a bit."""
+    """Raise unless ``support`` maps exactly ``states``, each to an int bit."""
     _check_keys("support", "states", states, support)
-    if not set(support.values()) <= {0, 1}:
-        state = next(s for s in states if support[s] not in (0, 1))
-        raise RegionDomainError(f"support of {state!r} is not a bit")
+    for state in states:
+        if not isinstance(support[state], int) or support[state] not in (0, 1):
+            raise RegionDomainError(f"support of {state!r} is not a bit")
 
 
 def _check_domains(subject: Subject, tau: NetType, region: Region) -> None:

@@ -175,9 +175,6 @@ class SatSolver:
         if deadline is not None and time.monotonic() > deadline:
             return None
         self._backtrack(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return False
         self.ensure_vars(max(map(abs, assumptions), default=0))
         assume = [lit * 2 if lit > 0 else 1 - lit * 2 for lit in assumptions]
         val = self._val

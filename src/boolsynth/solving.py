@@ -466,12 +466,12 @@ def irredundant(
 
     Each state has a code whose bit j is its value in region j: region j
     separates nothing the others do not iff clearing bit j leaves as many
-    distinct codes in each member. Each event has a bit-sliced count (plane
-    k holds bit k) per state of the regions inhibiting it there: region j
-    inhibits nothing the others do not iff every state it inhibits counts
-    two or more. Dropping a region clears its bit and subtracts it from the
-    counts, so two regions that are each redundant alone are never both
-    dropped."""
+    distinct codes in each member. Region j inhibits nothing the others do
+    not iff, for each event, the regions kept before j or those after j
+    inhibit it at every state j does, which per-event OR masks over the kept
+    and over the later regions answer. A dropped region clears its bit and
+    joins neither mask, so two regions that are each redundant alone are
+    never both dropped."""
     problem = _Problem(subject, tau)
     n, full = problem.n, problem.full
     enabled = problem.index.enabled_mask
@@ -480,47 +480,42 @@ def irredundant(
     # region; reversed, it reads as a code whose bit j is region j.
     columns = zip(*(format(support, f"0{n}b") for support in supports))
     codes = [int("".join(column)[::-1], 2) for column in columns] or [0] * n
-    planes: list[list[int]] = [[] for _ in problem.events]
-    # Per region, (event position, the states it inhibits the event at).
-    inhibits: list[list[tuple[int, int]]] = []
+    # Per region, per event position, the states it inhibits the event at.
+    inhibits: list[list[int]] = []
     for region, support in zip(regions, supports):
         at = (support ^ full, support)  # the states holding 0, 1
         row = []
         for e, event in enumerate(problem.events):
             bit = UNDEFINED_AT.get(region.signature[event])
-            carry = 0 if bit is None else at[bit] & ~enabled[e]
-            if carry:
-                row.append((e, carry))
-                counts = planes[e]
-                for k, plane in enumerate(counts):
-                    counts[k], carry = plane ^ carry, plane & carry
-                if carry:
-                    counts.append(carry)
+            row.append(0 if bit is None else at[bit] & ~enabled[e])
         inhibits.append(row)
+    # after[j]: per event, the states some region after j inhibits it at.
+    after = [[0] * len(problem.events)]
+    for row in inhibits[:0:-1]:
+        after.append(list(map(int.__or__, after[-1], row)))
+    after.reverse()
     members = [
         list(_positions(block, n)) for block in _Coverage(problem, True, False).blocks
     ]
     distinct = [len({codes[pos] for pos in member}) for member in members]
     kept: list[Region] = []
+    kept_inhibit = [0] * len(problem.events)
     for j, region in enumerate(regions):
         clear = ~(1 << j)
-        # Kept if it inhibits a state counted once, or clearing its bit merges
-        # two codes of one member.
+        # Kept if it inhibits an event at a state no kept or later region does,
+        # or clearing its bit merges two codes of one member.
         if any(
-            mask & ~functools.reduce(int.__or__, planes[e][1:], 0)
-            for e, mask in inhibits[j]
+            mask & ~(before | later)
+            for mask, before, later in zip(inhibits[j], kept_inhibit, after[j])
         ) or any(
             len({codes[pos] & clear for pos in member}) < count
             for member, count in zip(members, distinct)
         ):
             kept.append(region)
+            kept_inhibit = list(map(int.__or__, kept_inhibit, inhibits[j]))
             continue
         for pos in _positions(supports[j], n):
             codes[pos] &= clear
-        for e, borrow in inhibits[j]:
-            counts = planes[e]
-            for k, plane in enumerate(counts):
-                counts[k], borrow = plane ^ borrow, ~plane & borrow
     return kept
 
 

@@ -249,6 +249,14 @@ class TestNetText:
                 "net\ntype nop\nplace p 0\ntransition t\n",
                 "line 1: flow is not total: missing ('p', 't')",
             ),
+            (
+                "net\ntype nop\nplace p 0\ntransition t\nflow p t nop\nflow q t nop\n",
+                "line 6: flow names undeclared place 'q'",
+            ),
+            (
+                "net\ntype nop\nflow p u nop\nplace p 0\ntransition t\n",
+                "line 3: flow names undeclared transition 'u'",
+            ),
         ],
         ids=[
             "empty",
@@ -266,6 +274,8 @@ class TestNetText:
             "unknown-item",
             "no-type",
             "partial-flow",
+            "undeclared-place",
+            "undeclared-transition",
         ],
     )
     def test_malformed_text_gets_its_exact_message(self, text, message):

@@ -179,6 +179,41 @@ class TestReachabilityGraph:
                 }
                 assert graph.successors[state] == steps, (first, second, p, q)
 
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_agreement_with_fire_on_random_nets(self, data):
+        # Nets of 3-6 places and 1-4 transitions under a random type and
+        # initial marking: the graph's states are the markings ``fire``
+        # reaches from the initial one, and its arcs are exactly the steps
+        # ``fire`` takes from them.
+        allowed = data.draw(st.sets(st.sampled_from(list(Interaction)), min_size=1))
+        places = tuple(f"p{k}" for k in range(data.draw(st.integers(3, 6))))
+        transitions = tuple(f"t{k}" for k in range(data.draw(st.integers(1, 4))))
+        choices = st.sampled_from(sorted(allowed, key=lambda i: i.value))
+        flow = {(p, t): data.draw(choices) for p in places for t in transitions}
+        initial = {p: data.draw(st.integers(0, 1)) for p in places}
+        net = BooleanNet(NetType(frozenset(allowed)), places, transitions, flow, initial)
+
+        def name(marking):
+            return "m" + "".join(str(marking[p]) for p in places)
+
+        reached, queue, steps = {name(initial)}, [initial], set()
+        while queue:
+            marking = queue.pop()
+            for transition in transitions:
+                successor = fire(net, marking, transition)
+                if successor is None:
+                    continue
+                steps.add((name(marking), transition, name(successor)))
+                if name(successor) not in reached:
+                    reached.add(name(successor))
+                    queue.append(successor)
+        graph = reachability_graph(net)
+        assert graph.initial == name(initial)
+        assert set(graph.states) == reached
+        assert set(graph.arcs) == steps
+        assert set(graph.events) == {t for _, t, _ in steps}
+
 
     def test_ts_text_is_pinned_for_markings_reached_out_of_order(self):
         # BFS from m00 reaches m10 before m01, and u fires before t.

@@ -202,7 +202,7 @@ class TestValidateRegionAgainstArcs:
             message = "support names unknown states ['zz']"
         elif kind == "not a bit":
             state = data.draw(st.sampled_from(states))
-            support[state] = data.draw(st.sampled_from([2, -1, 255, 256]))
+            support[state] = data.draw(st.sampled_from([2, -1, 255, 256, 1.0, 0.0]))
             message = f"support of {state!r} is not a bit"
         elif kind == "missing event":
             gone = data.draw(st.sampled_from(events))

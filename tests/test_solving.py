@@ -528,9 +528,15 @@ def arc_mix(rng: random.Random) -> TransitionSystem:
 
 def dimacs_reference(ctx) -> SatSolver:
     """A solver with the consistency CNF of ``ctx`` loaded clause by clause
-    in DIMACS literals, by the rule that
-    ``TestConsistencyCnf.test_loaded_solver_matches_a_dimacs_reference_for_every_type``
-    states."""
+    in DIMACS literals, by the rule of ``_consistency_clauses``'s docstring: at
+    least one interaction per event; per arc and interaction, per pattern
+    (a, b) in ascending order that the interaction cannot follow (its image
+    of a is not b), the interaction is not selected, or the source is not a,
+    or the target is not b. The clause keeps only its source side if
+    (a, not b) is ruled out too, and only its target side if (not a, b) is;
+    repeats are dropped. On a self-loop a clause equal to one loaded before
+    for the arc is dropped too, and the solver's normaliser drops a
+    tautology and merges a repeated literal."""
     problem = ctx.problem
     reference = SatSolver(decision_vars=problem.n)
     reference.ensure_vars(ctx.solver.num_vars)
@@ -580,51 +586,9 @@ class TestConsistencyCnf:
         for tau in all_net_types():
             problem = solving._Problem(ts, tau)
             ctx = solving._SatContext(problem)
-            # The docstring's table rule in DIMACS literals: at least one
-            # interaction per event; per arc and interaction, per pattern
-            # (a, b) in ascending order that the interaction cannot follow
-            # (its image of a is not b), the interaction is not selected, or
-            # the source is not a, or the target is not b. The clause keeps
-            # only its source side if (a, not b) is ruled out too, and only
-            # its target side if (not a, b) is; repeats are dropped. On a
-            # self-loop a clause equal to one loaded before for the arc is
-            # dropped too, and the solver's normaliser drops a tautology and
-            # merges a repeated literal.
-            reference = SatSolver(decision_vars=problem.n)
-            reference.ensure_vars(ctx.solver.num_vars)
-            for sels in ctx.sel_var:
-                reference.add_clause(list(sels))
-            for sels, arcs in zip(ctx.sel_var, problem.index.arcs_by_event):
-                for src, dst in arcs:
-                    s, d = ctx.sup_var[src], ctx.sup_var[dst]
-                    for sel, interaction in zip(sels, problem.tau_list):
-                        out = [
-                            (a, b)
-                            for a in (0, 1)
-                            for b in (0, 1)
-                            if interaction.effect[a] != b
-                        ]
-                        sides = []  # (a or None, b or None) per clause
-                        for a, b in out:
-                            if (a, 1 - b) in out:
-                                side = (a, None)
-                            elif (1 - a, b) in out:
-                                side = (None, b)
-                            else:
-                                side = (a, b)
-                            if side not in sides:
-                                sides.append(side)
-                        loaded = []
-                        for a, b in sides:
-                            clause = [-sel]
-                            if a is not None:
-                                clause.append(-s if a else s)
-                            if b is not None:
-                                clause.append(-d if b else d)
-                            if set(clause) not in loaded:
-                                loaded.append(set(clause))
-                                reference.add_clause(clause)
-            assert solver_state(ctx.solver) == solver_state(reference), tau.spec()
+            assert solver_state(ctx.solver) == solver_state(
+                dimacs_reference(ctx)
+            ), tau.spec()
             single += len(problem.tau_list) == 1
         assert single == 8
 
@@ -1287,6 +1251,30 @@ class TestIrredundant:
         assert settled(kept) == settled(regions)
         for k in range(len(kept)):
             assert settled(kept[:k] + kept[k + 1 :]) < settled(kept)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_a_greedy_replay(self, seed):
+        # The reference drops region j iff the regions kept before it plus
+        # those after it settle as much as they do with j. Behind the sample
+        # come both engines' whole pools, so regions repeat and overlap.
+        subject, tau, regions = sampled_pool(seed)
+        regions += [
+            region
+            for engine in ENGINES
+            for region in check_feasibility(subject, tau, engine=engine).regions
+        ]
+
+        def settled(pool):
+            rows = assign_witnesses(subject, tau, pool)
+            return {atom for atom, _ in witness_atoms(subject, rows)}
+
+        expected = []
+        for j, region in enumerate(regions):
+            later = regions[j + 1 :]
+            if settled(expected + later) != settled(expected + [region] + later):
+                expected.append(region)
+        kept = solving.irredundant(subject, tau, regions)
+        assert [id(r) for r in kept] == [id(r) for r in expected]
 
 
 class TestExhaustivePoolPins:
