@@ -15,6 +15,7 @@ code is pytest's, whose own report goes to stderr.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 import sys
@@ -38,24 +39,30 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+class LineSet(set):
+    """The lines of one source file that ran, and the local trace function
+    of its frames. One per file, so tracing a call makes no object: a
+    closure per call that returns itself would be a reference cycle, and the
+    library runs its engine with the cyclic garbage collector paused."""
+
+    def __call__(self, frame, event, arg):
+        if event == "line":
+            self.add(frame.f_lineno)
+        return self
+
+
 def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """Run pytest in this process; returns its exit code and, per source
     file of the package, the lines that ran."""
     prefix = str(PACKAGE) + os.sep
-    ran: dict[str, set[int]] = {}
+    ran: dict[str, set[int]] = collections.defaultdict(LineSet)
 
     def on_call(frame, event, arg):
         if not frame.f_code.co_filename.startswith(prefix):
             return None  # no line events outside the package
-        lines = ran.setdefault(frame.f_code.co_filename, set())
+        lines = ran[frame.f_code.co_filename]
         lines.add(frame.f_lineno)
-
-        def on_line(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return on_line
-
-        return on_line
+        return lines
 
     sys.settrace(on_call)
     try:

@@ -34,7 +34,7 @@ from .interactions import INTERACTION_ORDER, Interaction, NetType, parse_interac
 from .nets import BooleanNet
 from .reduction import CubicCnf, GadgetInstance, build_instance
 from .regions import Region, parse_family
-from .solving import Atom, EventStateAtom, StatePairAtom
+from .solving import Atom, EventStateAtom, StatePairAtom, collector_paused
 from .ts import DIGIT_BITS, Subject, TransitionSystem, TsUnion
 
 
@@ -279,6 +279,7 @@ def format_witnesses(subject: Subject, rows: Iterable[tuple]) -> str:
     return "".join(parts)
 
 
+@collector_paused
 def parse_witnesses(text: str) -> list[WitnessRecord]:
     """The records of a witness text, read in one scan: each line is split
     once (comments cut first, if the text has any), and a ``sig`` line's

@@ -92,11 +92,17 @@ it keeps settle too.
 For a fixed subject the two engines agree on all verdicts and report the
 same (canonically first) counterexample; only the witnessing regions may
 differ.
+
+The sat engine and witness parsing run with the cyclic garbage collector
+paused (``collector_paused``): what they build holds no reference cycle, and
+a cycle made during the pause is collected after it. The collector's state
+is process-wide, so concurrent calls from threads are not supported.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -730,6 +736,23 @@ def _exhaustive_check(
 # ------------------------------------------------------------ propositional
 
 
+def collector_paused(func: Callable) -> Callable:
+    """``func`` with the cyclic garbage collector off until it has returned
+    and its frame is freed, then put back as it was (hence a decorator)."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 class _SatContext:
     """Incremental CNF encoding of region admissibility for one subject and
     net type. Individual requirements are decided under assumptions, so the
@@ -912,6 +935,7 @@ def _clause_rows(ruled_out: tuple[tuple[int, ...], ...]) -> tuple[Callable, ...]
     return tuple_getter(pairs), tuple_getter(loop_pairs), tuple_getter(triples)
 
 
+@collector_paused
 def _sat_check(
     problem: _Problem,
     coverage: _Coverage,
@@ -1024,6 +1048,7 @@ def solve_atom(
     return pool[0] if pool else None
 
 
+@collector_paused
 def enumerate_inhibiting_regions(
     subject: Subject,
     tau: NetType,

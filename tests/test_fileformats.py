@@ -3,6 +3,7 @@ and the tamper check on regenerated instance files."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from boolsynth import (
     check_feasibility,
     synthesize,
 )
+from boolsynth import fileformats
 from boolsynth.fileformats import (
     FormatError,
     WitnessRecord,
@@ -377,6 +379,26 @@ class TestWitnessText:
         with pytest.raises(FormatError) as caught:
             parse_witnesses(text)
         assert str(caught.value) == message
+
+    def test_parsing_runs_with_the_collector_paused(self, monkeypatch):
+        # Its atom records hold no reference cycle; the collector comes back
+        # on after a parse, and after a malformed text too.
+        seen = []
+
+        def spy(first, second):
+            seen.append(gc.isenabled())
+            return StatePairAtom(first, second)
+
+        monkeypatch.setattr(fileformats, "StatePairAtom", spy)
+        assert gc.isenabled()
+        records = parse_witnesses("region\nsup s0 1\natom sp s0 s1\n")
+        assert records[0].atoms == (StatePairAtom("s0", "s1"),)
+        assert seen == [False]
+        assert gc.isenabled()
+        with pytest.raises(FormatError):
+            parse_witnesses("region\natom sp s0 s1\nedge a\n")
+        assert seen == [False, False]
+        assert gc.isenabled()
 
 
 class TestCnfText:

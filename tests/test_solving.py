@@ -5,8 +5,10 @@ cross-checked against the brute-force oracle from conftest."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -896,6 +898,124 @@ class TestProgressGuards:
             check(mixed_ts(), FULL, engine="sat")
 
 
+@pytest.fixture
+def collector_on():
+    """The cyclic garbage collector enabled for the test, and left after it
+    as it was found."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not enabled:
+        gc.disable()
+
+
+def watch_the_solvers(monkeypatch) -> list:
+    """Spy on ``SatSolver.solve``: each call appends whether the collector
+    was on, and a weak reference to the solver."""
+    seen = []
+    solve = SatSolver.solve
+
+    def spy(solver, assumptions=(), deadline=None):
+        seen.append((gc.isenabled(), weakref.ref(solver)))
+        return solve(solver, assumptions, deadline)
+
+    monkeypatch.setattr(SatSolver, "solve", spy)
+    return seen
+
+
+#: Every public call that runs the propositional engine on ``mixed_ts()``.
+SAT_ENGINE_CALLS = {
+    "check": lambda: check_ssp(mixed_ts(), FULL, engine="sat"),
+    "solve_atom": lambda: solve_atom(
+        mixed_ts(), FULL, EventStateAtom("a", "q"), engine="sat"
+    ),
+    "enumerate": lambda: enumerate_inhibiting_regions(
+        mixed_ts(), FULL, "a", "q", engine="sat", limit=2
+    ),
+}
+
+
+class TestCollectorPause:
+    """The propositional engine runs with the cyclic garbage collector off,
+    until its solver is freed, and then leaves it as it found it. Reference
+    counting frees everything the engine makes, which is what makes the
+    pause safe."""
+
+    def test_the_engine_makes_no_reference_cycles(self, monkeypatch):
+        gc.collect()
+        gc.disable()
+        try:
+            for family in Family:
+                inst = build_instance(PHI_SAT, family)
+                tau = family.base_type
+                assert check_feasibility(inst.ts, tau, engine="sat").holds
+                assert solve_atom(inst.ts, tau, inst.target_atom, engine="sat")
+                atom = inst.target_atom
+                regions = enumerate_inhibiting_regions(
+                    inst.ts, tau, atom.event, atom.state, engine="sat", limit=3
+                )
+                assert len(regions) == 3
+            # A budget that runs out at the fifth query.
+            answers = []
+            solve = SatSolver.solve
+
+            def expiring(solver, assumptions=(), deadline=None):
+                if len(answers) == 4:
+                    return None
+                answers.append(solve(solver, assumptions, deadline))
+                return answers[-1]
+
+            monkeypatch.setattr(SatSolver, "solve", expiring)
+            result = check_feasibility(inst.ts, tau, engine="sat")
+            assert result.outcome == "inconclusive"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", SAT_ENGINE_CALLS.values(), ids=SAT_ENGINE_CALLS)
+    def test_the_solver_runs_paused_and_is_freed_on_return(
+        self, call, monkeypatch, collector_on
+    ):
+        seen = watch_the_solvers(monkeypatch)
+        assert call()
+        assert seen
+        assert not any(enabled for enabled, _ in seen)
+        assert all(solver() is None for _, solver in seen)
+        assert gc.isenabled()
+
+    def test_the_collector_comes_back_after_a_spent_budget(
+        self, monkeypatch, collector_on
+    ):
+        seen = watch_the_solvers(monkeypatch)
+        result = check_ssp(mixed_ts(), FULL, engine="sat", budget=0.0)
+        assert result.outcome == "inconclusive"
+        assert [enabled for enabled, _ in seen] == [False]
+        assert seen[0][1]() is None
+        assert gc.isenabled()
+        with pytest.raises(ResourceExhausted):
+            enumerate_inhibiting_regions(
+                mixed_ts(), FULL, "a", "q", engine="sat", limit=2, budget=0.0
+            )
+        assert gc.isenabled()
+
+    def test_the_collector_comes_back_after_an_engine_error(
+        self, monkeypatch, collector_on
+    ):
+        monkeypatch.setattr(solving._SatContext, "decode", unsettling_decode)
+        with pytest.raises(EngineError, match="leaves its query pending"):
+            check_ssp(mixed_ts(), FULL, engine="sat")
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("call", SAT_ENGINE_CALLS.values(), ids=SAT_ENGINE_CALLS)
+    def test_a_collector_switched_off_beforehand_stays_off(self, call):
+        gc.disable()
+        try:
+            assert call()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 def lax_allowed_at(problem, bits):
     """``_Problem.allowed_at`` gone wrong: every event may take any
     interaction of the type, whatever its arcs show."""
@@ -1127,6 +1247,18 @@ def sampled_pool(seed: int):
     return subject, tau, rng.sample(pool, rng.randint(0, len(pool)))
 
 
+def grown_pool(seed: int):
+    """``sampled_pool`` with both engines' whole pools behind the sample, so
+    that regions repeat and overlap and ``irredundant`` has some to drop."""
+    subject, tau, regions = sampled_pool(seed)
+    regions += [
+        region
+        for engine in ENGINES
+        for region in check_feasibility(subject, tau, engine=engine).regions
+    ]
+    return subject, tau, regions
+
+
 class TestCoverageReplay:
     """Witness assignment and synthesis replay regions through the engines'
     coverage tracker; naive per-atom scans over the same regions agree."""
@@ -1240,29 +1372,33 @@ class TestIrredundant:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_kept_regions_settle_what_the_pool_settles(self, seed):
-        subject, tau, regions = sampled_pool(seed)
+        subject, tau, regions = grown_pool(seed)
 
         def settled(pool):
             rows = assign_witnesses(subject, tau, pool)
             return {atom for atom, _ in witness_atoms(subject, rows)}
 
         kept = solving.irredundant(subject, tau, regions)
-        assert [id(r) for r in kept] == [id(r) for r in regions if r in kept]
+        kept_ids = {id(r) for r in kept}
+        assert [id(r) for r in kept] == [id(r) for r in regions if id(r) in kept_ids]
         assert settled(kept) == settled(regions)
         for k in range(len(kept)):
             assert settled(kept[:k] + kept[k + 1 :]) < settled(kept)
 
+    def test_some_grown_pool_loses_more_than_its_repeats(self):
+        # Kept regions are distinct, so fewer kept than distinct regions
+        # means a drop that is no exact repeat.
+        assert any(
+            len(solving.irredundant(subject, tau, regions))
+            < len({region.key() for region in regions})
+            for subject, tau, regions in map(grown_pool, range(40))
+        )
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_a_greedy_replay(self, seed):
         # The reference drops region j iff the regions kept before it plus
-        # those after it settle as much as they do with j. Behind the sample
-        # come both engines' whole pools, so regions repeat and overlap.
-        subject, tau, regions = sampled_pool(seed)
-        regions += [
-            region
-            for engine in ENGINES
-            for region in check_feasibility(subject, tau, engine=engine).regions
-        ]
+        # those after it settle as much as they do with j.
+        subject, tau, regions = grown_pool(seed)
 
         def settled(pool):
             rows = assign_witnesses(subject, tau, pool)
