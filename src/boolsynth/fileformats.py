@@ -1,10 +1,12 @@
 """Line-oriented text formats for every value the tooling passes around.
 
-All formats share the same conventions: one item per line, whitespace
-separated tokens, ``#`` starts a comment that runs to the end of the line
-(the formula format uses ``c`` lines instead, and instance files carry
-machine-readable ``# role`` comments). Parsers are strict about structure
-and forgiving about blank lines and comments.
+Every format but the instance roles is read through one tokenizer,
+``_token_lines``: lines are numbered as ``str.splitlines`` cuts them
+(``\\r\\n`` too), ``#`` starts a comment that runs to the end of the line,
+and the rest splits on any run of whitespace. Parsers skip lines with no
+tokens, a formula also its lines before the header whose first token starts
+with ``c``, and are strict about structure. Instance files carry ``# role``
+comments, which ``parse_instance`` scans for itself.
 
 Formats
 -------
@@ -28,9 +30,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .interactions import INTERACTION_ORDER, Interaction, NetType, parse_interaction
+from .interactions import Interaction, NetType, parse_interaction
 from .nets import BooleanNet
 from .reduction import CubicCnf, GadgetInstance, build_instance
 from .regions import Region, parse_family
@@ -42,14 +44,19 @@ class FormatError(ValueError):
     """Malformed input text; the message carries the line number."""
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, stripped content) for every non-blank, non-comment line."""
-    out: list[tuple[int, str]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((number, line))
-    return out
+def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) per line, comments cut. A plain iterator, not a
+    generator function: ``map`` splits the lines with no Python frame each."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = (raw.split("#", 1)[0] for raw in lines)
+    return enumerate(map(str.split, lines), start=1)
+
+
+def _before_header(text: str, number: int, kind: str) -> FormatError:
+    """Line ``number`` precedes the first ``kind`` header; quote it as written."""
+    line = text.splitlines()[number - 1].split("#", 1)[0].strip()
+    return _fail(number, f"expected a {kind!r} header before {line!r}")
 
 
 def _fail(number: int, message: str) -> FormatError:
@@ -96,8 +103,9 @@ def parse_subject(text: str) -> Subject:
     name = ""
     initial: Optional[str] = None
     arcs: list[tuple[str, str, str]] = []
-    for number, line in _content_lines(text):
-        tokens = line.split()
+    for number, tokens in _token_lines(text):
+        if not tokens:
+            continue
         kind = tokens[0]
         if kind == "ts":
             if header is not None:
@@ -107,7 +115,7 @@ def parse_subject(text: str) -> Subject:
             header, initial, arcs = number, None, []
             name = tokens[1] if len(tokens) == 2 else ""
         elif header is None:
-            raise _fail(number, f"expected a 'ts' header before {line!r}")
+            raise _before_header(text, number, "ts")
         elif kind == "init":
             if len(tokens) != 2:
                 raise _fail(number, "'init' takes exactly one state")
@@ -172,13 +180,14 @@ def format_net(net: BooleanNet) -> str:
 
 
 def parse_net(text: str) -> BooleanNet:
-    lines = _content_lines(text)
-    if not lines:
+    lines = _token_lines(text)
+    for header_number, tokens in lines:
+        if tokens:
+            break
+    else:
         raise FormatError("no 'net' header found")
-    header_number, header = lines[0]
-    tokens = header.split()
     if tokens[0] != "net":
-        raise _fail(header_number, f"expected a 'net' header before {header!r}")
+        raise _before_header(text, header_number, "net")
     if len(tokens) > 2:
         raise _fail(header_number, "'net' takes at most a name")
     name = tokens[1] if len(tokens) == 2 else ""
@@ -186,8 +195,9 @@ def parse_net(text: str) -> BooleanNet:
     places: dict[str, int] = {}
     transitions: dict[str, None] = {}
     flow: dict[tuple[str, str], tuple[int, Interaction]] = {}  # (line, interaction)
-    for number, line in lines[1:]:
-        tokens = line.split()
+    for number, tokens in lines:
+        if not tokens:
+            continue
         kind = tokens[0]
         if kind == "type":
             if net_type is not None:
@@ -281,19 +291,12 @@ def format_witnesses(subject: Subject, rows: Iterable[tuple]) -> str:
 
 @collector_paused
 def parse_witnesses(text: str) -> list[WitnessRecord]:
-    """The records of a witness text, read in one scan: each line is split
-    once (comments cut first, if the text has any), and a ``sig`` line's
-    interaction is looked up by name (other spellings go through
-    ``parse_interaction``)."""
-    named = {i.value: i for i in INTERACTION_ORDER}
+    """The records of a witness text, read in one scan."""
     blocks: list[tuple[dict, dict, list]] = []  # support, signature, atoms
     support: Optional[dict[str, int]] = None  # of the open block, if any
     signature: dict[str, Interaction] = {}
     atoms: list[Atom] = []
-    lines = text.splitlines()
-    if "#" in text:
-        lines = (raw.split("#", 1)[0] for raw in lines)
-    for number, tokens in enumerate(map(str.split, lines), start=1):
+    for number, tokens in _token_lines(text):
         if not tokens:
             continue
         kind = tokens[0]
@@ -316,18 +319,14 @@ def parse_witnesses(text: str) -> list[WitnessRecord]:
             elif len(tokens) == 4 and tokens[1] == "essp":
                 atoms.append(EventStateAtom(tokens[2], tokens[3]))
             else:
-                raise _fail(
-                    number, "'atom' takes 'sp <s> <s'>' or 'essp <e> <s>'"
-                )
+                raise _fail(number, "'atom' takes 'sp <s> <s'>' or 'essp <e> <s>'")
         elif kind == "sig":
             if len(tokens) != 3:
                 raise _fail(number, "'sig' takes an event and an interaction")
             if tokens[1] in signature:
                 raise _fail(number, f"duplicate signature entry {tokens[1]!r}")
             try:
-                signature[tokens[1]] = named.get(tokens[2]) or parse_interaction(
-                    tokens[2]
-                )
+                signature[tokens[1]] = parse_interaction(tokens[2])
             except ValueError as exc:
                 raise _fail(number, str(exc)) from None
         else:
@@ -351,12 +350,13 @@ def format_cnf(cnf: CubicCnf) -> str:
 def parse_cnf(text: str) -> CubicCnf:
     clauses: list[tuple[str, str, str]] = []
     expected: Optional[int] = None
-    for number, line in _content_lines(text):
-        tokens = line.split()
+    for number, tokens in _token_lines(text):
+        if not tokens:
+            continue
         # Before the header a "p" line is the header and a "c" line a DIMACS
         # comment; after it, either is a clause.
         if expected is None:
-            if line.startswith("c"):
+            if tokens[0].startswith("c"):
                 continue
             if tokens[0] != "p":
                 raise _fail(number, "clause before the 'p cnf13' header")

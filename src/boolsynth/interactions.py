@@ -81,12 +81,15 @@ COMPLEMENT_MAP: dict[Interaction, Interaction] = {
     Interaction.FREE: Interaction.USED,
 }
 
+_BY_TOKEN: dict[str, Interaction] = {i.value: i for i in INTERACTION_ORDER}
+
 
 def parse_interaction(token: str) -> Interaction:
-    try:
-        return Interaction(token.strip().lower())
-    except ValueError:
-        raise ValueError(f"unknown interaction {token!r}") from None
+    """The interaction a token names, in any case, blanks around it cut."""
+    interaction = _BY_TOKEN.get(token) or _BY_TOKEN.get(token.strip().lower())
+    if interaction is None:
+        raise ValueError(f"unknown interaction {token!r}")
+    return interaction
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,10 @@ class NetType:
     @classmethod
     def from_spec(cls, text: str) -> "NetType":
         """Parse a comma-separated list such as ``"nop,set,swap,free"``."""
-        tokens = [t for t in (piece.strip() for piece in text.split(",")) if t]
+        tokens = [t for t in map(str.strip, text.split(",")) if t]
         if not tokens:
             raise ValueError(f"empty net-type spec {text!r}")
-        seen: set[Interaction] = set()
-        for token in tokens:
-            seen.add(parse_interaction(token))
-        return cls(frozenset(seen))
+        return cls(frozenset(map(parse_interaction, tokens)))
 
     def spec(self) -> str:
         """Canonical comma-separated rendering."""

@@ -23,9 +23,11 @@ from boolsynth import (
     Interaction,
     NetType,
     Region,
+    Report,
     SatSolver,
     TransitionSystem,
     TsUnion,
+    Violation,
     assign_witnesses,
     build_instance,
     build_union,
@@ -35,7 +37,7 @@ from boolsynth import (
     is_isomorphic,
     solve_atom,
 )
-from boolsynth import fileformats, solving
+from boolsynth import fileformats, reduction, solving
 from boolsynth.cli import _build_parser, main
 from boolsynth.fileformats import (
     WitnessRecord,
@@ -590,6 +592,18 @@ class TestReduceSolveExtract:
         )
         assert code == 2
 
+    def test_a_broken_gluing_is_an_internal_error(self, capsys, cnf_files, monkeypatch):
+        violation = Violation("shared-state", "g_0_0", "planted")
+        monkeypatch.setattr(
+            reduction, "check_join_preconditions", lambda union: Report((violation,))
+        )
+        code, out, err = run(capsys, "reduce", cnf_files["sat"], "--family", "free")
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal error: generated union violates gluing preconditions:\n"
+            "shared-state: g_0_0 (planted)\n"
+        )
+
     def test_bad_cnf_is_a_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf13 1\nx0 x1 x2\n")
@@ -799,11 +813,15 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {missing}: No such file or directory\n"
 
+    # The package is imported already, so runpy warns that it re-executes
+    # boolsynth.cli in a fresh namespace; that is what ``-m`` does too.
+    @pytest.mark.filterwarnings("ignore:'boolsynth.cli' found in sys.modules")
     def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch, battery_files):
         monkeypatch.setattr(
             sys, "argv", ["boolsynth", "iso", battery_files["a1"], battery_files["a1"]]
         )
-        with pytest.raises(SystemExit) as exited:
-            runpy.run_module("boolsynth", run_name="__main__")
-        assert exited.value.code == 0
-        assert capsys.readouterr().out == "isomorphic\n"
+        for module in ("boolsynth", "boolsynth.cli"):
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module(module, run_name="__main__")
+            assert exited.value.code == 0
+            assert capsys.readouterr().out == "isomorphic\n"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from boolsynth import (
     PHI_SAT,
+    BooleanNet,
     CubicCnf,
     EventStateAtom,
     Family,
@@ -118,6 +119,12 @@ class TestTransitionSystemText:
                 "ts\ninit p\narc p a q\nts\ninit r\narc r a s\narc r a t\n",
                 "line 4: nondeterministic: 'r' has two arcs for event 'a'",
             ),
+            # the line is quoted as written, not rebuilt from its tokens
+            ("init\tp\nts\n", "line 1: expected a 'ts' header before 'init\\tp'"),
+            (
+                "\n  init \t p  # x\nts\n",
+                "line 2: expected a 'ts' header before 'init \\t p'",
+            ),
         ],
         ids=[
             "empty",
@@ -129,6 +136,8 @@ class TestTransitionSystemText:
             "unknown-item",
             "missing-init-wins",
             "second-block",
+            "before-header-tab",
+            "before-header-blanks",
         ],
     )
     def test_malformed_text_gets_its_exact_message(self, text, message):
@@ -259,6 +268,11 @@ class TestNetText:
                 "net\ntype nop\nflow p u nop\nplace p 0\ntransition t\n",
                 "line 3: flow names undeclared transition 'u'",
             ),
+            ("type\tnop\n", "line 1: expected a 'net' header before 'type\\tnop'"),
+            (
+                "# net\n\t type  nop,\tswap # c\r\n",
+                "line 2: expected a 'net' header before 'type  nop,\\tswap'",
+            ),
         ],
         ids=[
             "empty",
@@ -278,6 +292,8 @@ class TestNetText:
             "partial-flow",
             "undeclared-place",
             "undeclared-transition",
+            "no-header-tab",
+            "no-header-blanks",
         ],
     )
     def test_malformed_text_gets_its_exact_message(self, text, message):
@@ -379,6 +395,13 @@ class TestWitnessText:
         with pytest.raises(FormatError) as caught:
             parse_witnesses(text)
         assert str(caught.value) == message
+
+    def test_sig_interactions_read_in_any_case(self):
+        records = parse_witnesses("region\nsup s0 1\nsig e SWAP\nsig f Free\n")
+        assert records[0].region.signature == {
+            "e": Interaction.SWAP,
+            "f": Interaction.FREE,
+        }
 
     def test_parsing_runs_with_the_collector_paused(self, monkeypatch):
         # Its atom records hold no reference cycle; the collector comes back
@@ -525,3 +548,103 @@ class TestInstanceText:
         text = format_instance(instance)
         ts = parse_ts(text)
         assert ts.states == instance.ts.states
+
+
+# ------------------------------------------------------------ one tokenizer
+
+
+def random_ts_text(rng: random.Random) -> str:
+    """One to three ``ts`` blocks: a system or a union."""
+    return "".join(format_ts(random_ts(rng)) for _ in range(rng.randint(1, 3)))
+
+
+def random_net(rng: random.Random) -> BooleanNet:
+    tau = NetType(frozenset(rng.sample(list(Interaction), rng.randint(1, 8))))
+    places = tuple(f"p{k}" for k in range(rng.randint(1, 4)))
+    transitions = tuple(f"t{k}" for k in range(rng.randint(1, 4)))
+    return BooleanNet(
+        net_type=tau,
+        places=places,
+        transitions=transitions,
+        flow={(p, t): rng.choice(list(tau)) for p in places for t in transitions},
+        initial_marking={p: rng.randint(0, 1) for p in places},
+        name=rng.choice(["", "n"]),
+    )
+
+
+def random_records(rng: random.Random) -> list[WitnessRecord]:
+    records = []
+    for _ in range(rng.randint(0, 4)):
+        states = [f"s{k}" for k in range(rng.randint(1, 5))]
+        events = [f"e{k}" for k in range(rng.randint(1, 3))]
+        region = Region(
+            {s: rng.randint(0, 1) for s in states},
+            {e: rng.choice(list(Interaction)) for e in events},
+        )
+        atoms = [
+            StatePairAtom(*rng.sample(states * 2, 2))
+            if rng.random() < 0.5
+            else EventStateAtom(rng.choice(events), rng.choice(states))
+            for _ in range(rng.randint(0, 3))
+        ]
+        records.append(WitnessRecord(region, tuple(atoms)))
+    return records
+
+
+def random_cnf(rng: random.Random) -> CubicCnf:
+    """Clause i holds variables i, i + 1, i + 2 (mod m), so each occurs three
+    times; names may start with ``c`` or ``p``, and the order is shuffled."""
+    m = rng.randint(3, 7)
+    names = rng.sample([f"{lead}{k}" for lead in "xcp" for k in range(m)], m)
+    clauses = [rng.sample([names[(i + d) % m] for d in range(3)], 3) for i in range(m)]
+    rng.shuffle(clauses)
+    return CubicCnf(tuple(map(tuple, clauses)))
+
+
+def noisy(rng: random.Random, text: str, lead: list[str]) -> str:
+    """``text`` (tokens one space apart) rendered with the same tokens: tabs
+    and runs of spaces between them, blanks at both ends of a line, blank
+    and comment lines, trailing comments, mixed ``\\n`` and ``\\r\\n`` line
+    ends, and the ``lead`` lines first."""
+    gaps = [" ", "  ", "\t", " \t ", "\t\t"]
+    edges = ["", " ", "\t", "  \t"]
+    fillers = ["", " \t ", "# a comment", "\t# indented comment", "#"]
+    lines = list(lead)
+    for line in text.splitlines():
+        lines += rng.choices(fillers, k=rng.randint(0, 2))
+        tokens = line.split(" ")
+        body = "".join(token + rng.choice(gaps) for token in tokens[:-1])
+        body = rng.choice(edges) + body + tokens[-1] + rng.choice(edges)
+        if rng.random() < 0.3:
+            body += rng.choice(["#", "# trailing", "\t# trailing # twice"])
+        lines.append(body)
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+#: Per format: a random clean text, its parser, and the lines that may come
+#: before its first item (a formula's ``c`` lines).
+NOISY_FORMATS = {
+    "ts": (random_ts_text, parse_subject, []),
+    "net": (lambda rng: format_net(random_net(rng)), parse_net, []),
+    "witness": (lambda rng: line_by_line(random_records(rng)), parse_witnesses, []),
+    "cnf": (
+        lambda rng: format_cnf(random_cnf(rng)),
+        parse_cnf,
+        ["c a comment", "  c\tindented", "cx also a comment", "c"],
+    ),
+}
+
+
+class TestTokenizer:
+    """Every format reads through one tokenizer: whitespace and comments
+    around the tokens do not change the value a text parses to."""
+
+    @pytest.mark.parametrize("name", list(NOISY_FORMATS))
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 10**9))
+    def test_noise_does_not_change_the_value(self, name, seed):
+        rng = random.Random(seed)
+        draw, parse, lead = NOISY_FORMATS[name]
+        clean = draw(rng)
+        picked = rng.sample(lead, rng.randint(0, len(lead)))
+        assert parse(noisy(rng, clean, picked)) == parse(clean)

@@ -108,9 +108,14 @@ class TestParsing:
     @pytest.mark.parametrize("interaction", list(Interaction))
     def test_round_trip(self, interaction):
         assert parse_interaction(interaction.value) is interaction
+        token = interaction.value
+        spellings = (token.upper(), token.title(), f" {token}\t", f"\t{token.upper()} ")
+        for spelling in spellings:
+            assert parse_interaction(spelling) is interaction
 
     def test_whitespace_and_case_tolerated(self):
         assert parse_interaction(" Swap ") is Interaction.SWAP
+        assert parse_interaction("sWaP") is Interaction.SWAP
 
     def test_repr_is_the_token(self):
         assert repr(Interaction.OUT) == "out"
@@ -119,6 +124,10 @@ class TestParsing:
     def test_unknown_token_raises(self):
         with pytest.raises(ValueError):
             parse_interaction("sett")
+        for token in ("sett", " Sett ", "", "swap,nop"):
+            with pytest.raises(ValueError) as caught:
+                parse_interaction(token)
+            assert str(caught.value) == f"unknown interaction {token!r}"
 
 
 class TestNetType:

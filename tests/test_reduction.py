@@ -20,6 +20,8 @@ from boolsynth import (
     Interaction,
     NetType,
     Region,
+    Report,
+    Violation,
     build_instance,
     build_union,
     check_join_preconditions,
@@ -30,6 +32,7 @@ from boolsynth import (
     validate_region,
     verify_inhibiting_region,
 )
+from boolsynth import reduction
 from boolsynth.fileformats import format_instance, format_union
 
 SIX_CLAUSES = CubicCnf(
@@ -224,6 +227,20 @@ class TestGadgetStructure:
     def test_union_satisfies_the_gluing_preconditions(self):
         union, _ = build_union(PHI_SAT, Family.FREE)
         assert check_join_preconditions(union).ok
+
+    def test_a_union_that_breaks_the_gluing_preconditions_is_refused(
+        self, monkeypatch
+    ):
+        violation = Violation("shared-state", "g_0_0", "planted")
+        monkeypatch.setattr(
+            reduction, "check_join_preconditions", lambda union: Report((violation,))
+        )
+        with pytest.raises(AssertionError) as caught:
+            build_instance(PHI_SAT, Family.FREE)
+        assert str(caught.value) == (
+            "generated union violates gluing preconditions:\n"
+            "shared-state: g_0_0 (planted)"
+        )
 
     def test_joined_system_frozen_counts(self, phi3_free, phi3_used):
         for inst in (phi3_free, phi3_used):
