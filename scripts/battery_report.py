@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,13 +22,7 @@ from boolsynth import NetType, all_net_types, check_essp, check_ssp, family_type
 from conftest import build_battery
 
 
-@dataclass
-class Config:
-    types: list[NetType] = field(default_factory=lambda: list(family_types()))
-    engine: str = "auto"
-
-
-def parse_args(argv: list[str] | None = None) -> Config:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
@@ -42,24 +35,20 @@ def parse_args(argv: list[str] | None = None) -> Config:
         "--engine", default="auto", choices=("auto", "exhaustive", "sat")
     )
     args = parser.parse_args(argv)
-    config = Config(engine=args.engine)
     if args.all_types:
-        config.types = list(all_net_types())
+        types = list(all_net_types())
     elif args.type:
-        config.types = [NetType.from_spec(args.type)]
-    return config
-
-
-def main(argv: list[str] | None = None) -> int:
-    config = parse_args(argv)
+        types = [NetType.from_spec(args.type)]
+    else:
+        types = family_types()
     battery = build_battery()
     started = time.monotonic()
     print(f"{'type':<34} {'example':<8} {'ssp':<4} {'essp':<5} counterexample")
     tallies = {("yes", "yes"): 0, ("yes", "no"): 0, ("no", "yes"): 0, ("no", "no"): 0}
-    for tau in config.types:
+    for tau in types:
         for name, ts in battery.items():
-            ssp = check_ssp(ts, tau, engine=config.engine)
-            essp = check_essp(ts, tau, engine=config.engine)
+            ssp = check_ssp(ts, tau, engine=args.engine)
+            essp = check_essp(ts, tau, engine=args.engine)
             tallies[(ssp.outcome, essp.outcome)] += 1
             cex = ssp.counterexample or essp.counterexample
             print(
@@ -68,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
             )
     elapsed = time.monotonic() - started
     print(
-        f"\n{len(config.types)} types x {len(battery)} examples in {elapsed:.2f}s; "
+        f"\n{len(types)} types x {len(battery)} examples in {elapsed:.2f}s; "
         "verdict counts (ssp, essp): "
         + ", ".join(f"{k}={v}" for k, v in tallies.items())
     )

@@ -30,6 +30,7 @@ from .ts import (
     Way,
     check_join_preconditions,
     join,
+    join_events,
     path_arcs,
 )
 
@@ -117,14 +118,13 @@ class RoleMap:
     unique_events: tuple[str, ...]
 
 
-def _path(
-    name: str, prefix: str, steps: Sequence[tuple[str, Way]], unique: str
-) -> TransitionSystem:
-    """A gadget member: the path ``prefix_0, prefix_1, ...`` along ``steps``,
+def _path(name: str, steps: Sequence[tuple[str, Way]], unique: str) -> TransitionSystem:
+    """A gadget member: the path along ``steps`` through the states
+    ``h_3_0, h_3_1, ...`` for member ``H3`` (``t_0_1_0, ...`` for ``T0_1``),
     closed by a two-way step on the private handle ``unique`` into its last
     state, the member's initial state."""
     steps = [*steps, (unique, Way.BOTH)]
-    states = [f"{prefix}_{x}" for x in range(len(steps) + 1)]
+    states = [f"{name[0].lower()}_{name[1:]}_{x}" for x in range(len(steps) + 1)]
     # The orders ``TransitionSystem.build`` would infer from the arcs: the
     # initial state, then the path's states in order (no gadget path starts
     # with a backward step), and the events as the steps first name them.
@@ -141,29 +141,25 @@ def _both(*events: str) -> list[tuple[str, Way]]:
     return [(event, Way.BOTH) for event in events]
 
 
-def _reserved_event_names(m: int) -> set[str]:
-    members = 12 * m + 3
-    reserved = {"k", "m", "z", "q0", "q1", "q2", "q3"}
-    reserved.update(f"v_{j}" for j in range(4 * m))
-    reserved.update(f"w_{i}" for i in range(m))
-    reserved.update(f"a_{l}" for l in range(3 * m))
-    reserved.update(f"y_{j}" for j in range(m))
-    reserved.update(f"p_{l}" for l in range(3 * m))
-    reserved.update(f"u_{i}" for i in range(members))
-    for i in range(members):
-        reserved.update(
-            (f"seal_{i}", f"step_{i}", f"side_{i}", f"entry_{i}")
-        )
-    return reserved
-
-
 def build_union(cnf: CubicCnf, family: Family) -> tuple[TsUnion, RoleMap]:
     """The gadget union for a formula: anchors for every flip event,
     calibration members, clause and occurrence guards, and four members per
     clause wiring its variables together."""
     m = len(cnf.clauses)
-    reserved = _reserved_event_names(m)
-    colliding = sorted(set(cnf.variables) & reserved)
+    # Every event the construction names, by role; ``u`` holds one private
+    # handle per member.
+    k, sync, shift = "k", "m", "z"
+    q = ("q0", "q1", "q2", "q3")
+    v = tuple(f"v_{j}" for j in range(4 * m))
+    w = tuple(f"w_{i}" for i in range(m))
+    a = tuple(f"a_{l}" for l in range(3 * m))
+    y = tuple(f"y_{j}" for j in range(m))
+    p = tuple(f"p_{l}" for l in range(3 * m))
+    u = tuple(f"u_{i}" for i in range(12 * m + 3))
+    # Checked before any member is built: a variable named like a generated
+    # event can make a gadget path nondeterministic.
+    generated = {k, sync, shift, *q, *v, *w, *a, *y, *p, *u, *join_events(len(u))}
+    colliding = sorted(generated.intersection(cnf.variables))
     if colliding:
         raise ValueError(
             "variable names collide with generated event names: "
@@ -171,48 +167,46 @@ def build_union(cnf: CubicCnf, family: Family) -> tuple[TsUnion, RoleMap]:
         )
     members: list[TransitionSystem] = []
 
-    def add(name: str, prefix: str, steps: Sequence[tuple[str, Way]]) -> None:
-        members.append(_path(name, prefix, steps, f"u_{len(members)}"))
+    def add(name: str, steps: Sequence[tuple[str, Way]]) -> None:
+        members.append(_path(name, steps, u[len(members)]))
 
     for j in range(4 * m):
-        add(f"H{j}", f"h_{j}", _both("k", "m", f"v_{j}", "k"))
-    add("F0", "f_0", _both("k", "m", "q0", "k", "m", "q1", "k"))
-    add("F1", "f_1", _both("k", "q2", "q3", "k"))
-    add("F2", "f_2", _both("k", "q2", "q0", "z", "q1", "z", "q3", "k"))
+        add(f"H{j}", _both(k, sync, v[j], k))
+    add("F0", _both(k, sync, q[0], k, sync, q[1], k))
+    add("F1", _both(k, q[2], q[3], k))
+    add("F2", _both(k, q[2], q[0], shift, q[1], shift, q[3], k))
     # clause guards G and occurrence guards D
-    guards = [(f"G{j}", f"g_{j}", f"y_{j}", f"w_{j}") for j in range(m)]
-    guards += [(f"D{l}", f"d_{l}", f"p_{l}", f"a_{l}") for l in range(3 * m)]
-    shift = ("z", Way.FORWARD)
-    for name, prefix, mid, tail in guards:
-        add(name, prefix, [*_both("k", mid), shift, *_both("z", mid, tail, "k")])
+    guards = [(f"G{j}", y[j], w[j]) for j in range(m)]
+    guards += [(f"D{l}", p[l], a[l]) for l in range(3 * m)]
+    for name, mid, tail in guards:
+        add(name, [*_both(k, mid), (shift, Way.FORWARD), *_both(shift, mid, tail, k)])
     for i, clause in enumerate(cnf.clauses):
-        head, tail = f"v_{4 * i}", f"w_{i}"
+        head, tail = v[4 * i], w[i]
         if family is Family.USED:
             head, tail = tail, head
-        steps = _both("k", head)
+        steps = _both(k, head)
         for l, x in enumerate(clause, start=3 * i):
-            steps += [*_both(f"a_{l}", x), (x, Way.BACK), *_both(f"a_{l}")]
-        add(f"T{i}_0", f"t_{i}_0", steps + _both(tail, "k"))
+            steps += [*_both(a[l], x), (x, Way.BACK), *_both(a[l])]
+        add(f"T{i}_0", steps + _both(tail, k))
         x0, x1, x2 = clause
         for alpha, (first, second) in enumerate(
             ((x0, x1), (x0, x2), (x1, x2)), start=1
         ):
-            flip = f"v_{4 * i + alpha}"
-            add(f"T{i}_{alpha}", f"t_{i}_{alpha}", _both(first, flip, second))
+            add(f"T{i}_{alpha}", _both(first, v[4 * i + alpha], second))
     union = TsUnion(members=tuple(members))
     roles = RoleMap(
-        target_event="k",
+        target_event=k,
         target_state="h_0_2",
-        flip_events=tuple(f"v_{j}" for j in range(4 * m)),
-        hold_events=tuple(f"w_{i}" for i in range(m)),
-        occ_events=tuple(f"a_{l}" for l in range(3 * m)),
-        sync_event="m",
-        shift_event="z",
-        pad_events=("q0", "q1", "q2", "q3"),
-        clause_events=tuple(f"y_{j}" for j in range(m)),
-        slot_events=tuple(f"p_{l}" for l in range(3 * m)),
+        flip_events=v,
+        hold_events=w,
+        occ_events=a,
+        sync_event=sync,
+        shift_event=shift,
+        pad_events=q,
+        clause_events=y,
+        slot_events=p,
         variables=cnf.variables,
-        unique_events=tuple(f"u_{i}" for i in range(len(members))),
+        unique_events=u,
     )
     return union, roles
 

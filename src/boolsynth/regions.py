@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 from .interactions import Interaction, NetType
 from .ts import Subject
@@ -108,22 +108,21 @@ def _check_keys(
         raise RegionDomainError(f"{name} names unknown {kind} {sorted(extra)[:5]}")
 
 
-def _check_support(states: Sequence[str], support: Mapping) -> None:
-    """Raise unless ``support`` maps exactly ``states``, each to an int bit."""
-    _check_keys("support", "states", states, support)
-    for state in states:
+def _check_domains(subject: Subject, tau: NetType, region: Region) -> NoReturn:
+    """Raise the RegionDomainError that names how the region's domains fail."""
+    support, signature = region.support, region.signature
+    _check_keys("support", "states", subject.states, support)
+    for state in subject.states:
         if not isinstance(support[state], int) or support[state] not in (0, 1):
             raise RegionDomainError(f"support of {state!r} is not a bit")
-
-
-def _check_domains(subject: Subject, tau: NetType, region: Region) -> None:
-    _check_support(subject.states, region.support)
-    _check_keys("signature", "events", subject.events, region.signature)
-    if not set(region.signature.values()) <= tau.interactions:
-        outside = [e for e in subject.events if region.signature[e] not in tau]
-        raise RegionDomainError(
-            f"signature uses interactions outside the net type on {outside[:5]}"
-        )
+    _check_keys("signature", "events", subject.events, signature)
+    outside = [
+        e for e in subject.events
+        if not isinstance(signature[e], Interaction) or signature[e] not in tau
+    ]
+    raise RegionDomainError(
+        f"signature uses interactions outside the net type on {outside[:5]}"
+    )
 
 
 #: Per interaction, the codes of its images of 0 and 1: the image itself,
@@ -157,8 +156,7 @@ def validate_region(subject: Subject, tau: NetType, region: Region) -> bool:
         ):
             raise ValueError("the region's domains do not match")
     except (KeyError, TypeError, ValueError):
-        _check_domains(subject, tau, region)  # raises with the details
-        raise
+        _check_domains(subject, tau, region)
     src, dst = index.arc_values(bits)
     full = (1 << index.arc_count) - 1
     zeros = full ^ src

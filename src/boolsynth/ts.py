@@ -408,6 +408,12 @@ def path_arcs(
     return arcs
 
 
+def join_events(n: int) -> list[str]:
+    """``join``'s fresh events for ``n`` members: seal_i, step_i, side_i, entry_i."""
+    kinds = ("seal", "step", "side", "entry")
+    return [f"{kind}_{i}" for i in range(n) for kind in kinds]
+
+
 def join(union: TsUnion, name: str = "") -> TransitionSystem:
     """Glue the members of a union into a single transition system.
 
@@ -427,9 +433,7 @@ def join(union: TsUnion, name: str = "") -> TransitionSystem:
     n = len(union.members)
     rail = [f"rail_{k}" for k in range(4 * n + 1)]
     branches = [f"branch_{i}_{x}" for i in range(n) for x in (1, 2, 3)]
-    fresh = [
-        f"{kind}_{i}" for i in range(n) for kind in ("seal", "step", "side", "entry")
-    ]
+    fresh = join_events(n)
     state_clash = set(union.states).intersection(rail + branches)
     event_clash = set(union.events).intersection(fresh)
     if state_clash:

@@ -27,6 +27,7 @@ from boolsynth import (
     check_join_preconditions,
     extract_model,
     grade,
+    join,
     solve_atom,
     solve_one_in_three,
     validate_region,
@@ -34,6 +35,7 @@ from boolsynth import (
 )
 from boolsynth import reduction
 from boolsynth.fileformats import format_instance, format_union
+from boolsynth.ts import join_events
 
 SIX_CLAUSES = CubicCnf(
     (
@@ -201,7 +203,9 @@ class TestOneInThreeSolver:
 class TestVariableNameGuard:
     """At m = 3 the union names its events k, m, z, q0-q3, v_0-v_11,
     w_0-w_2, a_0-a_8, y_0-y_2, p_0-p_8, u_0-u_38, and seal_, step_, side_
-    and entry_ for each of its 39 members; a variable must not reuse one."""
+    and entry_ for each of its 39 members; a variable must not reuse one.
+    The guard reads these names from the table that ``build_union`` builds
+    its gadgets and role map from, plus ``join_events``."""
 
     @pytest.mark.parametrize("name", ["k", "v_0", "seal_0", "u_38"])
     def test_a_generated_name_is_rejected(self, name):
@@ -213,6 +217,22 @@ class TestVariableNameGuard:
     def test_the_name_past_the_last_member_is_accepted(self):
         union, _ = build_union(CubicCnf((("u_39", "b", "c"),) * 3), Family.FREE)
         assert len(union.members) == 39
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("cnf", [PHI_SAT, PHI_UNSAT], ids=["sat", "unsat"])
+    def test_every_event_the_construction_makes_is_rejected(self, cnf, family):
+        union, _ = build_union(cnf, family)
+        fresh = join_events(len(union.members))
+        assert [e for e in join(union).events if e not in union.events] == fresh
+        # renaming one variable keeps m, and with it the generated names
+        old = cnf.variables[0]
+        for name in sorted(set(union.events).difference(cnf.variables)) + fresh:
+            renamed = CubicCnf(
+                tuple(tuple(name if x == old else x for x in c) for c in cnf.clauses)
+            )
+            with pytest.raises(ValueError, match="rename the variables") as raised:
+                build_union(renamed, family)
+            assert repr([name]) in str(raised.value)
 
 
 class TestGadgetStructure:

@@ -213,7 +213,8 @@ class TestValidateRegionAgainstArcs:
             message = "signature names unknown events ['zz']"
         else:
             event = data.draw(st.sampled_from(events))
-            signature[event] = Interaction.SWAP
+            # a list or a string is no interaction, hashable or not
+            signature[event] = data.draw(st.sampled_from([Interaction.SWAP, [], "nop"]))
             message = f"signature uses interactions outside the net type on {[event]}"
         with pytest.raises(RegionDomainError) as raised:
             validate_region(subject, tau, Region(support, signature))
