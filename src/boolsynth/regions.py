@@ -39,7 +39,8 @@ class Region:
         return frozenset(s for s, bit in self.support.items() if bit)
 
     def key(self) -> tuple[tuple[str, int], ...]:
-        """Hashable identity used for deduplication (support + signature)."""
+        """The order and identity of regions (support, then signature) that
+        ``nets._region_order`` reproduces and the tests compare against."""
         sup = tuple(sorted(self.support.items()))
         sig = tuple(sorted((e, i.value) for e, i in self.signature.items()))
         return sup + sig

@@ -12,11 +12,12 @@ without). Learning without clause deletion keeps the search complete.
 
 Literal convention: DIMACS-style nonzero ints at the API boundary
 (``v``/``-v``), mapped internally to ``2v`` (positive) / ``2v + 1``
-(negative); ``add_clause`` converts and normalises one DIMACS clause,
-``add_clauses`` normalises a batch in internal literals, and ``attach``
-appends a trusted CNF straight into ``watches[lit]``, the long clauses
-watching ``lit``, and ``bins[lit]``, the partner literals of binary
-clauses containing ``lit``. Both fire when ``lit`` becomes false.
+(negative); ``add_clause`` converts and normalises one DIMACS clause, and
+``attach`` appends a trusted CNF straight into ``watches[lit]``, the long
+clauses watching ``lit``, and ``bins[lit]``, the partner literals of binary
+clauses containing ``lit``. Both fire when ``lit`` becomes false. A CNF
+loads in two steps: ``attach`` takes its clauses of two or more literals in
+bulk, then ``add_clause`` asserts its units.
 
 As in MiniSat (Een & Sorensson, SAT 2003), a reason is the implying clause
 itself, implied literal first (never reordered while that literal is true),
@@ -113,15 +114,10 @@ class SatSolver:
         level 0, so adding clauses between ``solve`` calls is safe)."""
         self._add_normalised([lit * 2 if lit > 0 else 1 - lit * 2 for lit in lits])
 
-    def add_clauses(self, clauses: Iterable[list[int]]) -> None:
-        """Add clauses of internal literals, with the effect of ``add_clause``
-        on each in turn."""
-        for clause in clauses:
-            self._add_normalised(clause)
-
     def attach(self, pairs: Sequence[int], clauses: Iterable[list[int]]) -> None:
-        """``add_clauses`` on binary clauses (a flat list of literal pairs)
-        and then on longer ones, minus its checks, while nothing is assigned
+        """Add clauses of internal literals while nothing is assigned, with
+        the effect of ``add_clause`` on the binary ones (a flat list of
+        literal pairs) and then on the longer ones, minus its checks
         (MiniSat's ``attachClause``): each clause names distinct known
         variables. The solver keeps and reorders the long clauses' lists."""
         if self._trail:

@@ -369,7 +369,13 @@ class _Coverage:
             j = _position(index.state_pos, "state", atom.second)
             if i == j:
                 raise ValueError("state pair requirement needs distinct states")
-            coverage.blocks.append(problem.state_bit(i) | problem.state_bit(j))
+            pair = problem.state_bit(i) | problem.state_bit(j)
+            if not any(pair & b == pair for b in cls(problem, True, False).blocks):
+                raise ValueError(
+                    f"states {atom.first!r} and {atom.second!r} lie in "
+                    "different members; nothing to separate"
+                )
+            coverage.blocks.append(pair)
             return coverage
         event_pos = _position(index.event_pos, "event", atom.event)
         state_bit = problem.state_bit(_position(index.state_pos, "state", atom.state))
@@ -776,11 +782,10 @@ class _SatContext:
             range(n + 1 + k * width, n + 1 + (k + 1) * width) for k in range(n_events)
         ]
         self.solver.ensure_vars(n + n_events * width)
-        pairs, clauses = _consistency_clauses(problem, self.sup_var, self.sel_var)
-        if width == 1:  # unit at-least-one clauses: the normalising path
-            self.solver.add_clauses(clauses)
-        else:
-            self.solver.attach(pairs, clauses)
+        self.solver.attach(*_consistency_clauses(problem, self.sup_var, self.sel_var))
+        if width == 1:  # the at-least-one clauses are units, asserted last
+            for (sel,) in self.sel_var:
+                self.solver.add_clause((sel,))
 
     def queries(
         self, atom: Atom, coverage: _Coverage
@@ -878,16 +883,15 @@ def _consistency_clauses(
     of an event that share a state repeat one-sided clauses too, but
     dropping those costs more than their repeats in the solver's binary
     lists, which change no search.) Under a type of one interaction each
-    at-least-one clause is a unit, which the solver must normalise every
-    later clause against: then the second list holds every clause in load
-    order, and the first is empty.
+    at-least-one clause is a unit, which ``attach`` does not take: both
+    lists then hold arc clauses only, and the caller asserts the units.
     """
     pick_pairs, pick_loop_pairs, pick_triples = _clause_rows(problem.ruled_out)
     width = len(problem.tau_list)
     at_least_one = [[2 * sel for sel in sels] for sels in sel_var]
     pairs = [lit for clause in at_least_one for lit in clause] if width == 2 else []
-    clauses = [] if width == 2 else at_least_one
-    flat = pairs if width == 1 else []  # ternaries flat; for one interaction, in pairs
+    clauses = at_least_one if width > 2 else []
+    triples: list[int] = []
     sup = [(2 * var, 2 * var + 1) for var in sup_var]
     for sels, arcs in zip(sel_var, problem.index.arcs_by_event):
         not_sel = tuple([2 * sel + 1 for sel in sels])
@@ -897,18 +901,10 @@ def _consistency_clauses(
                 pairs += pick_loop_pairs(lits)
             else:
                 pairs += pick_pairs(lits)
-                flat += pick_triples(lits)
-    if width > 1:
-        it = iter(flat)
-        clauses += map(list, zip(it, it, it))
-        return pairs, clauses
-    # Each arc clause starts at its selector, numbered after the support bits.
-    for lit in flat:
-        if lit > 2 * len(sup_var) + 1:
-            clauses.append([lit])
-        else:
-            clauses[-1].append(lit)
-    return [], clauses
+                triples += pick_triples(lits)
+    it = iter(triples)
+    clauses += map(list, zip(it, it, it))
+    return pairs, clauses
 
 
 @functools.cache

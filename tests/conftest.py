@@ -140,11 +140,13 @@ def solver_state(solver) -> tuple:
 def consistency_cnf(ctx) -> list[list[int]]:
     """The consistency CNF of a ``solving._SatContext`` as one list of
     clauses in internal literals, the binary ones (a flat list of pairs in
-    ``_consistency_clauses``) first."""
+    ``_consistency_clauses``) first, and under a type of one interaction the
+    unit selectors, which ``_SatContext`` asserts after the rest, last."""
     pairs, clauses = solving._consistency_clauses(
         ctx.problem, ctx.sup_var, ctx.sel_var
     )
-    return [pairs[k : k + 2] for k in range(0, len(pairs), 2)] + clauses
+    units = [[2 * sels[0]] for sels in ctx.sel_var if len(sels) == 1]
+    return [pairs[k : k + 2] for k in range(0, len(pairs), 2)] + clauses + units
 
 
 # ------------------------------------------------------- brute-force oracle

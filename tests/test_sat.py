@@ -720,13 +720,13 @@ class TestClauseLoading:
         # Rounds of clauses, each round followed by a solve, so that later
         # rounds arrive above level 0. Clauses may name unknown variables,
         # also after a tautology (those stay uncreated), and literals true or
-        # false at level 0. A third solver normalises every clause directly:
-        # all three must agree, with clauses of up to five literals.
+        # false at level 0. A second solver normalises every clause directly:
+        # both must agree, with clauses of up to five literals.
         rng = random.Random(seed)
         nvars = rng.randint(2, 7)
         known = rng.randint(0, nvars)
-        one, batch, slow = SatSolver(), SatSolver(), SatSolver()
-        for solver in (one, batch, slow):
+        one, slow = SatSolver(), SatSolver()
+        for solver in (one, slow):
             solver.ensure_vars(known)
         units: list[int] = []
         for _ in range(rng.randint(1, 4)):
@@ -753,23 +753,21 @@ class TestClauseLoading:
                 clauses.append(lits)
             for clause in clauses:
                 one.add_clause(clause)
-            batch.add_clauses([internal(clause) for clause in clauses])
-            for clause in clauses:
                 slow._add_normalised(internal(clause))
-            assert solver_state(batch) == solver_state(one) == solver_state(slow)
+            assert solver_state(one) == solver_state(slow)
             assumptions = [
                 v if rng.random() < 0.5 else -v
                 for v in rng.sample(range(1, nvars + 1), rng.randint(0, 2))
             ]
-            verdicts = {solver.solve(assumptions) for solver in (one, batch, slow)}
+            verdicts = {solver.solve(assumptions) for solver in (one, slow)}
             assert len(verdicts) == 1
             work = {
                 (solver.conflicts, solver.decisions, solver.propagations)
-                for solver in (one, batch, slow)
+                for solver in (one, slow)
             }
             assert len(work) == 1
             if verdicts == {True}:
-                assert one.model() == batch.model() == slow.model()
+                assert one.model() == slow.model()
 
     @pytest.mark.parametrize(
         "spec", ["nop,set,swap,used", "nop,set,res,swap,used,free"]

@@ -303,6 +303,18 @@ class TestSolveAtom:
                     battery["a1"], TAU, atom.event, atom.state, limit=1, engine=engine
                 )
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_pair_across_members_is_a_value_error(self, engine):
+        # No check pends a pair of states from two members of a union.
+        union = TsUnion.of(
+            TransitionSystem.build("a0", [("a0", "e", "a1")]),
+            TransitionSystem.build("b0", [("b0", "f", "b1")]),
+        )
+        tau = NetType.from_spec("nop,set,swap,free")
+        assert solve_atom(union, tau, StatePairAtom("a0", "a1"), engine=engine)
+        with pytest.raises(ValueError, match="different members"):
+            solve_atom(union, tau, StatePairAtom("a0", "b0"), engine=engine)
+
     def test_one_atom_tracker_pends_exactly_the_atom(self):
         # solve_atom is a check of a tracker whose one pending requirement
         # is the atom; a state pair is pending in canonical order.
@@ -530,20 +542,20 @@ def arc_mix(rng: random.Random) -> TransitionSystem:
 
 def dimacs_reference(ctx) -> SatSolver:
     """A solver with the consistency CNF of ``ctx`` loaded clause by clause
-    in DIMACS literals, by the rule of ``_consistency_clauses``'s docstring: at
-    least one interaction per event; per arc and interaction, per pattern
-    (a, b) in ascending order that the interaction cannot follow (its image
-    of a is not b), the interaction is not selected, or the source is not a,
-    or the target is not b. The clause keeps only its source side if
-    (a, not b) is ruled out too, and only its target side if (not a, b) is;
-    repeats are dropped. On a self-loop a clause equal to one loaded before
-    for the arc is dropped too, and the solver's normaliser drops a
-    tautology and merges a repeated literal."""
+    in DIMACS literals, by the rule of ``_consistency_clauses``'s docstring:
+    per arc and interaction, per pattern (a, b) in ascending order that the
+    interaction cannot follow (its image of a is not b), the interaction is
+    not selected, or the source is not a, or the target is not b. The clause
+    keeps only its source side if (a, not b) is ruled out too, and only its
+    target side if (not a, b) is; repeats are dropped. On a self-loop a
+    clause equal to one loaded before for the arc is dropped too, and the
+    solver's normaliser drops a tautology and merges a repeated literal.
+    Then, after the arc clauses, at least one interaction per event: a unit
+    under a type of one interaction, which must come last, and otherwise a
+    clause of positive selectors, whose lists no arc clause touches."""
     problem = ctx.problem
     reference = SatSolver(decision_vars=problem.n)
     reference.ensure_vars(ctx.solver.num_vars)
-    for sels in ctx.sel_var:
-        reference.add_clause(list(sels))
     for sels, arcs in zip(ctx.sel_var, problem.index.arcs_by_event):
         for src, dst in arcs:
             s, d = ctx.sup_var[src], ctx.sup_var[dst]
@@ -574,6 +586,8 @@ def dimacs_reference(ctx) -> SatSolver:
                     if set(clause) not in loaded:
                         loaded.append(set(clause))
                         reference.add_clause(clause)
+    for sels in ctx.sel_var:
+        reference.add_clause(list(sels))
     return reference
 
 
@@ -625,10 +639,14 @@ class TestConsistencyCnf:
                 dimacs_reference(ctx)
             ), (ts.arcs, tau.spec())
 
-    @pytest.mark.parametrize("tau", family_types(), ids=NetType.spec)
+    @pytest.mark.parametrize(
+        "tau", [*family_types(), NetType.from_spec("nop")], ids=NetType.spec
+    )
     def test_the_glued_instance_loads_without_normalising(self, tau, monkeypatch):
-        # Under a type of two or more interactions the CNF is attached as it
-        # is: no clause goes through the solver's normalising path.
+        # The CNF is attached as it is: under a type of two or more
+        # interactions no clause goes through the solver's normalising path,
+        # and under one interaction only each event's unit selector does.
+        # (nop's arc clauses are all ternary, so it fills no binary list.)
         family = Family.FREE if tau in Family.FREE.types() else Family.USED
         problem = solving._Problem(build_instance(PHI_SAT, family).ts, tau)
         calls = []
@@ -640,8 +658,9 @@ class TestConsistencyCnf:
 
         monkeypatch.setattr(SatSolver, "_add_normalised", counting)
         ctx = solving._SatContext(problem)
-        assert calls == []
-        assert any(ctx.solver._bins) and any(ctx.solver._watches)
+        units = [[2 * sels[0]] for sels in ctx.sel_var if len(sels) == 1]
+        assert calls == units
+        assert any(ctx.solver._watches) and (any(ctx.solver._bins) or units)
 
     @staticmethod
     def assert_same_models_as_the_per_bit_rule(ts, tau):
