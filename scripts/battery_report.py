@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from boolsynth import NetType, all_net_types, check_essp, check_ssp, family_types
-from conftest import build_battery
+from oracles import build_battery
 
 
 def main(argv: list[str] | None = None) -> int:

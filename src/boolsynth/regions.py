@@ -99,12 +99,11 @@ def _check_keys(
 ) -> None:
     """Raise unless the keys of ``mapping`` are exactly ``items``."""
     extra = mapping.keys() - items
-    # fewer keys inside the domain than items: some item lacks a key
-    # (or the subject repeats an item)
+    # fewer keys inside the domain than items: some item lacks a key (a
+    # subject lists each item once, which its construction checks)
     if len(mapping) - len(extra) < len(items):
         missing = [x for x in items if x not in mapping]
-        if missing:
-            raise RegionDomainError(f"{name} misses {kind} {missing[:5]}")
+        raise RegionDomainError(f"{name} misses {kind} {missing[:5]}")
     if extra:
         raise RegionDomainError(f"{name} names unknown {kind} {sorted(extra)[:5]}")
 

@@ -241,14 +241,6 @@ class SatSolver:
     def model(self) -> list[bool]:
         return [self.model_value(v) for v in range(1, self._nvars + 1)]
 
-    def verify_model(self, clauses: Iterable[Sequence[int]]) -> bool:
-        """Check the last model against an iterable of DIMACS clauses."""
-        model = self._model
-        return all(
-            any(model[abs(lit) * 2 + (lit < 0)] == _TRUE for lit in clause)
-            for clause in clauses
-        )
-
     # ------------------------------------------------------------ internals
 
     def _enqueue(self, lit: int, level: int, reason: Optional[Sequence[int]]) -> None:

@@ -211,11 +211,18 @@ class TransitionSystem:
     @cached_property
     def successors(self) -> dict[str, dict[str, str]]:
         """Per state, in state order, its outgoing arcs as ``{event: target}``;
-        building it checks the initial state, then each arc in turn."""
+        building it checks that no state or event is listed twice, the
+        initial state, then each arc in turn."""
         succ: dict[str, dict[str, str]] = {s: {} for s in self.states}
+        if len(succ) < len(self.states):
+            twice = [s for s, k in Counter(self.states).items() if k > 1]
+            raise ValueError(f"states listed twice: {twice}")
+        events = set(self.events)
+        if len(events) < len(self.events):
+            twice = [e for e, k in Counter(self.events).items() if k > 1]
+            raise ValueError(f"events listed twice: {twice}")
         if self.initial not in succ:
             raise ValueError(f"initial state {self.initial!r} not among states")
-        events = set(self.events)
         for arc in self.arcs:
             source, event, target = arc
             if source not in succ or target not in succ:

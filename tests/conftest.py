@@ -1,12 +1,13 @@
-"""Shared fixtures: the four-example battery, small random systems (seeded
-and as hypothesis strategies), and an independent brute-force separation
-oracle used to cross-check the engines."""
+"""Shared fixtures and helpers: the four-example battery as a fixture, small
+random systems (seeded and as hypothesis strategies), engine fakes for the
+guard tests, and renderings of engine state. The independent references the
+engines are checked against live in ``oracles``."""
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-from typing import Optional
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -22,8 +23,15 @@ from boolsynth import (
 )
 from boolsynth import solving
 
+# ``perfbench/workloads.py`` loads this file by path, without this directory
+# on ``sys.path``, and reads ``oracle_ssp`` and ``oracle_essp`` from it. The
+# path line and the re-export go once the bench imports ``oracles`` itself.
+sys.path.append(str(Path(__file__).resolve().parent))
+from oracles import build_battery, oracle_essp, oracle_ssp
+
 TAU = NetType.from_spec("nop,set,swap,free")
 TAU_TILDE = NetType.from_spec("nop,res,swap,used")
+FULL = NetType(frozenset(Interaction))
 
 
 @pytest.fixture(scope="session")
@@ -34,31 +42,6 @@ def tau() -> NetType:
 @pytest.fixture(scope="session")
 def tau_tilde() -> NetType:
     return TAU_TILDE
-
-
-def build_battery() -> dict[str, TransitionSystem]:
-    """The four canonical three-to-four-state examples.
-
-    a1: a line into a two-cycle (both properties hold)
-    a2: a plain two-step line (state separation only)
-    a3: a line into a terminal self-loop (event inhibition only)
-    a4: a three-step line (neither property)
-    """
-    a1 = TransitionSystem.build(
-        "s0", [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s1")], name="A1"
-    )
-    a2 = TransitionSystem.build(
-        "s0", [("s0", "a", "s1"), ("s1", "a", "s2")], name="A2"
-    )
-    a3 = TransitionSystem.build(
-        "s0", [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s2")], name="A3"
-    )
-    a4 = TransitionSystem.build(
-        "s0",
-        [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s3")],
-        name="A4",
-    )
-    return {"a1": a1, "a2": a2, "a3": a3, "a4": a4}
 
 
 @pytest.fixture(scope="session")
@@ -149,102 +132,40 @@ def consistency_cnf(ctx) -> list[list[int]]:
     return [pairs[k : k + 2] for k in range(0, len(pairs), 2)] + clauses + units
 
 
-# ------------------------------------------------------- brute-force oracle
+def mixed_ts() -> TransitionSystem:
+    """Two events, one missing state each; feasible under the full type."""
+    return TransitionSystem.build("p", [("p", "a", "q"), ("q", "b", "p")])
 
 
-def oracle_event_interactions(
-    subject: TransitionSystem | TsUnion,
-    tau: NetType,
-    support: dict[str, int],
-    event: str,
-) -> set[Interaction]:
-    """All interactions of ``tau`` consistent with every arc of ``event``
-    under ``support`` — by direct definition, no shared code with the lib."""
-    allowed = set(tau.interactions)
-    for arc in subject.arcs:
-        if arc.event != event:
-            continue
-        src, dst = support[arc.source], support[arc.target]
-        allowed = {
-            i for i in allowed if i.effect[src] is not None and i.effect[src] == dst
-        }
-    return allowed
+# ------------------------------------------------------------ engine fakes
 
 
-def admissible(
-    subject: TransitionSystem | TsUnion, tau: NetType, region: Region
-) -> bool:
-    """True iff the region covers exactly the subject's states and events, its
-    signature stays inside ``tau`` and every arc ``s -e-> t`` has
-    ``sig[e].effect[sup[s]] == sup[t]``, checked arc by arc without the lib."""
-    sup, sig = region.support, region.signature
-    return (
-        sup.keys() == set(subject.states)
-        and sig.keys() == set(subject.events)
-        and set(sig.values()) <= tau.interactions
-        and all(sig[e].effect[sup[s]] == sup[t] for s, e, t in subject.arcs)
-    )
+def futile_resign(coverage, support, picks, allowed):
+    """``_Coverage.resign`` gone wrong: each event with pending inhibitions
+    and no pick gets an admissible partial interaction that inhibits none of
+    its pending states, if there is one."""
+    at = (~support, support)  # the states holding 0, 1
+    for e, pending in enumerate(coverage.uncovered):
+        event = coverage.problem.events[e]
+        if pending and event not in picks:
+            for mask_bit, interaction, bit in solving._PARTIALS:
+                if allowed[e] & mask_bit and not pending & at[bit]:
+                    picks[event] = interaction
 
 
-def oracle_separable(
-    subject: TransitionSystem | TsUnion, tau: NetType, first: str, second: str
-) -> bool:
-    states = list(subject.states)
-    events = list(subject.events)
-    for bits in itertools.product((0, 1), repeat=len(states)):
-        support = dict(zip(states, bits))
-        if support[first] == support[second]:
-            continue
-        if all(
-            oracle_event_interactions(subject, tau, support, e) for e in events
-        ):
-            return True
-    return False
+DECODE = solving._SatContext.decode
 
 
-def oracle_inhibitable(
-    subject: TransitionSystem | TsUnion, tau: NetType, event: str, state: str
-) -> bool:
-    states = list(subject.states)
-    events = list(subject.events)
-    for bits in itertools.product((0, 1), repeat=len(states)):
-        support = dict(zip(states, bits))
-        options = oracle_event_interactions(subject, tau, support, event)
-        if not any(i.effect[support[state]] is None for i in options):
-            continue
-        if all(
-            oracle_event_interactions(subject, tau, support, e)
-            for e in events
-            if e != event
-        ):
-            return True
-    return False
+def unsettling_decode(ctx, forced, coverage):
+    """``_SatContext.decode`` gone wrong: the region is credited to a
+    throwaway tracker, so it settles nothing of ``coverage``."""
+    return DECODE(ctx, forced, solving._Coverage(ctx.problem, True, True))
 
 
-def oracle_ssp(subject: TransitionSystem | TsUnion, tau: NetType) -> Optional[tuple]:
-    """First inseparable same-member pair, or None when the property holds."""
-    if isinstance(subject, TsUnion):
-        members: tuple[TransitionSystem, ...] = subject.members
-    else:
-        members = (subject,)
-    for member in members:
-        states = member.states
-        for i, j in itertools.combinations(range(len(states)), 2):
-            if not oracle_separable(subject, tau, states[i], states[j]):
-                return (states[i], states[j])
-    return None
-
-
-def oracle_essp(subject: TransitionSystem | TsUnion, tau: NetType) -> Optional[tuple]:
-    """First uninhibitable missing (event, state), or None when it holds."""
-    enabled = {(arc.source, arc.event) for arc in subject.arcs}
-    for event in subject.events:
-        for state in subject.states:
-            if (state, event) in enabled:
-                continue
-            if not oracle_inhibitable(subject, tau, event, state):
-                return (event, state)
-    return None
+def lax_allowed_at(problem, bits):
+    """``_Problem.allowed_at`` gone wrong: every event may take any
+    interaction of the type, whatever its arcs show."""
+    return [problem.allowed_by_code[0]] * len(problem.events)
 
 
 # ------------------------------------------------- deterministic random TSs

@@ -40,7 +40,8 @@ from boolsynth import (
     verify_inhibiting_region,
 )
 from boolsynth.solving import EventStateAtom, StatePairAtom
-from conftest import TAU, TAU_TILDE, admissible, build_battery, random_ts
+from conftest import TAU, TAU_TILDE, random_ts
+from oracles import admissible, build_battery
 
 #: every witness region any criterion produces, audited by criterion 8
 COLLECTED: list[tuple[str, object, NetType, object]] = []
@@ -338,7 +339,7 @@ def test_criterion_7_instances_have_grade_two():
 def test_criterion_8_every_emitted_witness_region_is_coherent():
     """Admissibility audit over every witness region the previous criteria
     produced, arc by arc and independent of the library's validator
-    (``conftest.admissible``): zero violations allowed."""
+    (``oracles.admissible``): zero violations allowed."""
     assert COLLECTED, "earlier criteria produced no regions to audit"
     violations = sum(
         not admissible(subject, tau, region) for _, subject, tau, region in COLLECTED

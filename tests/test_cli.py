@@ -53,19 +53,17 @@ from boolsynth.fileformats import (
     parse_witnesses,
 )
 from conftest import (
-    build_battery,
-    line_by_line,
-    line_ts,
-    subjects,
-    witness_atoms,
-)
-from test_solving import (
     FULL,
     futile_resign,
     lax_allowed_at,
+    line_by_line,
+    line_ts,
     mixed_ts,
+    subjects,
     unsettling_decode,
+    witness_atoms,
 )
+from oracles import build_battery
 
 TAU_SPEC = "nop,set,swap,free"
 

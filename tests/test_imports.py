@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used by that module, and
-every private name the package defines is read somewhere in it.
+every private name the package defines is read somewhere in it. The test
+oracles import no engine, and no test module imports another.
 
 No linter runs on this repository, so this is the check that keeps unused
 imports and unread private helpers out. ``__init__.py`` is skipped for
@@ -10,13 +11,15 @@ those names.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import boolsynth
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boolsynth"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "boolsynth"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -128,3 +131,49 @@ def test_all_lists_exactly_what_the_package_imports():
     # imports and ``__all__`` leaves out, or the other way round, is stale.
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert sorted(boolsynth.__all__) == sorted(imported_names(tree))
+
+
+#: What ``oracles.py`` may import besides the standard library: the data
+#: types, so that no oracle shares code with an engine.
+DATA_TYPE_MODULES = {"boolsynth.interactions", "boolsynth.ts", "boolsynth.regions"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The absolute names of the modules a module imports."""
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_imported_modules_reads_every_import_form():
+    tree = ast.parse(
+        "import os.path\n"
+        "from boolsynth import solving\n"
+        "from . import helpers\n"
+        "from test_sat import brute_force\n"
+    )
+    assert imported_modules(tree) == {"os.path", "boolsynth", ".", "test_sat"}
+
+
+def test_the_oracles_import_only_the_standard_library_and_data_types():
+    modules = imported_modules(ast.parse((TESTS / "oracles.py").read_text()))
+    foreign = {
+        module
+        for module in modules - DATA_TYPE_MODULES
+        if module.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert modules & DATA_TYPE_MODULES and sorted(foreign) == []
+
+
+def test_no_test_module_imports_another():
+    importing = [
+        f"{path.name}: {module}"
+        for path in sorted(TESTS.glob("test_*.py"))
+        for module in sorted(imported_modules(ast.parse(path.read_text())))
+        if module.split(".")[0].startswith("test_")
+    ]
+    assert importing == []

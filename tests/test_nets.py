@@ -27,7 +27,8 @@ from boolsynth import (
 from boolsynth.fileformats import format_ts
 from boolsynth.nets import _region_order
 from boolsynth.solving import first_unsettled, irredundant
-from conftest import TAU, TAU_TILDE, build_battery, random_ts
+from conftest import TAU, TAU_TILDE, random_ts
+from oracles import build_battery
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -21,6 +21,7 @@ from boolsynth import (
     validate_region,
 )
 from conftest import TAU, TAU_TILDE, random_ts, subjects
+from oracles import follows_every_arc
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -137,20 +138,7 @@ class TestValidateRegion:
         support = {s: rng.randint(0, 1) for s in ts.states}
         signature = {e: rng.choice(list(tau)) for e in ts.events}
         region = Region(support, signature)
-        expected = all(
-            signature[a.event].apply(support[a.source]) == support[a.target]
-            for a in ts.arcs
-        )
-        assert validate_region(ts, tau, region) == expected
-
-
-def arc_by_arc(subject, region) -> bool:
-    """The region definition applied to each arc in turn."""
-    return all(
-        region.signature[arc.event].apply(region.support[arc.source])
-        == region.support[arc.target]
-        for arc in subject.arcs
-    )
+        assert validate_region(ts, tau, region) == follows_every_arc(ts, region)
 
 
 class TestValidateRegionAgainstArcs:
@@ -179,7 +167,9 @@ class TestValidateRegionAgainstArcs:
             else:
                 signature[event] = data.draw(st.sampled_from(list(tau)))
         region = Region(support, signature)
-        assert validate_region(subject, tau, region) == arc_by_arc(subject, region)
+        assert validate_region(subject, tau, region) == follows_every_arc(
+            subject, region
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -7,7 +7,6 @@ of chronological backtracking with every backjump made chronological."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -32,6 +31,7 @@ from boolsynth import (
 )
 from boolsynth import sat as sat_module
 from conftest import consistency_cnf, region_digest, solver_state
+from oracles import brute_force, satisfying_set, verify_model
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -56,25 +56,6 @@ CUBIC_24 = CubicCnf(
         ("x0", "x11", "x21"), ("x18", "x5", "x17"), ("x12", "x22", "x6"),
     )
 )
-
-
-def brute_force(nvars, clauses, assumptions=()):
-    """Exhaustive satisfiability with assumptions (DIMACS-style literals)."""
-    fixed = {}
-    for lit in assumptions:
-        var, want = abs(lit), lit > 0
-        if fixed.get(var, want) != want:
-            return None
-        fixed[var] = want
-    for bits in itertools.product([False, True], repeat=nvars):
-        assign = {v: bits[v - 1] for v in range(1, nvars + 1)}
-        if any(assign[v] != w for v, w in fixed.items()):
-            continue
-        if all(
-            any(assign[abs(l)] == (l > 0) for l in clause) for clause in clauses
-        ):
-            return assign
-    return None
 
 
 def fresh(nvars, clauses):
@@ -115,9 +96,23 @@ class TestBasics:
         clauses = [[1, 2], [-1, 2], [1, -2]]
         solver = fresh(2, clauses)
         assert solver.solve() is True
-        assert solver.verify_model(clauses)
+        assert verify_model(solver, clauses)
         model = solver.model()
         assert model[0] is True and model[1] is True  # 1-indexed vars 1,2
+
+    def test_an_open_variable_satisfies_no_literal(self):
+        # Variable 2 lies above the decision bound and stays open (byte 2 in
+        # ``model_values``), so ``verify_model`` counts neither of its
+        # literals as true, though ``model_value`` reads it false.
+        solver = SatSolver(decision_vars=1)
+        solver.ensure_vars(2)
+        solver.add_clause([1])
+        assert solver.solve() is True
+        assert solver.model_values[4:6] == bytes([2, 2])
+        assert verify_model(solver, [[1]])
+        assert not verify_model(solver, [[2]])
+        assert not verify_model(solver, [[-2]])
+        assert solver.model_value(2) is False
 
 
 class TestAssumptions:
@@ -191,7 +186,7 @@ class TestHarderInstances:
         nvars, clauses = pigeonhole(4, 4)
         solver = fresh(nvars, clauses)
         assert solver.solve() is True
-        assert solver.verify_model(clauses)
+        assert verify_model(solver, clauses)
 
     def test_interrupted_solve_resumes(self, monkeypatch):
         # The clock passes the deadline after the entry check, so the search
@@ -226,7 +221,7 @@ class TestHarderInstances:
         assert solver.conflicts == 0
         assert solver.decisions == 1024
         assert solver.solve() is True
-        assert solver.verify_model(clauses)
+        assert verify_model(solver, clauses)
 
     def test_restarts_do_not_change_verdicts(self):
         # The solver never restarts: a search of many conflicts, past the
@@ -363,7 +358,7 @@ class TestActivityRescale:
             expected = brute_force(nvars, clauses, assumptions) is not None
             if bound is None:
                 assert verdict == expected
-                assert not verdict or solver.verify_model(clauses)
+                assert not verdict or verify_model(solver, clauses)
             else:  # with a bound, sat only says the decision variables are set
                 assert verdict or not expected
         assert rescales >= 100
@@ -538,7 +533,7 @@ class TestDifferential:
         expected = brute_force(nvars, clauses)
         assert verdict == (expected is not None)
         if verdict:
-            assert solver.verify_model(clauses)
+            assert verify_model(solver, clauses)
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 10**9))
@@ -554,7 +549,7 @@ class TestDifferential:
         expected = brute_force(nvars, clauses, assumptions)
         assert verdict == (expected is not None)
         if verdict:
-            assert solver.verify_model(clauses)
+            assert verify_model(solver, clauses)
             for lit in assumptions:
                 assert solver.model_value(abs(lit)) is (lit > 0)
 
@@ -620,7 +615,7 @@ class TestDifferential:
             expected = brute_force(nvars, clauses, assumptions)
             assert verdict == (expected is not None)
             if verdict:
-                assert solver.verify_model(clauses)
+                assert verify_model(solver, clauses)
                 for lit in assumptions:
                     assert solver.model_value(abs(lit)) is (lit > 0)
 
@@ -643,7 +638,7 @@ class TestSetPhase:
             expected = brute_force(nvars, clauses, assumptions)
             assert verdict == (expected is not None)
             if verdict:
-                assert solver.verify_model(clauses)
+                assert verify_model(solver, clauses)
             extra = [rng.randint(1, nvars) * rng.choice((1, -1))]
             clauses.append(extra)
             solver.add_clause(extra)
@@ -990,24 +985,6 @@ def check_levels(solver, n_assumptions):
     assert decided == sorted(set(decided))
     undecided = set(range(1, len(solver._trail_lim) + 1)) - set(decided)
     assert all(level <= n_assumptions for level in undecided)
-
-
-def satisfying_set(nvars, clauses):
-    """The assignments that satisfy every clause, as a set of bits: bit a
-    stands for the assignment that makes variable v true iff bit v - 1 of
-    a is set."""
-    everything = (1 << (1 << nvars)) - 1
-    true_at = [0] + [
-        sum(1 << a for a in range(1 << nvars) if a >> (var - 1) & 1)
-        for var in range(1, nvars + 1)
-    ]
-    result = everything
-    for clause in clauses:
-        mask = 0
-        for lit in clause:
-            mask |= true_at[lit] if lit > 0 else everything ^ true_at[-lit]
-        result &= mask
-    return result
 
 
 def body(test):

@@ -1,6 +1,7 @@
 """The experiment scripts run from a plain checkout: no install and no
 ``PYTHONPATH``, started from outside the repository. The benchmark's
-tracer still finds every function it patches."""
+tracer still finds every function it patches, and its oracle loader still
+finds the separation oracles."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import sys
 from pathlib import Path
 
 import boolsynth
-from boolsynth import PHI_SAT, Family, build_union
+from boolsynth import PHI_SAT, Family, NetType, build_union
+from oracles import build_battery, oracle_essp, oracle_ssp
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -34,6 +36,47 @@ def test_battery_report_tallies_all_types(tmp_path):
         "verdict counts (ssp, essp): ('yes', 'yes')=96, ('yes', 'no')=96, "
         "('no', 'yes')=414, ('no', 'no')=414"
     )
+
+
+#: What ``perfbench/workloads.py``'s ``_oracle`` does: execute
+#: ``tests/conftest.py`` by path, with ``tests/`` not on ``sys.path``, and
+#: read ``oracle_ssp`` and ``oracle_essp`` from the module.
+LOAD_CONFTEST_BY_PATH = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("conftest_by_path", sys.argv[1])
+conftest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(conftest)
+from boolsynth import NetType, TransitionSystem
+tau = NetType.from_spec(sys.argv[2])
+for arcs in sys.argv[3:]:
+    ts = TransitionSystem.build("s0", [arc.split(",") for arc in arcs.split()])
+    print(conftest.oracle_ssp(ts, tau), conftest.oracle_essp(ts, tau))
+"""
+
+
+def test_the_bench_oracle_loader_finds_the_separation_oracles(tmp_path):
+    spec = "nop,set,swap,free"
+    tau = NetType.from_spec(spec)
+    battery = build_battery().values()
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            LOAD_CONFTEST_BY_PATH,
+            str(ROOT / "tests" / "conftest.py"),
+            spec,
+            *(" ".join(",".join(arc) for arc in ts.arcs) for ts in battery),
+        ],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    expected = [f"{oracle_ssp(ts, tau)} {oracle_essp(ts, tau)}" for ts in battery]
+    assert completed.stdout.splitlines() == expected
+    assert len(set(expected)) == 4  # the battery shows all four verdict pairs
 
 
 def test_untested_lines_lists_source_lines(tmp_path):

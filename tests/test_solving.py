@@ -1,6 +1,6 @@
 """The two separation engines: verdicts, counterexamples, witness pools,
 single-requirement solving, enumeration, and witness assignment — each
-cross-checked against the brute-force oracle from conftest."""
+cross-checked against the brute-force oracles."""
 
 from __future__ import annotations
 
@@ -49,34 +49,36 @@ from boolsynth import (
 )
 from boolsynth import solving
 from conftest import (
+    FULL,
     TAU,
     TAU_TILDE,
-    admissible,
     consistency_cnf,
+    futile_resign,
+    lax_allowed_at,
     line_ts,
+    mixed_ts,
+    random_ts,
+    region_digest,
+    solver_state,
+    unsettling_decode,
+    witness_atoms,
+)
+from oracles import (
+    admissible,
+    dimacs_reference,
     oracle_essp,
     oracle_inhibitable,
     oracle_separable,
     oracle_ssp,
-    random_ts,
-    region_digest,
-    solver_state,
-    witness_atoms,
+    per_bit_clauses,
+    satisfying_set,
 )
-from test_sat import satisfying_set
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 ENGINES = ("exhaustive", "sat")
-
-FULL = NetType(frozenset(Interaction))
-
-
-def mixed_ts() -> TransitionSystem:
-    """Two events, one missing state each; feasible under the full type."""
-    return TransitionSystem.build("p", [("p", "a", "q"), ("q", "b", "p")])
 
 
 class TestSubjectIndex:
@@ -499,25 +501,6 @@ def three_kinds_of_arc() -> TransitionSystem:
     )
 
 
-def per_bit_clauses(ctx, event_pos):
-    """The consistency rule of one event, per source bit, in DIMACS
-    literals: at least one interaction; per arc, interaction and source bit
-    b, the interaction is not selected, or the source is not b, or the
-    target carries the image of b if there is one."""
-    problem = ctx.problem
-    sels = ctx.sel_var[event_pos]
-    clauses = [list(sels)]
-    for src, dst in problem.index.arcs_by_event[event_pos]:
-        s, d = ctx.sup_var[src], ctx.sup_var[dst]
-        for sel, interaction in zip(sels, problem.tau_list):
-            for b, image in enumerate(interaction.effect):
-                clause = [-sel, -s if b else s]
-                if image is not None:
-                    clause.append(d if image else -d)
-                clauses.append(clause)
-    return clauses
-
-
 def arc_mix(rng: random.Random) -> TransitionSystem:
     """A system of two to five states whose one to four events each take a
     random mix of a self-loop, a two-cycle, two arcs into one state and a
@@ -540,55 +523,14 @@ def arc_mix(rng: random.Random) -> TransitionSystem:
     return TransitionSystem.build(items[0][0], items)
 
 
-def dimacs_reference(ctx) -> SatSolver:
-    """A solver with the consistency CNF of ``ctx`` loaded clause by clause
-    in DIMACS literals, by the rule of ``_consistency_clauses``'s docstring:
-    per arc and interaction, per pattern (a, b) in ascending order that the
-    interaction cannot follow (its image of a is not b), the interaction is
-    not selected, or the source is not a, or the target is not b. The clause
-    keeps only its source side if (a, not b) is ruled out too, and only its
-    target side if (not a, b) is; repeats are dropped. On a self-loop a
-    clause equal to one loaded before for the arc is dropped too, and the
-    solver's normaliser drops a tautology and merges a repeated literal.
-    Then, after the arc clauses, at least one interaction per event: a unit
-    under a type of one interaction, which must come last, and otherwise a
-    clause of positive selectors, whose lists no arc clause touches."""
-    problem = ctx.problem
-    reference = SatSolver(decision_vars=problem.n)
-    reference.ensure_vars(ctx.solver.num_vars)
-    for sels, arcs in zip(ctx.sel_var, problem.index.arcs_by_event):
-        for src, dst in arcs:
-            s, d = ctx.sup_var[src], ctx.sup_var[dst]
-            for sel, interaction in zip(sels, problem.tau_list):
-                out = [
-                    (a, b)
-                    for a in (0, 1)
-                    for b in (0, 1)
-                    if interaction.effect[a] != b
-                ]
-                sides = []  # (a or None, b or None) per clause
-                for a, b in out:
-                    if (a, 1 - b) in out:
-                        side = (a, None)
-                    elif (1 - a, b) in out:
-                        side = (None, b)
-                    else:
-                        side = (a, b)
-                    if side not in sides:
-                        sides.append(side)
-                loaded = []
-                for a, b in sides:
-                    clause = [-sel]
-                    if a is not None:
-                        clause.append(-s if a else s)
-                    if b is not None:
-                        clause.append(-d if b else d)
-                    if set(clause) not in loaded:
-                        loaded.append(set(clause))
-                        reference.add_clause(clause)
-    for sels in ctx.sel_var:
-        reference.add_clause(list(sels))
-    return reference
+def loaded_one_by_one(ctx, clauses) -> SatSolver:
+    """A solver with ``ctx``'s decision bound and variables, and ``clauses``
+    loaded in order through ``add_clause``."""
+    solver = SatSolver(decision_vars=ctx.problem.n)
+    solver.ensure_vars(ctx.solver.num_vars)
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver
 
 
 def dimacs(clause):
@@ -603,7 +545,7 @@ class TestConsistencyCnf:
             problem = solving._Problem(ts, tau)
             ctx = solving._SatContext(problem)
             assert solver_state(ctx.solver) == solver_state(
-                dimacs_reference(ctx)
+                loaded_one_by_one(ctx, dimacs_reference(ctx))
             ), tau.spec()
             single += len(problem.tau_list) == 1
         assert single == 8
@@ -636,7 +578,7 @@ class TestConsistencyCnf:
             tau = NetType(frozenset(rng.sample(list(Interaction), rng.randint(1, 8))))
             ctx = solving._SatContext(solving._Problem(ts, tau))
             assert solver_state(ctx.solver) == solver_state(
-                dimacs_reference(ctx)
+                loaded_one_by_one(ctx, dimacs_reference(ctx))
             ), (ts.arcs, tau.spec())
 
     @pytest.mark.parametrize(
@@ -875,28 +817,6 @@ class TestCheckResult:
         )
 
 
-def futile_resign(coverage, support, picks, allowed):
-    """``_Coverage.resign`` gone wrong: each event with pending inhibitions
-    and no pick gets an admissible partial interaction that inhibits none of
-    its pending states, if there is one."""
-    at = (~support, support)  # the states holding 0, 1
-    for e, pending in enumerate(coverage.uncovered):
-        event = coverage.problem.events[e]
-        if pending and event not in picks:
-            for mask_bit, interaction, bit in solving._PARTIALS:
-                if allowed[e] & mask_bit and not pending & at[bit]:
-                    picks[event] = interaction
-
-
-DECODE = solving._SatContext.decode
-
-
-def unsettling_decode(ctx, forced, coverage):
-    """``_SatContext.decode`` gone wrong: the region is credited to a
-    throwaway tracker, so it settles nothing of ``coverage``."""
-    return DECODE(ctx, forced, solving._Coverage(ctx.problem, True, True))
-
-
 class TestProgressGuards:
     """An engine loop whose round settles nothing raises ``EngineError``
     instead of pooling the same region until memory runs out."""
@@ -1033,12 +953,6 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-
-def lax_allowed_at(problem, bits):
-    """``_Problem.allowed_at`` gone wrong: every event may take any
-    interaction of the type, whatever its arcs show."""
-    return [problem.allowed_by_code[0]] * len(problem.events)
 
 
 class TestRegionGuard:

@@ -73,6 +73,28 @@ class TestConstruction:
                 events=(),
             )
 
+    @pytest.mark.parametrize(
+        "states, events, message",
+        [
+            (("s0", "s1", "s1"), ("a",), r"states listed twice: \['s1'\]"),
+            (("s0", "s1"), ("a", "a"), r"events listed twice: \['a'\]"),
+        ],
+        ids=["state", "event"],
+    )
+    def test_a_repeated_state_or_event_is_rejected(self, states, events, message):
+        # The engines index states and events by position, and each reads a
+        # repeated item its own way, so their verdicts would differ.
+        # ``build`` drops repeats from the lists it is given.
+        with pytest.raises(ValueError, match=message):
+            TransitionSystem(
+                initial="s0",
+                arcs=(Arc("s0", "a", "s1"),),
+                states=states,
+                events=events,
+            )
+        built = TransitionSystem.build("s0", [("s0", "a", "s1")], states, events)
+        assert (built.states, built.events) == (("s0", "s1"), ("a",))
+
     def test_nondeterminism_rejected(self):
         with pytest.raises(ValueError, match="nondeterministic"):
             TransitionSystem.build(
